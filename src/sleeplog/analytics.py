@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from .geo import CountryResolution, ResolutionMethod
 from .grammar import SleepLog
-from .records import RawTweet
+from .records import RawTweet, latest_profiles  # noqa: F401 (re-exported)
 from .stats import (
     CorrelationResult,
     DegenerateSampleError,
@@ -98,16 +98,6 @@ def by_user(logs: Iterable[SleepLog]) -> dict[str, list[SleepLog]]:
     for log in logs:
         grouped.setdefault(log.user_id, []).append(log)
     return grouped
-
-
-def latest_profiles(tweets: Iterable[RawTweet]) -> dict[str, RawTweet]:
-    """Most recent tweet per user; its embedded profile fields win."""
-    latest: dict[str, RawTweet] = {}
-    for tweet in tweets:
-        current = latest.get(tweet.user_id)
-        if current is None or tweet.created_at > current.created_at:
-            latest[tweet.user_id] = tweet
-    return latest
 
 
 def tweets_per_day(profile: RawTweet) -> float | None:

@@ -1,7 +1,9 @@
 """Command-line pipeline driver.
 
-Each subcommand is one pipeline stage reading and writing plain files, so
-stages can be re-run, diffed, and audited independently:
+Each stage is a function over in-memory records that also writes its
+outputs as plain files.  Each subcommand runs one stage on the files an
+earlier stage wrote, so stages can be re-run, diffed, and audited
+independently; run-all hands the records from stage to stage in memory:
 
     ingest  corpus.jsonl      -> tweets.jsonl + ledger.json
     parse   tweets.jsonl      -> logs.jsonl
@@ -29,7 +31,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
 
 from . import __version__
@@ -41,7 +42,6 @@ from .analytics import (
     filter_min_logs,
     frequency_table,
     friends_split,
-    latest_profiles,
     per_user_aggregates,
     presleep_activity,
     duration_by_start_bin,
@@ -57,12 +57,11 @@ from .records import (
     RawTweet,
     dedupe,
     ingest_file,
+    latest_profiles,
     parse_timestamp,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
 from .synth import SynthConfig, generate, write_corpus
-
-_PARSE_BATCH = 256
 
 
 # --- Small file helpers --------------------------------------------------------
@@ -130,6 +129,12 @@ def _read_logs(path: str) -> list[SleepLog]:
     return logs
 
 
+def _write_logs(path: str, logs: list[SleepLog]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for log in logs:
+            handle.write(json.dumps(log.to_record(), ensure_ascii=True, sort_keys=True) + "\n")
+
+
 def _read_countries(path: str) -> dict[str, CountryResolution]:
     out: dict[str, CountryResolution] = {}
     for row in _read_csv(path):
@@ -178,7 +183,7 @@ def _save_ledger(out_dir: str, ledger: PipelineLedger) -> str:
 
 # --- Stage implementations -----------------------------------------------------
 
-def do_ingest(input_path: str, out_dir: str, settings: dict) -> str:
+def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[RawTweet]]:
     os.makedirs(out_dir, exist_ok=True)
     ledger = PipelineLedger()
     tweets, bad_lines = ingest_file(input_path, ledger)
@@ -197,36 +202,23 @@ def do_ingest(input_path: str, out_dir: str, settings: dict) -> str:
 
     ledger_path = _save_ledger(out_dir, ledger)
     _manifest(out_dir, "ingest", [input_path], [tweets_path, rejects_path, ledger_path], stamp)
-    return (
+    message = (
         f"ingest: kept {len(tweets)} tweets "
         f"({len(bad_lines)} malformed, {len(dupes)} duplicates)"
     )
+    return message, tweets
 
 
-def _parse_batch(batch: list[RawTweet], policy: AnchorPolicy):
-    return [parse_tweet(tweet, policy) for tweet in batch]
-
-
-def do_parse(tweets_path: str, out_dir: str, settings: dict) -> str:
+def do_parse(
+    tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
+) -> tuple[str, list[SleepLog]]:
     os.makedirs(out_dir, exist_ok=True)
-    tweets = _read_tweets(tweets_path)
     policy = AnchorPolicy(slack_minutes=settings["slack_minutes"])
-    workers = settings["workers"]
-
-    batches = [tweets[i:i + _PARSE_BATCH] for i in range(0, len(tweets), _PARSE_BATCH)]
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # executor.map yields results in submission order, so the output
-            # is identical whatever the completion order was.
-            outcome_batches = list(pool.map(lambda b: _parse_batch(b, policy), batches))
-    else:
-        outcome_batches = [_parse_batch(b, policy) for b in batches]
-    outcomes = [o for batch in outcome_batches for o in batch]
-
     kept: list[SleepLog] = []
     reject_rows: list[list] = []
     reasons: dict[str, int] = {}
-    for tweet, outcome in zip(tweets, outcomes):
+    for tweet in tweets:
+        outcome = parse_tweet(tweet, policy)
         if isinstance(outcome, Rejection):
             reasons[outcome.reason.value] = reasons.get(outcome.reason.value, 0) + 1
             span = outcome.span or (None, None)
@@ -238,21 +230,19 @@ def do_parse(tweets_path: str, out_dir: str, settings: dict) -> str:
     ledger.record("parse", len(tweets), len(kept), reasons, len({l.user_id for l in kept}))
 
     logs_path = os.path.join(out_dir, "logs.jsonl")
-    with open(logs_path, "w", encoding="utf-8") as handle:
-        for log in kept:
-            handle.write(json.dumps(log.to_record(), ensure_ascii=True, sort_keys=True) + "\n")
-
+    _write_logs(logs_path, kept)
     stamp = config_stamp(settings)
     rejects_path = os.path.join(out_dir, "parse_rejects.csv")
     _write_csv(rejects_path, stamp, ["tweet_id", "reason", "span_lo", "span_hi"], reject_rows)
     ledger_path = _save_ledger(out_dir, ledger)
     _manifest(out_dir, "parse", [tweets_path], [logs_path, rejects_path, ledger_path], stamp)
-    return f"parse: kept {len(kept)} logs, rejected {len(reject_rows)} (workers={workers})"
+    return f"parse: kept {len(kept)} logs, rejected {len(reject_rows)}", kept
 
 
-def do_filter(logs_path: str, out_dir: str, settings: dict) -> str:
+def do_filter(
+    logs: list[SleepLog], logs_path: str, out_dir: str, settings: dict
+) -> tuple[str, list[SleepLog]]:
     os.makedirs(out_dir, exist_ok=True)
-    logs = _read_logs(logs_path)
     config = FilterConfig(
         min_duration_minutes=settings["min_duration_minutes"],
         max_duration_minutes=settings["max_duration_minutes"],
@@ -263,10 +253,7 @@ def do_filter(logs_path: str, out_dir: str, settings: dict) -> str:
     kept, rejected = filter_logs(logs, config, ledger)
 
     filtered_path = os.path.join(out_dir, "filtered.jsonl")
-    with open(filtered_path, "w", encoding="utf-8") as handle:
-        for log in kept:
-            handle.write(json.dumps(log.to_record(), ensure_ascii=True, sort_keys=True) + "\n")
-
+    _write_logs(filtered_path, kept)
     stamp = config_stamp(settings)
     rejects_path = os.path.join(out_dir, "filter_rejects.csv")
     _write_csv(
@@ -275,12 +262,13 @@ def do_filter(logs_path: str, out_dir: str, settings: dict) -> str:
     )
     ledger_path = _save_ledger(out_dir, ledger)
     _manifest(out_dir, "filter", [logs_path], [filtered_path, rejects_path, ledger_path], stamp)
-    return f"filter: kept {len(kept)} of {len(logs)} logs"
+    return f"filter: kept {len(kept)} of {len(logs)} logs", kept
 
 
-def do_geo(tweets_path: str, out_dir: str, settings: dict) -> str:
+def do_geo(
+    tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
+) -> tuple[str, dict[str, CountryResolution]]:
     os.makedirs(out_dir, exist_ok=True)
-    tweets = _read_tweets(tweets_path)
     client = GeocodeClient(
         config=GeocoderConfig(base_url=settings["geo_base_url"]),
         cache_path=settings["geo_cache"],
@@ -299,7 +287,7 @@ def do_geo(tweets_path: str, out_dir: str, settings: dict) -> str:
 
     resolved = sum(1 for r in resolutions.values() if r.country is not None)
     mode = "offline" if settings["geo_offline"] else "online"
-    return f"geo: resolved {resolved} of {len(resolutions)} users ({mode})"
+    return f"geo: resolved {resolved} of {len(resolutions)} users ({mode})", resolutions
 
 
 def _user_rows(users) -> list[list]:
@@ -347,6 +335,19 @@ def _analysis_bundle(
     )
     outputs.append(summary_path)
 
+    presleep = None
+    if timelines is not None:
+        presleep = presleep_activity(
+            logs,
+            timelines,
+            window_minutes=settings["presleep_window_minutes"],
+            denominator=settings["presleep_denominator"],
+        )
+        by_id = {u.user_id: u for u in users}
+        for user_id, prob in presleep.probabilities.items():
+            if user_id in by_id:
+                by_id[user_id].presleep_tweet_prob = prob
+
     users_path = os.path.join(out_dir, "users.csv")
     _write_csv(users_path, stamp, _USER_HEADER, _user_rows(users))
     outputs.append(users_path)
@@ -390,18 +391,7 @@ def _analysis_bundle(
     _write_json(friends_path, _cohort_or_note(friends_split, users))
     outputs.append(friends_path)
 
-    if timelines is not None:
-        presleep = presleep_activity(
-            logs,
-            timelines,
-            window_minutes=settings["presleep_window_minutes"],
-            denominator=settings["presleep_denominator"],
-        )
-        by_id = {u.user_id: u for u in users}
-        for user_id, prob in presleep.probabilities.items():
-            if user_id in by_id:
-                by_id[user_id].presleep_tweet_prob = prob
-        _write_csv(users_path, stamp, _USER_HEADER, _user_rows(users))
+    if presleep is not None:
         presleep_path = os.path.join(out_dir, "presleep.json")
         _write_json(presleep_path, presleep.to_record())
         outputs.append(presleep_path)
@@ -410,24 +400,17 @@ def _analysis_bundle(
 
 
 def do_analyze(
+    logs: list[SleepLog],
+    profiles: dict[str, RawTweet],
+    resolutions: dict[str, CountryResolution],
+    timelines: dict[str, list[datetime]] | None,
+    inputs: list[str],
     out_dir: str,
     settings: dict,
-    logs_path: str | None = None,
-    tweets_path: str | None = None,
-    countries_path: str | None = None,
-    timelines_path: str | None = None,
 ) -> str:
-    logs_path = logs_path or os.path.join(out_dir, "filtered.jsonl")
-    tweets_path = tweets_path or os.path.join(out_dir, "tweets.jsonl")
-    countries_path = countries_path or os.path.join(out_dir, "countries.csv")
-
-    logs = _read_logs(logs_path)
+    """Analysis bundles over filtered logs; `inputs` are the files behind them, logs first."""
     if not logs:
-        raise ValueError(f"no logs to analyze in {logs_path}")
-    profiles = latest_profiles(_read_tweets(tweets_path))
-    resolutions = _read_countries(countries_path) if os.path.exists(countries_path) else {}
-    timelines = _read_timelines(timelines_path) if timelines_path else None
-
+        raise ValueError(f"no logs to analyze in {inputs[0]}")
     users, summary = per_user_aggregates(logs, resolutions, profiles)
     stamp = config_stamp(settings)
     analysis_dir = os.path.join(out_dir, "analysis")
@@ -450,11 +433,6 @@ def do_analyze(
             timelines,
         )
 
-    inputs = [logs_path, tweets_path]
-    if os.path.exists(countries_path):
-        inputs.append(countries_path)
-    if timelines_path:
-        inputs.append(timelines_path)
     _manifest(out_dir, "analyze", inputs, outputs, stamp)
     return (
         f"analyze: {summary.n_logs} logs over {summary.n_users} users; "
@@ -567,12 +545,24 @@ def do_synth(out_dir: str, settings: dict) -> str:
 
 
 def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: str | None) -> str:
+    """Every stage in order, each handing its records to the next in memory."""
+    tweets_path = os.path.join(out_dir, "tweets.jsonl")
+    ingested, tweets = do_ingest(input_path, out_dir, settings)
+    parsed, logs = do_parse(tweets, tweets_path, out_dir, settings)
+    filtered, logs = do_filter(logs, os.path.join(out_dir, "logs.jsonl"), out_dir, settings)
+    located, resolutions = do_geo(tweets, tweets_path, out_dir, settings)
+    inputs = [os.path.join(out_dir, "filtered.jsonl"), tweets_path]
+    inputs.append(os.path.join(out_dir, "countries.csv"))
+    timelines = None
+    if timelines_path:
+        timelines = _read_timelines(timelines_path)
+        inputs.append(timelines_path)
     messages = [
-        do_ingest(input_path, out_dir, settings),
-        do_parse(os.path.join(out_dir, "tweets.jsonl"), out_dir, settings),
-        do_filter(os.path.join(out_dir, "logs.jsonl"), out_dir, settings),
-        do_geo(os.path.join(out_dir, "tweets.jsonl"), out_dir, settings),
-        do_analyze(out_dir, settings, timelines_path=timelines_path),
+        ingested,
+        parsed,
+        filtered,
+        located,
+        do_analyze(logs, latest_profiles(tweets), resolutions, timelines, inputs, out_dir, settings),
         do_report(out_dir, settings),
         do_funnel(out_dir, settings),
     ]
@@ -603,6 +593,31 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     return resolve(file_values, None, flags)
 
 
+def _on_file(stage, reader, default_name: str):
+    """A subcommand that reads one stage's input file and runs the stage on it."""
+    def run(args: argparse.Namespace, settings: dict) -> str:
+        path = args.input or os.path.join(args.out, default_name)
+        return stage(reader(path), path, args.out, settings)[0]
+    return run
+
+
+def _analyze_files(args: argparse.Namespace, settings: dict) -> str:
+    logs_path = args.logs or os.path.join(args.out, "filtered.jsonl")
+    tweets_path = args.tweets or os.path.join(args.out, "tweets.jsonl")
+    countries_path = args.countries or os.path.join(args.out, "countries.csv")
+    logs, profiles = _read_logs(logs_path), latest_profiles(_read_tweets(tweets_path))
+    inputs = [logs_path, tweets_path]
+    resolutions = {}
+    if os.path.exists(countries_path):
+        resolutions = _read_countries(countries_path)
+        inputs.append(countries_path)
+    timelines = None
+    if args.timelines:
+        timelines = _read_timelines(args.timelines)
+        inputs.append(args.timelines)
+    return do_analyze(logs, profiles, resolutions, timelines, inputs, args.out, settings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sleeplog",
@@ -619,34 +634,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage("ingest", "read raw JSONL, validate, deduplicate")
     p.add_argument("input", help="raw tweet JSONL file")
-    p.set_defaults(func=lambda a, s: do_ingest(a.input, a.out, s))
+    p.set_defaults(func=lambda a, s: do_ingest(a.input, a.out, s)[0])
 
     p = stage("parse", "extract sleep logs from tweets.jsonl")
     p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(
-        func=lambda a, s: do_parse(a.input or os.path.join(a.out, "tweets.jsonl"), a.out, s)
-    )
+    p.set_defaults(func=_on_file(do_parse, _read_tweets, "tweets.jsonl"))
 
     p = stage("filter", "drop implausible durations")
     p.add_argument("input", nargs="?", default=None, help="logs JSONL (default: <out>/logs.jsonl)")
-    p.set_defaults(
-        func=lambda a, s: do_filter(a.input or os.path.join(a.out, "logs.jsonl"), a.out, s)
-    )
+    p.set_defaults(func=_on_file(do_filter, _read_logs, "logs.jsonl"))
 
     p = stage("geo", "resolve users to countries")
     p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(
-        func=lambda a, s: do_geo(a.input or os.path.join(a.out, "tweets.jsonl"), a.out, s)
-    )
+    p.set_defaults(func=_on_file(do_geo, _read_tweets, "tweets.jsonl"))
 
     p = stage("analyze", "aggregate users, cohorts, and clocks")
     p.add_argument("--logs", default=None, help="filtered logs JSONL")
     p.add_argument("--tweets", default=None, help="tweets JSONL for profiles")
     p.add_argument("--countries", default=None, help="countries CSV")
     p.add_argument("--timelines", default=None, help="user timeline JSONL")
-    p.set_defaults(
-        func=lambda a, s: do_analyze(a.out, s, a.logs, a.tweets, a.countries, a.timelines)
-    )
+    p.set_defaults(func=_analyze_files)
 
     p = stage("report", "render SVG charts from analysis outputs")
     p.set_defaults(func=lambda a, s: do_report(a.out, s))

@@ -35,10 +35,10 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("require_deep_sleep", "bool", False, "drop logs without a deep-sleep field"),
     Setting("require_anchor", "bool", False, "drop logs without resolved dates"),
     Setting("slack_minutes", "int", 15, "allowed clock skew when anchoring dates"),
-    Setting("workers", "int", 1, "parse worker count", stamped=False),
     Setting("min_logs_per_user", "int", 5, "per-user floor for the robustness re-run"),
     Setting("geo_offline", "bool", False, "never touch the network when resolving countries"),
-    Setting("geo_cache", "str", "geo_cache.json", "persistent geocode cache path", stamped=False),
+    Setting("geo_cache", "str", "geo_cache.json",
+            "geocode cache path, relative to the working directory (not --out)", stamped=False),
     Setting("geo_base_url", "str", "https://nominatim.openstreetmap.org/search", "geocoder endpoint"),
     Setting("seed", "int", 20151024, "corpus generator seed"),
     Setting("synth_users", "int", 100, "corpus generator user count"),
@@ -122,16 +122,14 @@ def resolve(
         raise ConfigError("presleep_denominator must be 'night' or 'day'")
     if not 0 < out["min_duration_minutes"] < out["max_duration_minutes"]:
         raise ConfigError("need 0 < min_duration_minutes < max_duration_minutes")
-    if out["workers"] < 1:
-        raise ConfigError("workers must be at least 1")
     return out
 
 
 def config_stamp(resolved: Mapping[str, object]) -> str:
     """Canonical one-line rendering, embedded in CSV headers and manifests.
 
-    Operational knobs (worker count) are left out: the same data under a
-    different parallelism must produce byte-identical files.
+    Operational settings (the geocode cache path) are left out: where the
+    cache lives must not change the bytes of any output.
     """
     pairs = []
     for name in sorted(resolved):

@@ -18,7 +18,7 @@ from enum import Enum
 from importlib import resources
 from typing import Callable, Iterable
 
-from .records import RawTweet
+from .records import RawTweet, latest_profiles
 
 
 class ResolutionMethod(Enum):
@@ -292,11 +292,7 @@ def resolve_users(
     lang_table: dict[str, str] | None = None,
 ) -> dict[str, CountryResolution]:
     """One resolution per user, from that user's most recent tweet."""
-    profiles: dict[str, RawTweet] = {}
-    for tweet in tweets:
-        current = profiles.get(tweet.user_id)
-        if current is None or tweet.created_at > current.created_at:
-            profiles[tweet.user_id] = tweet
+    profiles = latest_profiles(tweets)
     return {
         user_id: resolve_country(profile, client, zone_table, lang_table)
         for user_id, profile in sorted(profiles.items())

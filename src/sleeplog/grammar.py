@@ -429,9 +429,3 @@ def _format_time(value: time, notation: TimeNotation, sep: str) -> str:
     else:
         meridiem = "a.m." if value.hour < 12 else "p.m."
     return f"{hour12}{sep}{value.minute:02d} {meridiem}"
-
-
-def read_logs_jsonl(lines) -> list[SleepLog]:
-    import json as _json
-
-    return [SleepLog.from_record(_json.loads(line)) for line in lines if line.strip()]

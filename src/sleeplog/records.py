@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 
 class RejectReason(Enum):
@@ -141,6 +141,16 @@ class RawTweet:
         )
 
 
+def latest_profiles(tweets: Iterable[RawTweet]) -> dict[str, RawTweet]:
+    """Most recent tweet per user; its embedded profile fields win."""
+    latest: dict[str, RawTweet] = {}
+    for tweet in tweets:
+        current = latest.get(tweet.user_id)
+        if current is None or tweet.created_at > current.created_at:
+            latest[tweet.user_id] = tweet
+    return latest
+
+
 @dataclass
 class StageEntry:
     """Exact accounting for one pipeline stage."""
@@ -163,7 +173,10 @@ class StageEntry:
 
 
 class PipelineLedger:
-    """Ordered per-stage counts; every input is kept or rejected, never lost."""
+    """Ordered per-stage counts; every input is kept or rejected, never lost.
+
+    Re-recording a stage replaces its entry and drops every later one.
+    """
 
     def __init__(self) -> None:
         self.stages: list[StageEntry] = []
@@ -184,6 +197,9 @@ class PipelineLedger:
             distinct_users_kept=distinct_users_kept,
         )
         entry.validate()
+        names = [s.name for s in self.stages]
+        if name in names:
+            del self.stages[names.index(name):]
         self.stages.append(entry)
         return entry
 
@@ -363,10 +379,3 @@ def dedupe(
             _distinct_users(kept),
         )
     return kept, rejected
-
-
-def read_tweets_jsonl(lines: Iterable[str]) -> Iterator[RawTweet]:
-    """Read already-normalized tweet JSONL (strict: malformed lines raise)."""
-    for line in lines:
-        if line.strip():
-            yield RawTweet.from_record(json.loads(line))

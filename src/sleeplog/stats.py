@@ -1,7 +1,7 @@
 """Self-contained statistical kernels used by the cohort analyses.
 
 Only the standard library is used.  The Mann-Whitney exact distribution is
-built by dynamic programming over rank configurations; the Student-t tail
+built iteratively as a Gaussian binomial polynomial; the Student-t tail
 needed for correlation p-values comes from a continued-fraction evaluation
 of the regularized incomplete beta function.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -88,19 +87,21 @@ def _tie_sizes(values: Sequence[float]) -> list[int]:
     return [c for c in sizes.values() if c > 1]
 
 
-@lru_cache(maxsize=None)
-def _u_count(m: int, n: int, u: int) -> int:
-    """Number of rank configurations of m-vs-n samples with statistic u."""
-    if u < 0:
-        return 0
-    if m == 0 or n == 0:
-        return 1 if u == 0 else 0
-    return _u_count(m - 1, n, u - n) + _u_count(m, n - 1, u)
-
-
 def exact_u_distribution(n1: int, n2: int) -> list[int]:
-    """Counts of arrangements for each U in 0..n1*n2 (tie-free samples)."""
-    return [_u_count(n1, n2, u) for u in range(n1 * n2 + 1)]
+    """Counts of arrangements for each U in 0..n1*n2 (tie-free samples).
+
+    These are the coefficients of the Gaussian binomial, the product of
+    (1 - q^(j+i)) / (1 - q^i) for i = 1..k (k, j = min, max of n1, n2),
+    applied in place as power series truncated at degree n1*n2.
+    """
+    k, j = min(n1, n2), max(n1, n2)
+    counts = [1] + [0] * (n1 * n2)
+    for i in range(1, k + 1):
+        for u in range(n1 * n2, j + i - 1, -1):
+            counts[u] -= counts[u - j - i]
+        for u in range(i, n1 * n2 + 1):
+            counts[u] += counts[u - i]
+    return counts
 
 
 def _two_sided_from_tails(tail_le: float, tail_ge: float) -> float:

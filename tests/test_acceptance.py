@@ -531,11 +531,11 @@ def tree_hashes(root: Path) -> dict[str, str]:
     return out
 
 
-def test_c9_pipeline_outputs_are_byte_identical_even_in_parallel(tmp_path):
+def test_c9_pipeline_outputs_are_byte_identical_run_by_run_and_stage_by_stage(tmp_path):
     corpus = tmp_path / "synth"
     assert cli.main(["synth", "--out", str(corpus), "--synth-users", "20", "--seed", "321"]) == 0
     trees = []
-    for name, extra in (("a", []), ("b", []), ("c", ["--workers", "4"])):
+    for name in ("a", "b"):
         out = tmp_path / name
         rc = cli.main(
             [
@@ -546,9 +546,24 @@ def test_c9_pipeline_outputs_are_byte_identical_even_in_parallel(tmp_path):
                 "--geo-offline",
                 "--geo-cache", str(tmp_path / f"cache_{name}.json"),
             ]
-            + extra
         )
         assert rc == 0
         trees.append(tree_hashes(out))
+
+    # The same pipeline, one subcommand per stage, reading the files each stage wrote.
+    out = tmp_path / "c"
+    common = ["--out", str(out), "--geo-offline", "--geo-cache", str(tmp_path / "cache_c.json")]
+    for argv in (
+        ["ingest", str(corpus / "corpus.jsonl")],
+        ["parse"],
+        ["filter"],
+        ["geo"],
+        ["analyze", "--timelines", str(corpus / "timelines.jsonl")],
+        ["report"],
+        ["funnel"],
+    ):
+        assert cli.main(argv + common) == 0, argv
+    trees.append(tree_hashes(out))
+
     assert trees[0] == trees[1]
     assert trees[0] == trees[2]

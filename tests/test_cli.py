@@ -53,6 +53,21 @@ def run_all_into(out: Path, corpus_dir: Path, cache: Path, extra: list[str] | No
     return cli.main(argv + (extra or []))
 
 
+def stages_into(out: Path, corpus_dir: Path, cache: Path) -> None:
+    """The run-all pipeline, one subcommand per stage."""
+    common = ["--out", str(out), "--geo-offline", "--geo-cache", str(cache)]
+    for argv in (
+        ["ingest", str(corpus_dir / "corpus.jsonl")],
+        ["parse"],
+        ["filter"],
+        ["geo"],
+        ["analyze", "--timelines", str(corpus_dir / "timelines.jsonl")],
+        ["report"],
+        ["funnel"],
+    ):
+        assert cli.main(argv + common) == 0, argv
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory) -> Path:
     d = tmp_path_factory.mktemp("synth")
@@ -245,10 +260,23 @@ def test_repeat_runs_are_byte_identical(tmp_path, corpus_dir, capsys):
     assert "parse: kept" in out
 
 
-def test_worker_count_never_changes_bytes(tmp_path, corpus_dir, run_dir):
-    c = tmp_path / "c"
-    assert run_all_into(c, corpus_dir, tmp_path / "cache_c.json", ["--workers", "3"]) == 0
-    assert tree_hashes(c) == tree_hashes(run_dir)
+def test_stage_by_stage_matches_run_all(tmp_path, corpus_dir, run_dir):
+    stages_into(tmp_path / "s", corpus_dir, tmp_path / "cache_s.json")
+    assert tree_hashes(tmp_path / "s") == tree_hashes(run_dir)
+
+
+def test_rerun_stage_keeps_the_ledger_chain(tmp_path, corpus_dir):
+    funnels = []
+    for name, parses in (("once", 1), ("twice", 2)):
+        out = str(tmp_path / name)
+        assert cli.main(["ingest", str(corpus_dir / "corpus.jsonl"), "--out", out]) == 0
+        for _ in range(parses):
+            assert cli.main(["parse", "--out", out]) == 0
+        assert cli.main(["funnel", "--out", out]) == 0
+        funnels.append((tmp_path / name / "funnel.csv").read_bytes())
+    assert funnels[0] == funnels[1]
+    stages = json.loads((tmp_path / "twice" / "ledger.json").read_text())["stages"]
+    assert [s["name"] for s in stages] == ["ingest", "dedupe", "parse"]
 
 
 def test_geo_rerun_is_byte_identical(tmp_path, run_dir):
@@ -324,7 +352,7 @@ def test_funnel_without_ledger_exits_1(tmp_path, capsys):
 
 def test_bad_config_file_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("workers = zero\n")
+    cfg.write_text("slack_minutes = zero\n")
     assert cli.main(["funnel", "--out", str(tmp_path), "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
@@ -342,7 +370,7 @@ def test_inconsistent_duration_window_exits_2(tmp_path, capsys):
 
 
 def test_bad_env_value_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SLEEPLOG_WORKERS", "zero")
+    monkeypatch.setenv("SLEEPLOG_SLACK_MINUTES", "zero")
     assert cli.main(["funnel", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 

@@ -52,8 +52,8 @@ class TestLoadFile:
         return str(path)
 
     def test_key_value_lines(self, tmp_path):
-        path = self.write(tmp_path, "min_duration_minutes = 60\nworkers=4\n")
-        assert load_file(path) == {"min_duration_minutes": "60", "workers": "4"}
+        path = self.write(tmp_path, "min_duration_minutes = 60\nslack_minutes=4\n")
+        assert load_file(path) == {"min_duration_minutes": "60", "slack_minutes": "4"}
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = self.write(tmp_path, "\n# a comment\nseed = 9  # trailing\n\n")
@@ -79,7 +79,7 @@ class TestResolve:
         resolved = resolve(environ={})
         assert resolved["min_duration_minutes"] == 120
         assert resolved["max_duration_minutes"] == 720
-        assert resolved["workers"] == 1
+        assert resolved["slack_minutes"] == 15
         assert resolved["geo_offline"] is False
 
     def test_file_beats_default(self):
@@ -122,10 +122,6 @@ class TestResolve:
         with pytest.raises(ConfigError, match="denominator"):
             resolve(environ={}, flag_values={"presleep_denominator": "week"})
 
-    def test_zero_workers_raises(self):
-        with pytest.raises(ConfigError, match="workers"):
-            resolve(environ={}, flag_values={"workers": 0})
-
     def test_env_overrides_only_reads_prefixed_keys(self):
         values = env_overrides({"SLEEPLOG_SEED": "1", "SEED": "2", "PATH": "/bin"})
         assert values == {"seed": "1"}
@@ -138,11 +134,11 @@ class TestStamp:
         keys = [pair.split("=")[0] for pair in stamp.split(" ")]
         assert keys == sorted(keys)
 
-    def test_workers_never_in_stamp(self):
-        one = config_stamp(resolve(environ={}, flag_values={"workers": 1}))
-        four = config_stamp(resolve(environ={}, flag_values={"workers": 4}))
-        assert one == four
-        assert "workers" not in one
+    def test_geo_cache_never_in_stamp(self):
+        here = config_stamp(resolve(environ={}, flag_values={"geo_cache": "a.json"}))
+        there = config_stamp(resolve(environ={}, flag_values={"geo_cache": "elsewhere/b.json"}))
+        assert here == there
+        assert "geo_cache" not in here
 
     def test_stamp_reflects_value_changes(self):
         base = config_stamp(resolve(environ={}))

@@ -196,6 +196,15 @@ class TestLedger:
         with pytest.raises(AssertionError):
             ledger.validate_chain()
 
+    def test_rerecorded_stage_replaces_itself_and_drops_later_stages(self):
+        ledger = PipelineLedger()
+        ledger.record("a", 10, 8, {"X": 2}, 5)
+        ledger.record("b", 8, 6, {"Y": 2}, 4)
+        ledger.record("c", 6, 6, {}, 4)
+        ledger.record("b", 8, 7, {"Y": 1}, 4)
+        assert [(s.name, s.kept) for s in ledger.stages] == [("a", 8), ("b", 7)]
+        ledger.validate_chain()
+
     def test_json_round_trip(self):
         ledger = PipelineLedger()
         ledger.record("a", 10, 8, {"X": 2}, 5)

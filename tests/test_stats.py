@@ -120,6 +120,13 @@ class TestRanks:
         for n1, n2 in [(1, 1), (2, 3), (4, 4), (5, 6)]:
             assert sum(exact_u_distribution(n1, n2)) == math.comb(n1 + n2, n1)
 
+    def test_exact_distribution_matches_counted_arrangements(self):
+        for n1, n2 in [(0, 3), (1, 4), (3, 3), (2, 6), (5, 4), (4, 5)]:
+            counts = [0] * (n1 * n2 + 1)
+            for chosen in combinations(range(n1 + n2), n1):
+                counts[sum(chosen) - n1 * (n1 - 1) // 2] += 1
+            assert exact_u_distribution(n1, n2) == counts
+
     def test_exact_distribution_is_symmetric(self):
         counts = exact_u_distribution(4, 5)
         assert counts == counts[::-1]
@@ -166,6 +173,12 @@ class TestMannWhitneyExact:
         result = mann_whitney_u([7.0, 8.0, 9.0], [1.0, 2.0, 3.0], mode="exact")
         assert result.u_statistic == 9.0
         assert result.p_two_sided == pytest.approx(0.1, abs=1e-12)
+
+    def test_exact_p_for_a_large_sample_needs_no_recursion(self):
+        # n1 = 1: each U in 0..2000 has one arrangement, and U = 1 here.
+        result = mann_whitney_u([0.5], range(2000), mode="exact")
+        assert result.u_statistic == 1.0
+        assert result.p_two_sided == 2 * (2 / 2001)
 
     def test_identical_samples_p_is_one(self):
         result = mann_whitney_u([5.0, 5.0], [5.0, 5.0], mode="exact")
