@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .geo import CountryResolution, ResolutionMethod
 from .grammar import SleepLog
@@ -149,11 +149,15 @@ def per_user_aggregates(
                 friends_count=profile.friends_count if profile else None,
             )
         )
+    return users, dataset_summary(logs, users)
 
+
+def dataset_summary(logs: Sequence[SleepLog], users: Sequence[UserRecord]) -> DatasetSummary:
+    """Corpus-level means of `logs` and of the per-user records built from them."""
     all_durations = [l.duration_minutes for l in logs]
     all_deeps = [l.deep_sleep_pct for l in logs if l.deep_sleep_pct is not None]
     user_deep_means = [u.avg_deep_sleep_pct for u in users if u.avg_deep_sleep_pct is not None]
-    summary = DatasetSummary(
+    return DatasetSummary(
         n_logs=len(logs),
         n_users=len(users),
         overall_mean_duration=(sum(all_durations) / len(all_durations)) if logs else 0.0,
@@ -165,7 +169,6 @@ def per_user_aggregates(
             sum(user_deep_means) / len(user_deep_means) if user_deep_means else None
         ),
     )
-    return users, summary
 
 
 def filter_min_logs(users: Sequence[UserRecord], min_logs: int = 5) -> list[UserRecord]:
@@ -416,9 +419,8 @@ def presleep_activity(
 ) -> PresleepReport:
     """Relate pre-sleep tweeting tendency to average deep-sleep share.
 
-    Users without any timeline coverage are excluded outright.  The
-    correlation and the top-vs-bottom quartile test are reported as not
-    computable when the probabilities carry no variation.
+    Users without any timeline coverage, anchored log or deep-sleep value
+    are excluded outright; `presleep_report` relates the rest.
     """
     grouped = by_user(logs)
     probs: dict[str, float] = {}
@@ -436,7 +438,22 @@ def presleep_activity(
             continue
         probs[user_id] = prob
         deep_by_user[user_id] = sum(deeps) / len(deeps)
+    return presleep_report(probs, deep_by_user, window_minutes, denominator)
 
+
+def presleep_report(
+    probs: dict[str, float],
+    deep_by_user: Mapping[str, float],
+    window_minutes: int,
+    denominator: str,
+) -> PresleepReport:
+    """Correlate each user's pre-sleep probability with their mean deep sleep.
+
+    `deep_by_user` must hold every user in `probs`.  Quartile means are
+    summed in the order of `probs`, so a subset must keep its parent's order.
+    The correlation and the top-vs-bottom quartile test are reported as not
+    computable when the probabilities carry no variation.
+    """
     notes: dict[str, str] = {}
     correlation = None
     cohort = None

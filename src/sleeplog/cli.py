@@ -37,13 +37,18 @@ from . import __version__
 from .config import ConfigError, SETTINGS, config_stamp, load_file, resolve
 from .analytics import (
     CohortError,
+    DatasetSummary,
+    PresleepReport,
+    UserRecord,
     activity_cohorts,
     country_compare,
+    dataset_summary,
     filter_min_logs,
     frequency_table,
     friends_split,
     per_user_aggregates,
     presleep_activity,
+    presleep_report,
     duration_by_start_bin,
     sleep_clock,
     wake_heatmap,
@@ -56,9 +61,11 @@ from .records import (
     PipelineLedger,
     RawTweet,
     dedupe,
+    distinct_users,
     ingest_file,
     latest_profiles,
     parse_timestamp,
+    reason_counts,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
 from .synth import SynthConfig, generate, write_corpus
@@ -90,12 +97,37 @@ def _write_csv(path: str, stamp: str, header: list[str], rows: list[list]) -> No
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _read_csv(path: str) -> list[dict]:
+def _bad_input(where: str, exc: Exception) -> ValueError:
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{where}: {detail}")
+
+
+def _build_each(path: str, numbered, build) -> list:
+    """`build(record)` for each `(line number, record)`; a bad record names its line."""
+    out = []
+    for lineno, record in numbered:
+        try:
+            out.append(build(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _bad_input(f"{path}:{lineno}", exc) from None
+    return out
+
+
+def _read_csv(path: str, build=dict) -> list:
+    """`build(row)` for each row after the header and the optional settings comment."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        first = handle.readline()
-        if not first.startswith("#"):
+        skipped = handle.readline().startswith("#")
+        if not skipped:
             handle.seek(0)
-        return list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        return _build_each(path, ((reader.line_num + skipped, row) for row in reader), build)
+
+
+def _read_jsonl(path: str, build) -> list:
+    """`build(record)` for each non-blank line of a JSON Lines file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        numbered = ((n, line) for n, line in enumerate(handle, start=1) if line.strip())
+        return _build_each(path, numbered, lambda line: build(json.loads(line)))
 
 
 def _manifest(out_dir: str, command: str, inputs: dict, outputs: list[str], stamp: str) -> str:
@@ -111,24 +143,6 @@ def _manifest(out_dir: str, command: str, inputs: dict, outputs: list[str], stam
     return path
 
 
-def _read_tweets(path: str) -> list[RawTweet]:
-    tweets = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                tweets.append(RawTweet.from_record(json.loads(line)))
-    return tweets
-
-
-def _read_logs(path: str) -> list[SleepLog]:
-    logs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                logs.append(SleepLog.from_record(json.loads(line)))
-    return logs
-
-
 def _write_logs(path: str, logs: list[SleepLog]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for log in logs:
@@ -136,29 +150,17 @@ def _write_logs(path: str, logs: list[SleepLog]) -> None:
 
 
 def _read_countries(path: str) -> dict[str, CountryResolution]:
-    out: dict[str, CountryResolution] = {}
-    for row in _read_csv(path):
-        out[row["user_id"]] = CountryResolution.from_record(
-            {
-                "user_id": row["user_id"],
-                "country": row["country"] or None,
-                "method": row["method"],
-                "query_text": row["query_text"] or None,
-            }
-        )
-    return out
+    def build(row: dict) -> CountryResolution:
+        blanks = {"country": row["country"] or None, "query_text": row["query_text"] or None}
+        return CountryResolution.from_record({**row, **blanks})
+    return {r.user_id: r for r in _read_csv(path, build)}
 
 
 def _read_timelines(path: str) -> dict[str, list[datetime]]:
     timelines: dict[str, list[datetime]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            timelines.setdefault(doc["user_id"], []).append(
-                parse_timestamp(doc["created_at"])
-            )
+    instants = _read_jsonl(path, lambda doc: (doc["user_id"], parse_timestamp(doc["created_at"])))
+    for user_id, instant in instants:
+        timelines.setdefault(user_id, []).append(instant)
     return timelines
 
 
@@ -168,10 +170,14 @@ def _ledger_path(out_dir: str) -> str:
 
 def _load_ledger(out_dir: str) -> PipelineLedger:
     path = _ledger_path(out_dir)
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return PipelineLedger.from_json(handle.read())
-    return PipelineLedger()
+    if not os.path.exists(path):
+        return PipelineLedger()
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        return PipelineLedger.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _bad_input(path, exc) from None
 
 
 def _save_ledger(out_dir: str, ledger: PipelineLedger) -> str:
@@ -215,28 +221,29 @@ def do_parse(
     os.makedirs(out_dir, exist_ok=True)
     policy = AnchorPolicy(slack_minutes=settings["slack_minutes"])
     kept: list[SleepLog] = []
-    reject_rows: list[list] = []
-    reasons: dict[str, int] = {}
+    rejected: list[tuple[str, Rejection]] = []
     for tweet in tweets:
         outcome = parse_tweet(tweet, policy)
         if isinstance(outcome, Rejection):
-            reasons[outcome.reason.value] = reasons.get(outcome.reason.value, 0) + 1
-            span = outcome.span or (None, None)
-            reject_rows.append([tweet.tweet_id, outcome.reason.value, span[0], span[1]])
+            rejected.append((tweet.tweet_id, outcome))
         else:
             kept.append(outcome)
 
     ledger = _load_ledger(out_dir)
-    ledger.record("parse", len(tweets), len(kept), reasons, len({l.user_id for l in kept}))
+    reasons = reason_counts(r.reason for _, r in rejected)
+    ledger.record("parse", len(tweets), len(kept), reasons, distinct_users(kept))
 
     logs_path = os.path.join(out_dir, "logs.jsonl")
     _write_logs(logs_path, kept)
     stamp = config_stamp(settings)
     rejects_path = os.path.join(out_dir, "parse_rejects.csv")
-    _write_csv(rejects_path, stamp, ["tweet_id", "reason", "span_lo", "span_hi"], reject_rows)
+    _write_csv(
+        rejects_path, stamp, ["tweet_id", "reason", "span_lo", "span_hi"],
+        [[tweet_id, r.reason.value, *(r.span or (None, None))] for tweet_id, r in rejected],
+    )
     ledger_path = _save_ledger(out_dir, ledger)
     _manifest(out_dir, "parse", [tweets_path], [logs_path, rejects_path, ledger_path], stamp)
-    return f"parse: kept {len(kept)} logs, rejected {len(reject_rows)}", kept
+    return f"parse: kept {len(kept)} logs, rejected {len(rejected)}", kept
 
 
 def do_filter(
@@ -290,17 +297,6 @@ def do_geo(
     return f"geo: resolved {resolved} of {len(resolutions)} users ({mode})", resolutions
 
 
-def _user_rows(users) -> list[list]:
-    return [
-        [
-            u.user_id, u.n_logs, u.avg_duration_minutes, u.avg_deep_sleep_pct,
-            u.country, u.country_method, u.tweets_per_day, u.friends_count,
-            u.presleep_tweet_prob,
-        ]
-        for u in users
-    ]
-
-
 _USER_HEADER = [
     "user_id", "n_logs", "avg_duration_minutes", "avg_deep_sleep_pct",
     "country", "country_method", "tweets_per_day", "friends_count",
@@ -315,87 +311,58 @@ def _cohort_or_note(fn, *args, **kwargs) -> dict:
         return {"note": f"not computable: {exc}"}
 
 
+def _wake_doc(logs: list[SleepLog]) -> dict:
+    anchored = [l for l in logs if l.anchored]
+    doc = {"n_unanchored_excluded": len(logs) - len(anchored)}
+    if anchored:
+        doc["heatmap"] = wake_heatmap(anchored).to_record()
+    else:
+        doc["note"] = "not computable: no anchored logs"
+    return doc
+
+
 def _analysis_bundle(
     out_dir: str,
     stamp: str,
     logs: list[SleepLog],
-    users,
-    summary,
-    settings: dict,
-    timelines: dict | None,
+    users: list[UserRecord],
+    summary: DatasetSummary,
+    presleep: PresleepReport | None,
 ) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-
-    clock = sleep_clock(logs)
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_json(
-        summary_path,
-        {"summary": summary.to_record(), "clock": clock.to_record(), "settings": stamp},
-    )
-    outputs.append(summary_path)
-
-    presleep = None
-    if timelines is not None:
-        presleep = presleep_activity(
-            logs,
-            timelines,
-            window_minutes=settings["presleep_window_minutes"],
-            denominator=settings["presleep_denominator"],
-        )
-        by_id = {u.user_id: u for u in users}
-        for user_id, prob in presleep.probabilities.items():
-            if user_id in by_id:
-                by_id[user_id].presleep_tweet_prob = prob
-
-    users_path = os.path.join(out_dir, "users.csv")
-    _write_csv(users_path, stamp, _USER_HEADER, _user_rows(users))
-    outputs.append(users_path)
-
-    freq_path = os.path.join(out_dir, "frequency.csv")
-    _write_csv(
-        freq_path, stamp, ["bin_label", "n_users", "percent"],
-        [[row.bin_label, row.n_users, row.percent] for row in frequency_table(users)],
-    )
-    outputs.append(freq_path)
-
-    bins_path = os.path.join(out_dir, "start_bins.json")
-    _write_json(bins_path, duration_by_start_bin(logs).to_record())
-    outputs.append(bins_path)
-
-    anchored = [l for l in logs if l.anchored]
-    heatmap_path = os.path.join(out_dir, "wake_heatmap.json")
-    heatmap_doc = {"n_unanchored_excluded": len(logs) - len(anchored)}
-    if anchored:
-        heatmap_doc["heatmap"] = wake_heatmap(anchored).to_record()
-    else:
-        heatmap_doc["note"] = "not computable: no anchored logs"
-    _write_json(heatmap_path, heatmap_doc)
-    outputs.append(heatmap_path)
-
-    country_path = os.path.join(out_dir, "country_duration.json")
-    _write_json(
-        country_path,
-        {
+    """Write one analysis bundle from finished per-user values; returns the paths."""
+    tables = {
+        "users.csv": (_USER_HEADER, [[getattr(u, k) for k in _USER_HEADER] for u in users]),
+        "frequency.csv": (
+            ["bin_label", "n_users", "percent"],
+            [[row.bin_label, row.n_users, row.percent] for row in frequency_table(users)],
+        ),
+    }
+    docs = {
+        "summary.json": {
+            "summary": summary.to_record(),
+            "clock": sleep_clock(logs).to_record(),
+            "settings": stamp,
+        },
+        "start_bins.json": duration_by_start_bin(logs).to_record(),
+        "wake_heatmap.json": _wake_doc(logs),
+        "country_duration.json": {
             "duration": _cohort_or_note(country_compare, users, "JP", "US", "duration"),
             "deep_sleep": _cohort_or_note(country_compare, users, "JP", "US", "deep_sleep"),
         },
-    )
-    outputs.append(country_path)
-
-    activity_path = os.path.join(out_dir, "activity.json")
-    _write_json(activity_path, _cohort_or_note(activity_cohorts, users, logs))
-    outputs.append(activity_path)
-
-    friends_path = os.path.join(out_dir, "friends.json")
-    _write_json(friends_path, _cohort_or_note(friends_split, users))
-    outputs.append(friends_path)
-
+        "activity.json": _cohort_or_note(activity_cohorts, users, logs),
+        "friends.json": _cohort_or_note(friends_split, users),
+    }
     if presleep is not None:
-        presleep_path = os.path.join(out_dir, "presleep.json")
-        _write_json(presleep_path, presleep.to_record())
-        outputs.append(presleep_path)
+        docs["presleep.json"] = presleep.to_record()
 
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = []
+    for name, (header, rows) in tables.items():
+        outputs.append(os.path.join(out_dir, name))
+        _write_csv(outputs[-1], stamp, header, rows)
+    for name, doc in docs.items():
+        outputs.append(os.path.join(out_dir, name))
+        _write_json(outputs[-1], doc)
     return outputs
 
 
@@ -408,29 +375,44 @@ def do_analyze(
     out_dir: str,
     settings: dict,
 ) -> str:
-    """Analysis bundles over filtered logs; `inputs` are the files behind them, logs first."""
+    """Analysis bundles over filtered logs; `inputs` are the files behind them, logs first.
+
+    Per-user values (aggregates and, given timelines, pre-sleep probabilities)
+    are derived once.  The robustness bundle reuses them for the users with at
+    least `min_logs_per_user` logs, so no timeline is scanned twice.
+    """
     if not logs:
         raise ValueError(f"no logs to analyze in {inputs[0]}")
     users, summary = per_user_aggregates(logs, resolutions, profiles)
+    presleep = None
+    if timelines is not None:
+        presleep = presleep_activity(
+            logs, timelines, settings["presleep_window_minutes"], settings["presleep_denominator"]
+        )
+        for user in users:
+            user.presleep_tweet_prob = presleep.probabilities.get(user.user_id)
     stamp = config_stamp(settings)
     analysis_dir = os.path.join(out_dir, "analysis")
-    outputs = _analysis_bundle(analysis_dir, stamp, logs, users, summary, settings, timelines)
+    outputs = _analysis_bundle(analysis_dir, stamp, logs, users, summary, presleep)
 
-    # Robustness re-run: drop casual users, keep everything else identical.
+    # Robustness subset: drop casual users, keep everyone else's values.
     min_logs = settings["min_logs_per_user"]
     steady_users = filter_min_logs(users, min_logs)
-    steady_ids = {u.user_id for u in steady_users}
-    steady_logs = [l for l in logs if l.user_id in steady_ids]
-    if steady_logs:
-        _, steady_summary = per_user_aggregates(steady_logs, resolutions, profiles)
+    if steady_users:
+        steady_ids = {u.user_id for u in steady_users}
+        steady_logs = [l for l in logs if l.user_id in steady_ids]
+        steady_presleep = None
+        if presleep is not None:
+            steady_presleep = presleep_report(
+                {u: p for u, p in presleep.probabilities.items() if u in steady_ids},
+                {u.user_id: u.avg_deep_sleep_pct for u in steady_users},
+                presleep.window_minutes,
+                presleep.denominator,
+            )
+        steady_summary = dataset_summary(steady_logs, steady_users)
         outputs += _analysis_bundle(
             os.path.join(analysis_dir, "robustness"),
-            stamp,
-            steady_logs,
-            steady_users,
-            steady_summary,
-            settings,
-            timelines,
+            stamp, steady_logs, steady_users, steady_summary, steady_presleep,
         )
 
     _manifest(out_dir, "analyze", inputs, outputs, stamp)
@@ -593,11 +575,11 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     return resolve(file_values, None, flags)
 
 
-def _on_file(stage, reader, default_name: str):
-    """A subcommand that reads one stage's input file and runs the stage on it."""
+def _on_file(stage, record_type, default_name: str):
+    """A subcommand that reads one stage's input records and runs the stage on them."""
     def run(args: argparse.Namespace, settings: dict) -> str:
         path = args.input or os.path.join(args.out, default_name)
-        return stage(reader(path), path, args.out, settings)[0]
+        return stage(_read_jsonl(path, record_type.from_record), path, args.out, settings)[0]
     return run
 
 
@@ -605,7 +587,8 @@ def _analyze_files(args: argparse.Namespace, settings: dict) -> str:
     logs_path = args.logs or os.path.join(args.out, "filtered.jsonl")
     tweets_path = args.tweets or os.path.join(args.out, "tweets.jsonl")
     countries_path = args.countries or os.path.join(args.out, "countries.csv")
-    logs, profiles = _read_logs(logs_path), latest_profiles(_read_tweets(tweets_path))
+    logs = _read_jsonl(logs_path, SleepLog.from_record)
+    profiles = latest_profiles(_read_jsonl(tweets_path, RawTweet.from_record))
     inputs = [logs_path, tweets_path]
     resolutions = {}
     if os.path.exists(countries_path):
@@ -638,15 +621,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage("parse", "extract sleep logs from tweets.jsonl")
     p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(func=_on_file(do_parse, _read_tweets, "tweets.jsonl"))
+    p.set_defaults(func=_on_file(do_parse, RawTweet, "tweets.jsonl"))
 
     p = stage("filter", "drop implausible durations")
     p.add_argument("input", nargs="?", default=None, help="logs JSONL (default: <out>/logs.jsonl)")
-    p.set_defaults(func=_on_file(do_filter, _read_logs, "logs.jsonl"))
+    p.set_defaults(func=_on_file(do_filter, SleepLog, "logs.jsonl"))
 
     p = stage("geo", "resolve users to countries")
     p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(func=_on_file(do_geo, _read_tweets, "tweets.jsonl"))
+    p.set_defaults(func=_on_file(do_geo, RawTweet, "tweets.jsonl"))
 
     p = stage("analyze", "aggregate users, cohorts, and clocks")
     p.add_argument("--logs", default=None, help="filtered logs JSONL")

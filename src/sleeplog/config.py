@@ -35,7 +35,7 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("require_deep_sleep", "bool", False, "drop logs without a deep-sleep field"),
     Setting("require_anchor", "bool", False, "drop logs without resolved dates"),
     Setting("slack_minutes", "int", 15, "allowed clock skew when anchoring dates"),
-    Setting("min_logs_per_user", "int", 5, "per-user floor for the robustness re-run"),
+    Setting("min_logs_per_user", "int", 5, "per-user floor for the robustness bundle"),
     Setting("geo_offline", "bool", False, "never touch the network when resolving countries"),
     Setting("geo_cache", "str", "geo_cache.json",
             "geocode cache path, relative to the working directory (not --out)", stamped=False),
@@ -47,6 +47,10 @@ SETTINGS: tuple[Setting, ...] = (
 )
 
 _BY_NAME = {s.name: s for s in SETTINGS}
+
+# Below these a setting has no meaning: an empty or negative window, a floor
+# that keeps users with no logs, a negative clock skew.
+_LOWER_BOUNDS = {"presleep_window_minutes": 1, "min_logs_per_user": 1, "slack_minutes": 0}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -122,6 +126,9 @@ def resolve(
         raise ConfigError("presleep_denominator must be 'night' or 'day'")
     if not 0 < out["min_duration_minutes"] < out["max_duration_minutes"]:
         raise ConfigError("need 0 < min_duration_minutes < max_duration_minutes")
+    for name, floor in _LOWER_BOUNDS.items():
+        if out[name] < floor:
+            raise ConfigError(f"need {name} >= {floor}, got {out[name]}")
     return out
 
 

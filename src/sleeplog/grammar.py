@@ -44,46 +44,34 @@ _MERIDIEM_HOUR_SHIFT = {
 }
 _DOTTED_MERIDIEMS = {"a.m.", "p.m."}
 
-_MER = r"(?:AM|PM|am|pm|a\.m\.|p\.m\.)"
 
+def _body(meridiem: str) -> re.Pattern:
+    """The body grammar, applied after the fixed prefix, for one meridiem pattern:
 
-def _time_group(prefix: str) -> str:
-    return (
-        rf"(?P<{prefix}h>[0-9]{{1,2}})(?P<{prefix}sep>[:.])(?P<{prefix}m>[0-9]{{2}})"
-        rf"(?: ?(?P<{prefix}mer>{_MER}))?"
+        junk* "sleeping for" DUR "from" TIME "to" TIME ["with" INT "% deep sleep"] rest*
+    """
+
+    def time_group(prefix: str) -> str:
+        return (
+            rf"(?P<{prefix}h>[0-9]{{1,2}})(?P<{prefix}sep>[:.])(?P<{prefix}m>[0-9]{{2}})"
+            rf"(?: ?(?P<{prefix}mer>{meridiem}))?"
+        )
+
+    return re.compile(
+        r"(?s)^.*?sleeping for "
+        r"(?P<dh>[0-9]{1,2})(?P<dsep>[:.])(?P<dm>[0-9]{2})"
+        r" from " + time_group("s") + r" to " + time_group("e") +
+        r"(?: with (?P<deep>[0-9]{1,3})% deep sleep)?"
+        r".*$"
     )
 
 
-# Body grammar, applied after the fixed prefix:
-#   junk* "sleeping for" DUR "from" TIME "to" TIME ["with" INT "% deep sleep"] rest*
-_STRICT_BODY = re.compile(
-    r"(?s)^.*?sleeping for "
-    r"(?P<dh>[0-9]{1,2})(?P<dsep>[:.])(?P<dm>[0-9]{2})"
-    r" from " + _time_group("s") + r" to " + _time_group("e") +
-    r"(?: with (?P<deep>[0-9]{1,3})% deep sleep)?"
-    r".*$"
-)
+_STRICT_BODY = _body(r"(?:AM|PM|am|pm|a\.m\.|p\.m\.)")
 
 # Permissive variant used only for diagnosis once the strict pass fails:
 # a meridiem may be any short token (so non-English markers are caught), but
 # never one of the structural words.
-_LOOSE_MER = r"(?!to\b|with\b|from\b)[^\s]{1,6}"
-
-
-def _loose_time_group(prefix: str) -> str:
-    return (
-        rf"(?P<{prefix}h>[0-9]{{1,2}})(?P<{prefix}sep>[:.])(?P<{prefix}m>[0-9]{{2}})"
-        rf"(?: ?(?P<{prefix}mer>{_LOOSE_MER}))?"
-    )
-
-
-_LOOSE_BODY = re.compile(
-    r"(?s)^.*?sleeping for "
-    r"(?P<dh>[0-9]{1,2})(?P<dsep>[:.])(?P<dm>[0-9]{2})"
-    r" from " + _loose_time_group("s") + r" to " + _loose_time_group("e") +
-    r"(?: with (?P<deep>[0-9]{1,3})% deep sleep)?"
-    r".*$"
-)
+_LOOSE_BODY = _body(r"(?!to\b|with\b|from\b)[^\s]{1,6}")
 
 # Fullwidth/alternate punctuation that shows up around non-ASCII digits.
 _PUNCT_MAP = {"：": ":", "．": ".", "％": "%", "　": " "}

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .grammar import SleepLog
-from .records import PipelineLedger, RejectReason
+from .records import PipelineLedger, RejectReason, distinct_users, reason_counts
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,8 @@ def filter_logs(
         else:
             kept.append(log)
     if ledger is not None:
-        reasons: dict[str, int] = {}
-        for r in rejected:
-            reasons[r.reason.value] = reasons.get(r.reason.value, 0) + 1
-        ledger.record(
-            "filter", total, len(kept), reasons, len({l.user_id for l in kept})
-        )
+        reasons = reason_counts(r.reason for r in rejected)
+        ledger.record("filter", total, len(kept), reasons, distinct_users(kept))
     return kept, rejected
 
 

@@ -269,8 +269,9 @@ class RejectedLine:
     detail: str | None = None
 
 
-def _distinct_users(tweets: Iterable[RawTweet]) -> int:
-    return len({t.user_id for t in tweets})
+def distinct_users(records: Iterable) -> int:
+    """Distinct `user_id`s among tweets or sleep logs."""
+    return len({r.user_id for r in records})
 
 
 def ingest(
@@ -307,8 +308,8 @@ def ingest(
             "ingest",
             total,
             len(kept),
-            _reason_counts(r.reason for r in rejected),
-            _distinct_users(kept),
+            reason_counts(r.reason for r in rejected),
+            distinct_users(kept),
         )
     return kept, rejected
 
@@ -320,7 +321,8 @@ def _safe_loads(line: str):
         return None
 
 
-def _reason_counts(reasons: Iterable[RejectReason]) -> dict[str, int]:
+def reason_counts(reasons: Iterable[RejectReason]) -> dict[str, int]:
+    """Rejections per reason value, as the ledger records them."""
     counts: dict[str, int] = {}
     for reason in reasons:
         counts[reason.value] = counts.get(reason.value, 0) + 1
@@ -375,7 +377,7 @@ def dedupe(
             "dedupe",
             total,
             len(kept),
-            _reason_counts(r.reason for r in rejected),
-            _distinct_users(kept),
+            reason_counts(r.reason for r in rejected),
+            distinct_users(kept),
         )
     return kept, rejected

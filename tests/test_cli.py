@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from sleeplog import cli
-from sleeplog.records import PipelineLedger
+from sleeplog import analytics, cli
+from sleeplog.analytics import filter_min_logs, per_user_aggregates, presleep_activity
+from sleeplog.grammar import SleepLog
+from sleeplog.records import PipelineLedger, RawTweet
 
 
 def tree_hashes(root: Path) -> dict[str, str]:
@@ -248,6 +250,59 @@ def test_analyze_without_timelines_skips_presleep(tmp_path, run_dir):
     assert all(r["presleep_tweet_prob"] == "" for r in rows)
 
 
+# --- one pass over per-user values --------------------------------------------
+
+def analyze_with_timelines(out: Path, run_dir: Path, corpus_dir: Path) -> int:
+    return cli.main(
+        [
+            "analyze",
+            "--out", str(out),
+            "--logs", str(run_dir / "filtered.jsonl"),
+            "--tweets", str(run_dir / "tweets.jsonl"),
+            "--countries", str(run_dir / "countries.csv"),
+            "--timelines", str(corpus_dir / "timelines.jsonl"),
+        ]
+    )
+
+
+def test_analyze_scans_each_timeline_once(tmp_path, run_dir, corpus_dir, monkeypatch):
+    scanned: list[str] = []
+    original = analytics.presleep_probability
+
+    def counting(user_logs, timeline, *args, **kwargs):
+        scanned.append(user_logs[0].user_id)
+        return original(user_logs, timeline, *args, **kwargs)
+
+    monkeypatch.setattr(analytics, "presleep_probability", counting)
+    assert analyze_with_timelines(tmp_path, run_dir, corpus_dir) == 0
+    logs = cli._read_jsonl(str(run_dir / "filtered.jsonl"), SleepLog.from_record)
+    timelines = cli._read_timelines(str(corpus_dir / "timelines.jsonl"))
+    covered = {l.user_id for l in logs} & set(timelines)
+    assert (tmp_path / "analysis" / "robustness" / "presleep.json").exists()
+    assert sorted(scanned) == sorted(covered)
+
+
+def test_robustness_bundle_equals_a_fresh_analysis_of_the_subset(tmp_path, run_dir, corpus_dir):
+    assert analyze_with_timelines(tmp_path, run_dir, corpus_dir) == 0
+    logs = cli._read_jsonl(str(run_dir / "filtered.jsonl"), SleepLog.from_record)
+    resolutions = cli._read_countries(str(run_dir / "countries.csv"))
+    tweets = cli._read_jsonl(str(run_dir / "tweets.jsonl"), RawTweet.from_record)
+    profiles = analytics.latest_profiles(tweets)
+    users, _ = per_user_aggregates(logs, resolutions, profiles)
+    steady_ids = {u.user_id for u in filter_min_logs(users, 5)}
+    steady_logs = [l for l in logs if l.user_id in steady_ids]
+    assert 0 < len(steady_ids) < len(users)
+    timelines = cli._read_timelines(str(corpus_dir / "timelines.jsonl"))
+    steady_timelines = {u: t for u, t in timelines.items() if u in steady_ids}
+
+    robustness = tmp_path / "analysis" / "robustness"
+    presleep = presleep_activity(steady_logs, steady_timelines, 120, "night").to_record()
+    written = json.loads((robustness / "presleep.json").read_text())
+    assert written == json.loads(json.dumps(presleep))
+    summary = per_user_aggregates(steady_logs, resolutions, profiles)[1].to_record()
+    assert json.loads((robustness / "summary.json").read_text())["summary"] == summary
+
+
 # --- determinism --------------------------------------------------------------
 
 def test_repeat_runs_are_byte_identical(tmp_path, corpus_dir, capsys):
@@ -348,6 +403,81 @@ def test_analyze_on_empty_directory_exits_1(tmp_path, capsys):
 def test_funnel_without_ledger_exits_1(tmp_path, capsys):
     assert cli.main(["funnel", "--out", str(tmp_path)]) == 1
     assert "no ledger stages" in capsys.readouterr().err
+
+
+def _drop_field(src: Path, dst: Path, field: str) -> None:
+    """Copy a JSON Lines file with `field` removed from its first record."""
+    lines = src.read_text().splitlines()
+    doc = json.loads(lines[0])
+    del doc[field]
+    dst.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+
+
+def _timeline_without_user_id(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "timelines.jsonl"
+    _drop_field(corpus_dir / "timelines.jsonl", bad, "user_id")
+    argv = ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
+            "--tweets", str(run_dir / "tweets.jsonl"), "--timelines", str(bad)]
+    return argv, f"{bad}:1: missing field 'user_id'"
+
+
+def _analyzed_log_without_notation(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "filtered.jsonl"
+    _drop_field(run_dir / "filtered.jsonl", bad, "notation")
+    argv = ["analyze", "--logs", str(bad), "--tweets", str(run_dir / "tweets.jsonl")]
+    return argv, f"{bad}:1: missing field 'notation'"
+
+
+def _filtered_log_without_notation(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "logs.jsonl"
+    _drop_field(run_dir / "logs.jsonl", bad, "notation")
+    return ["filter", str(bad)], f"{bad}:1: missing field 'notation'"
+
+
+def _countries_without_method(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "countries.csv"
+    with open(run_dir / "countries.csv", newline="") as src, open(bad, "w", newline="") as dst:
+        writer = csv.writer(dst, lineterminator="\n")
+        for row in csv.reader(src):
+            writer.writerow(row if row[0].startswith("#") else row[:2] + row[3:])
+    argv = ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
+            "--tweets", str(run_dir / "tweets.jsonl"), "--countries", str(bad)]
+    return argv, f"{bad}:3: missing field 'method'"
+
+
+def _ledger_stage_without_input(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "ledger.json"
+    doc = json.loads((run_dir / "ledger.json").read_text())
+    del doc["stages"][1]["input"]
+    bad.write_text(json.dumps(doc))
+    return ["funnel"], f"{bad}: missing field 'input'"
+
+
+@pytest.mark.parametrize(
+    "make_bad_input",
+    [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
+     _countries_without_method, _ledger_stage_without_input],
+)
+def test_malformed_stage_input_is_a_located_error(
+    tmp_path, run_dir, corpus_dir, capsys, make_bad_input
+):
+    argv, located = make_bad_input(tmp_path, run_dir, corpus_dir)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {located}\n"
+    assert "Traceback" not in err
+
+
+def test_negative_presleep_window_exits_2(tmp_path, run_dir, corpus_dir, capsys):
+    rc = cli.main(
+        ["analyze", "--out", str(tmp_path), "--logs", str(run_dir / "filtered.jsonl"),
+         "--tweets", str(run_dir / "tweets.jsonl"),
+         "--timelines", str(corpus_dir / "timelines.jsonl"),
+         "--presleep-window-minutes", "-30"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "analysis").exists()
 
 
 def test_bad_config_file_value_exits_2(tmp_path, capsys):

@@ -122,6 +122,22 @@ class TestResolve:
         with pytest.raises(ConfigError, match="denominator"):
             resolve(environ={}, flag_values={"presleep_denominator": "week"})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("presleep_window_minutes", 0), ("presleep_window_minutes", -30),
+         ("min_logs_per_user", 0), ("slack_minutes", -1)],
+    )
+    def test_value_below_its_floor_raises(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            resolve(environ={}, flag_values={name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("presleep_window_minutes", 1), ("min_logs_per_user", 1), ("slack_minutes", 0)],
+    )
+    def test_value_at_its_floor_is_accepted(self, name, value):
+        assert resolve(environ={}, flag_values={name: value})[name] == value
+
     def test_env_overrides_only_reads_prefixed_keys(self):
         values = env_overrides({"SLEEPLOG_SEED": "1", "SEED": "2", "PATH": "/bin"})
         assert values == {"seed": "1"}
