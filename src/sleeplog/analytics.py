@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -397,16 +398,20 @@ def presleep_probability(
     window = timedelta(minutes=window_minutes)
 
     def has_presleep(log: SleepLog) -> bool:
-        lo = log.start_utc - window
-        # timelines are small per user; a linear scan is fine
-        return any(lo <= t < log.start_utc for t in instants)
+        # first instant at or after the window's start; a hit if it precedes sleep
+        i = bisect_left(instants, log.start_utc - window)
+        return i < len(instants) and instants[i] < log.start_utc
 
     if denominator == "night":
         hits = sum(1 for log in anchored if has_presleep(log))
         return hits / len(anchored)
     if denominator == "day":
-        dates = {log.start_local.date() for log in anchored}
-        hit_dates = {log.start_local.date() for log in anchored if has_presleep(log)}
+        dates, hit_dates = set(), set()
+        for log in anchored:
+            day = log.start_local.date()
+            dates.add(day)
+            if has_presleep(log):
+                hit_dates.add(day)
         return len(hit_dates) / len(dates)
     raise ValueError(f"unknown denominator: {denominator!r}")
 

@@ -591,7 +591,7 @@ def _analyze_files(args: argparse.Namespace, settings: dict) -> str:
     profiles = latest_profiles(_read_jsonl(tweets_path, RawTweet.from_record))
     inputs = [logs_path, tweets_path]
     resolutions = {}
-    if os.path.exists(countries_path):
+    if args.countries or os.path.exists(countries_path):  # only the default may be absent
         resolutions = _read_countries(countries_path)
         inputs.append(countries_path)
     timelines = None
@@ -634,7 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = stage("analyze", "aggregate users, cohorts, and clocks")
     p.add_argument("--logs", default=None, help="filtered logs JSONL")
     p.add_argument("--tweets", default=None, help="tweets JSONL for profiles")
-    p.add_argument("--countries", default=None, help="countries CSV")
+    p.add_argument(
+        "--countries", default=None,
+        help="countries CSV (default: <out>/countries.csv, skipped if absent)",
+    )
     p.add_argument("--timelines", default=None, help="user timeline JSONL")
     p.set_defaults(func=_analyze_files)
 

@@ -137,6 +137,20 @@ def _walk_path(doc, path: str):
     return node
 
 
+def _load_cache(path: str) -> dict[str, str | None]:
+    """Read the cache's query -> country code (or null) map; a malformed file names itself."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            cache = json.load(handle)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise GeocodeError(f"{path}: {exc}") from None
+    if not isinstance(cache, dict) or not all(
+        v is None or isinstance(v, str) for v in cache.values()
+    ):
+        raise GeocodeError(f"{path}: geo cache must be a JSON object of country codes or null")
+    return cache
+
+
 class GeocodeClient:
     """Rate-limited, caching lookup of free-text locations to country codes.
 
@@ -167,8 +181,7 @@ class GeocodeClient:
         self._run_failures: set[str] = set()
         self._cache: dict[str, str | None] = {}
         if cache_path and os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as handle:
-                self._cache = json.load(handle)
+            self._cache = _load_cache(cache_path)
 
     def _save_cache(self) -> None:
         if not self.cache_path:

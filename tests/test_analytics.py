@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sleeplog.analytics import (
     DAY_LABELS,
@@ -330,6 +332,61 @@ class TestPresleepProbability:
     def test_unknown_denominator_raises(self):
         with pytest.raises(ValueError):
             presleep_probability(self.nights(), [], denominator="week")
+
+    @staticmethod
+    def linear_reference(logs, timeline, window_minutes, denominator):
+        """The definition itself: scan the whole timeline for every night."""
+        anchored = [l for l in logs if l.anchored]
+        if not anchored:
+            return None
+        window = timedelta(minutes=window_minutes)
+
+        def hit(log):
+            return any(log.start_utc - window <= t < log.start_utc for t in timeline)
+
+        if denominator == "night":
+            return sum(1 for l in anchored if hit(l)) / len(anchored)
+        dates = {l.start_local.date() for l in anchored}
+        hit_dates = {l.start_local.date() for l in anchored if hit(l)}
+        return len(hit_dates) / len(dates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nights=st.lists(
+            st.tuples(st.integers(0, 14 * 24 * 60), st.booleans()), min_size=1, max_size=8
+        ),
+        utc_offset_hours=st.integers(-12, 14),
+        window_minutes=st.integers(1, 300),
+        denominator=st.sampled_from(["night", "day"]),
+        data=st.data(),
+    )
+    def test_matches_a_linear_scan(self, nights, utc_offset_hours, window_minutes,
+                                   denominator, data):
+        origin = datetime(2015, 10, 20)
+        offset = timedelta(hours=utc_offset_hours)
+        logs = []
+        for start_minute, anchored in nights:
+            log = mk_log("u", origin + timedelta(minutes=start_minute), 420, anchored=anchored)
+            if anchored:  # local clock = UTC + offset, so local dates can differ
+                log = replace(log, start_utc=log.start_utc - offset,
+                              end_utc=log.end_utc - offset)
+            logs.append(log)
+        window = timedelta(minutes=window_minutes)
+        second = timedelta(seconds=1)
+        edges = []
+        for log in logs:
+            if log.anchored:
+                lo = log.start_utc - window
+                edges += [lo - second, lo, lo + second, log.start_utc - second, log.start_utc]
+        anywhere = st.integers(-300, 15 * 24 * 60).map(
+            lambda m: origin.replace(tzinfo=timezone.utc) + timedelta(minutes=m)
+        )
+        point = st.one_of(st.sampled_from(edges), anywhere) if edges else anywhere
+        # drawn in any order, with repeats: the function must not assume a sorted timeline
+        timeline = data.draw(st.lists(point, max_size=30))
+        timeline += data.draw(st.lists(st.sampled_from(timeline), max_size=5)) if timeline else []
+        got = presleep_probability(logs, timeline, window_minutes, denominator)
+        assert got == self.linear_reference(logs, timeline, window_minutes, denominator)
 
 
 class TestPresleepActivity:

@@ -468,6 +468,36 @@ def test_malformed_stage_input_is_a_located_error(
     assert "Traceback" not in err
 
 
+def test_missing_explicit_countries_file_exits_1(tmp_path, run_dir, capsys):
+    missing = tmp_path / "no_such.csv"
+    rc = cli.main(
+        ["analyze", "--out", str(tmp_path), "--logs", str(run_dir / "filtered.jsonl"),
+         "--tweets", str(run_dir / "tweets.jsonl"), "--countries", str(missing)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "manifest_analyze.json").exists()
+
+
+@pytest.mark.parametrize(
+    "cache_text",
+    ['{\n"Berlin": "DE",\n', '["x"]', '{"Berlin": 5}'],
+    ids=["truncated", "not-an-object", "non-string-code"],
+)
+def test_corrupt_geo_cache_is_a_located_error(tmp_path, run_dir, capsys, cache_text):
+    cache = tmp_path / "geo_cache.json"
+    cache.write_text(cache_text)
+    rc = cli.main(["geo", str(run_dir / "tweets.jsonl"), "--out", str(tmp_path),
+                   "--geo-offline", "--geo-cache", str(cache)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache}: ")
+    assert "Traceback" not in err
+    assert cache.read_text() == cache_text
+
+
 def test_negative_presleep_window_exits_2(tmp_path, run_dir, corpus_dir, capsys):
     rc = cli.main(
         ["analyze", "--out", str(tmp_path), "--logs", str(run_dir / "filtered.jsonl"),
