@@ -40,9 +40,6 @@ class UserRecord:
     friends_count: int | None = None
     presleep_tweet_prob: float | None = None
 
-    def to_record(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass(frozen=True)
 class DatasetSummary:
@@ -61,20 +58,30 @@ class DatasetSummary:
 class CohortReport:
     """Uniform shape for every grouping analysis.
 
-    group_values hold the raw per-unit metric for each group; matrix (when
+    group_values hold the raw per-unit metric for each group, in display
+    order; the order, sizes and means are derived from them.  matrix (when
     present) is a figure-ready table with labeled rows and columns.
     """
 
     grouping: str
-    group_order: list[str]
-    group_sizes: dict[str, int]
     group_values: dict[str, list[float]]
-    group_means: dict[str, float | None]
     tests: dict[str, TestResult] = field(default_factory=dict)
     matrix: list[list[float]] | None = None
     matrix_row_labels: list[str] | None = None
     matrix_col_labels: list[str] | None = None
     notes: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def group_order(self) -> list[str]:
+        return list(self.group_values)
+
+    @property
+    def group_sizes(self) -> dict[str, int]:
+        return {g: len(vs) for g, vs in self.group_values.items()}
+
+    @property
+    def group_means(self) -> dict[str, float | None]:
+        return {g: sum(vs) / len(vs) if vs else None for g, vs in self.group_values.items()}
 
     @property
     def population(self) -> int:
@@ -252,13 +259,7 @@ def country_compare(
     test = mann_whitney_u(group_a, group_b)
     return CohortReport(
         grouping=f"country:{country_a}-vs-{label_b}:{metric}",
-        group_order=[country_a, label_b],
-        group_sizes={country_a: len(group_a), label_b: len(group_b)},
         group_values={country_a: group_a, label_b: group_b},
-        group_means={
-            country_a: sum(group_a) / len(group_a),
-            label_b: sum(group_b) / len(group_b),
-        },
         tests={metric: test},
     )
 
@@ -310,13 +311,7 @@ def duration_by_start_bin(logs: Sequence[SleepLog]) -> CohortReport:
 
     return CohortReport(
         grouping="start-bin",
-        group_order=list(START_BIN_LABELS),
-        group_sizes={label: len(durations[label]) for label in START_BIN_LABELS},
         group_values=durations,
-        group_means={
-            label: (sum(v) / len(v) if (v := durations[label]) else None)
-            for label in START_BIN_LABELS
-        },
         tests=tests,
         matrix=matrix,
         matrix_row_labels=list(START_BIN_LABELS),
@@ -478,17 +473,10 @@ def presleep_report(
         top = [deep_by_user[u] for u, q in quartiles.items() if q == "Q4"]
         bottom = [deep_by_user[u] for u, q in quartiles.items() if q == "Q1"]
         if top and bottom:
-            sizes = {q: sum(1 for v in quartiles.values() if v == q) for q in ("Q1", "Q2", "Q3", "Q4")}
             cohort = CohortReport(
                 grouping="presleep-prob-quartile:deep_sleep",
-                group_order=["Q1", "Q2", "Q3", "Q4"],
-                group_sizes=sizes,
                 group_values={
                     q: [deep_by_user[u] for u, qq in quartiles.items() if qq == q]
-                    for q in ("Q1", "Q2", "Q3", "Q4")
-                },
-                group_means={
-                    q: (sum(vs) / len(vs) if (vs := [deep_by_user[u] for u, qq in quartiles.items() if qq == q]) else None)
                     for q in ("Q1", "Q2", "Q3", "Q4")
                 },
                 tests={"deep_sleep_top_vs_bottom": mann_whitney_u(top, bottom)},
@@ -533,11 +521,9 @@ def activity_cohorts(
     grouped_logs = by_user(logs)
 
     matrix = []
-    sizes: dict[str, int] = {}
     values: dict[str, list[float]] = {}
     for label in ("Q1", "Q2", "Q3", "Q4"):
         members = [u for u in eligible if quartiles[u.user_id] == label]
-        sizes[label] = len(members)
         values[label] = [u.avg_duration_minutes for u in members]
         bin_counts = [0.0] * len(START_BIN_LABELS)
         for user in members:
@@ -556,13 +542,7 @@ def activity_cohorts(
     scope = f":{country}" if country else ""
     return CohortReport(
         grouping=f"tweet-rate-quartile{scope}",
-        group_order=["Q1", "Q2", "Q3", "Q4"],
-        group_sizes=sizes,
         group_values=values,
-        group_means={
-            q: (sum(vs) / len(vs) if (vs := values[q]) else None)
-            for q in ("Q1", "Q2", "Q3", "Q4")
-        },
         tests=tests,
         matrix=matrix,
         matrix_row_labels=["Q1", "Q2", "Q3", "Q4"],
@@ -593,13 +573,7 @@ def friends_split(users: Sequence[UserRecord]) -> CohortReport:
         )
     return CohortReport(
         grouping=f"friends-median-split(median={median})",
-        group_order=["low", "high"],
-        group_sizes={"low": len(low), "high": len(high)},
         group_values={"low": low, "high": high},
-        group_means={
-            "low": sum(low) / len(low) if low else None,
-            "high": sum(high) / len(high) if high else None,
-        },
         tests=tests,
         notes=notes,
     )

@@ -30,6 +30,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
 from datetime import datetime
 
@@ -54,7 +55,7 @@ from .analytics import (
     wake_heatmap,
 )
 from .geo import CountryResolution, GeocodeClient, GeocodeError, GeocoderConfig, resolve_users
-from .grammar import AnchorPolicy, Rejection, SleepLog, parse_tweet
+from .grammar import Rejection, SleepLog, parse_tweet
 from .pipeline import FilterConfig, filter_logs, summarize_funnel
 from .records import (
     IngestError,
@@ -79,6 +80,17 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _fresh_dir(path: str) -> None:
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    os.makedirs(path)
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _write_json(path: str, obj: object) -> None:
@@ -130,7 +142,7 @@ def _read_jsonl(path: str, build) -> list:
         return _build_each(path, numbered, lambda line: build(json.loads(line)))
 
 
-def _manifest(out_dir: str, command: str, inputs: dict, outputs: list[str], stamp: str) -> str:
+def _manifest(out_dir: str, command: str, inputs: dict, outputs: list[str], stamp: str) -> None:
     doc = {
         "command": command,
         "tool_version": __version__,
@@ -138,9 +150,7 @@ def _manifest(out_dir: str, command: str, inputs: dict, outputs: list[str], stam
         "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
-    path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
-    _write_json(path, doc)
-    return path
+    _write_json(os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json"), doc)
 
 
 def _write_logs(path: str, logs: list[SleepLog]) -> None:
@@ -219,11 +229,10 @@ def do_parse(
     tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, list[SleepLog]]:
     os.makedirs(out_dir, exist_ok=True)
-    policy = AnchorPolicy(slack_minutes=settings["slack_minutes"])
     kept: list[SleepLog] = []
     rejected: list[tuple[str, Rejection]] = []
     for tweet in tweets:
-        outcome = parse_tweet(tweet, policy)
+        outcome = parse_tweet(tweet, settings["slack_minutes"])
         if isinstance(outcome, Rejection):
             rejected.append((tweet.tweet_id, outcome))
         else:
@@ -377,9 +386,10 @@ def do_analyze(
 ) -> str:
     """Analysis bundles over filtered logs; `inputs` are the files behind them, logs first.
 
-    Per-user values (aggregates and, given timelines, pre-sleep probabilities)
-    are derived once.  The robustness bundle reuses them for the users with at
-    least `min_logs_per_user` logs, so no timeline is scanned twice.
+    `<out_dir>/analysis/` is replaced whole.  Per-user values (aggregates and,
+    given timelines, pre-sleep probabilities) are derived once.  The robustness
+    bundle reuses them for the users with at least `min_logs_per_user` logs, so
+    no timeline is scanned twice.
     """
     if not logs:
         raise ValueError(f"no logs to analyze in {inputs[0]}")
@@ -393,6 +403,7 @@ def do_analyze(
             user.presleep_tweet_prob = presleep.probabilities.get(user.user_id)
     stamp = config_stamp(settings)
     analysis_dir = os.path.join(out_dir, "analysis")
+    _fresh_dir(analysis_dir)
     outputs = _analysis_bundle(analysis_dir, stamp, logs, users, summary, presleep)
 
     # Robustness subset: drop casual users, keep everyone else's values.
@@ -422,76 +433,53 @@ def do_analyze(
     )
 
 
+_HOURS = [f"{h:02d}" for h in range(24)]
+
+# (chart, analysis file, draw).  A lambda looks its renderer up by name when the
+# chart is drawn, so a patched renderer is honoured; None means nothing to plot.
+_CHARTS = (
+    ("clock.svg", "summary.json", lambda doc: render_grouped_bars(
+        _HOURS,
+        {"fall asleep": doc["clock"]["start_hist"], "wake up": doc["clock"]["end_hist"]},
+        "Sleep clock: share of logs per hour",
+    )),
+    ("frequency.svg", "frequency.csv", lambda rows: render_histogram(
+        [float(r["n_users"]) for r in rows],
+        [r["bin_label"] for r in rows],
+        "Users per log-count bucket",
+    )),
+    ("start_bins.svg", "start_bins.json", lambda doc: render_heatmap(
+        doc["matrix"],
+        doc["matrix_row_labels"],
+        doc["matrix_col_labels"],
+        "Duration distribution by start-of-sleep bin",
+    )),
+    ("wake_heatmap.svg", "wake_heatmap.json", lambda doc: render_heatmap(
+        doc["heatmap"]["row_normalized"],
+        doc["heatmap"]["row_labels"],
+        _HOURS,
+        "Wake-up time by day of week",
+    ) if "heatmap" in doc else None),
+)
+
+
 def do_report(out_dir: str, settings: dict) -> str:
+    """Charts drawn from `<out_dir>/analysis/`; `<out_dir>/report/` is replaced whole."""
     analysis_dir = os.path.join(out_dir, "analysis")
     report_dir = os.path.join(out_dir, "report")
-    os.makedirs(report_dir, exist_ok=True)
     stamp = config_stamp(settings)
+    inputs = [os.path.join(analysis_dir, source) for _, source, _ in _CHARTS]
+    svgs = [
+        draw(_read_csv(path) if path.endswith(".csv") else _read_json(path))
+        for (_, _, draw), path in zip(_CHARTS, inputs)
+    ]
+    _fresh_dir(report_dir)  # only once every chart is drawn: a failed report keeps the last one
     outputs = []
-    inputs = []
-
-    summary_path = os.path.join(analysis_dir, "summary.json")
-    with open(summary_path, "r", encoding="utf-8") as handle:
-        clock = json.load(handle)["clock"]
-    inputs.append(summary_path)
-    hours = [f"{h:02d}" for h in range(24)]
-    clock_svg = os.path.join(report_dir, "clock.svg")
-    with open(clock_svg, "w", encoding="utf-8") as handle:
-        handle.write(
-            render_grouped_bars(
-                hours,
-                {"fall asleep": clock["start_hist"], "wake up": clock["end_hist"]},
-                "Sleep clock: share of logs per hour",
-            )
-        )
-    outputs.append(clock_svg)
-
-    freq_path = os.path.join(analysis_dir, "frequency.csv")
-    rows = _read_csv(freq_path)
-    inputs.append(freq_path)
-    freq_svg = os.path.join(report_dir, "frequency.svg")
-    with open(freq_svg, "w", encoding="utf-8") as handle:
-        handle.write(
-            render_histogram(
-                [float(r["n_users"]) for r in rows],
-                [r["bin_label"] for r in rows],
-                "Users per log-count bucket",
-            )
-        )
-    outputs.append(freq_svg)
-
-    bins_path = os.path.join(analysis_dir, "start_bins.json")
-    with open(bins_path, "r", encoding="utf-8") as handle:
-        bins_doc = json.load(handle)
-    inputs.append(bins_path)
-    bins_svg = os.path.join(report_dir, "start_bins.svg")
-    with open(bins_svg, "w", encoding="utf-8") as handle:
-        handle.write(
-            render_heatmap(
-                bins_doc["matrix"],
-                bins_doc["matrix_row_labels"],
-                bins_doc["matrix_col_labels"],
-                "Duration distribution by start-of-sleep bin",
-            )
-        )
-    outputs.append(bins_svg)
-
-    heatmap_path = os.path.join(analysis_dir, "wake_heatmap.json")
-    with open(heatmap_path, "r", encoding="utf-8") as handle:
-        heatmap_doc = json.load(handle)
-    inputs.append(heatmap_path)
-    if "heatmap" in heatmap_doc:
-        wake_svg = os.path.join(report_dir, "wake_heatmap.svg")
-        with open(wake_svg, "w", encoding="utf-8") as handle:
-            handle.write(
-                render_heatmap(
-                    heatmap_doc["heatmap"]["row_normalized"],
-                    heatmap_doc["heatmap"]["row_labels"],
-                    hours,
-                    "Wake-up time by day of week",
-                )
-            )
-        outputs.append(wake_svg)
+    for (chart, _, _), svg in zip(_CHARTS, svgs):
+        if svg is not None:
+            outputs.append(os.path.join(report_dir, chart))
+            with open(outputs[-1], "w", encoding="utf-8") as handle:
+                handle.write(svg)
 
     _manifest(out_dir, "report", inputs, outputs, stamp)
     return f"report: wrote {len(outputs)} charts to {report_dir}"
@@ -563,7 +551,7 @@ def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
                 default=None, help=setting.help,
             )
         else:
-            kind = int if setting.kind == "int" else (float if setting.kind == "float" else str)
+            kind = int if setting.kind == "int" else str
             parser.add_argument(
                 flag, dest=setting.name, type=kind, default=None, help=setting.help,
             )

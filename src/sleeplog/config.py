@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Setting:
     name: str
-    kind: str  # int | float | bool | str
+    kind: str  # int | bool | str
     default: object
     help: str
     stamped: bool = True  # False: operational only, never changes output content
@@ -61,8 +61,6 @@ def parse_value(setting: Setting, raw: str) -> object:
     try:
         if setting.kind == "int":
             return int(raw)
-        if setting.kind == "float":
-            return float(raw)
         if setting.kind == "bool":
             low = raw.lower()
             if low in _TRUE:

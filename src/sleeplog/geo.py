@@ -13,7 +13,7 @@ import json
 import os
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Callable, Iterable
@@ -97,17 +97,18 @@ class GeocodeError(Exception):
 _FAILED = object()  # transient failure after retries; not a cacheable answer
 
 
+# The request and answer shape of a Nominatim-style search API.
+_QUERY_PARAM = "q"
+_EXTRA_PARAMS = {"format": "jsonv2", "limit": "1", "addressdetails": "1"}
+_COUNTRY_PATH = "address.country_code"
+_TIMEOUT_SECONDS = 10.0
+
+
 @dataclass
 class GeocoderConfig:
-    """Shape of the geocoding HTTP API; defaults fit a Nominatim-style search."""
+    """Where the geocoder lives and how politely it is asked."""
 
     base_url: str = "https://nominatim.openstreetmap.org/search"
-    query_param: str = "q"
-    extra_params: dict[str, str] = field(
-        default_factory=lambda: {"format": "jsonv2", "limit": "1", "addressdetails": "1"}
-    )
-    country_path: str = "address.country_code"
-    timeout_seconds: float = 10.0
     min_interval_seconds: float = 1.0
     max_retries: int = 2
     backoff_seconds: float = 0.5
@@ -218,19 +219,16 @@ class GeocodeClient:
             return None
 
     def _lookup_remote(self, query: str):
-        params = dict(self.config.extra_params)
-        params[self.config.query_param] = query
+        params = {**_EXTRA_PARAMS, _QUERY_PARAM: query}
         delay = self.config.backoff_seconds
         for attempt in range(self.config.max_retries + 1):
             self._throttle()
             self._last_request = self._monotonic()
             try:
-                status, body = self._fetch(
-                    self.config.base_url, params, self.config.timeout_seconds
-                )
+                status, body = self._fetch(self.config.base_url, params, _TIMEOUT_SECONDS)
                 if 200 <= status < 300:
                     doc = json.loads(body)
-                    value = _walk_path(doc, self.config.country_path)
+                    value = _walk_path(doc, _COUNTRY_PATH)
                     if isinstance(value, str) and value.strip():
                         return value.strip().upper()
                     return None  # definitive: service answered, no country

@@ -212,21 +212,16 @@ def user_tzinfo(tweet: RawTweet):
     return None
 
 
-@dataclass(frozen=True)
-class AnchorPolicy:
-    slack_minutes: int = DEFAULT_SLACK_MINUTES
-
-
-def parse_tweet(tweet: RawTweet, anchor_policy: AnchorPolicy | None = None) -> ParseOutcome:
+def parse_tweet(tweet: RawTweet, slack_minutes: int = DEFAULT_SLACK_MINUTES) -> ParseOutcome:
     """Parse one tweet into a SleepLog, or a Rejection explaining why not.
 
+    slack_minutes is the clock skew allowed when anchoring dates (anchor_dates).
     Rejection reasons are checked in a fixed precedence: a missing prefix or
     template marker trumps everything (NOT_SLEEP_LOG); non-ASCII digits or
     meridiem tokens inside the time fields come next (NON_ENGLISH_NOTATION);
     then malformed time fields (UNPARSEABLE_TIME); finally an absent
     from/to clause (MISSING_FIELDS).
     """
-    policy = anchor_policy or AnchorPolicy()
     text = tweet.text
     if not text.startswith(PREFIX):
         return Rejection(RejectReason.NOT_SLEEP_LOG)
@@ -237,7 +232,7 @@ def parse_tweet(tweet: RawTweet, anchor_policy: AnchorPolicy | None = None) -> P
 
     match = _STRICT_BODY.match(body)
     if match is not None:
-        return _build_log(tweet, match, offset, policy)
+        return _build_log(tweet, match, offset, slack_minutes)
 
     # Strict pass failed.  Normalize non-ASCII digits and retry to decide
     # whether the failure is about notation rather than structure.
@@ -296,7 +291,7 @@ def _clause_span(body: str, offset: int) -> tuple[int, int]:
 
 
 def _build_log(
-    tweet: RawTweet, match: re.Match, offset: int, policy: AnchorPolicy
+    tweet: RawTweet, match: re.Match, offset: int, slack_minutes: int
 ) -> ParseOutcome:
     def bad(group: str) -> Rejection:
         lo, hi = match.span(group)
@@ -344,9 +339,7 @@ def _build_log(
     tz = user_tzinfo(tweet)
     if tz is not None:
         tweet_local = tweet.created_at.astimezone(tz).replace(tzinfo=None)
-        start_local, end_local = anchor_dates(
-            start_civil, end_civil, tweet_local, policy.slack_minutes
-        )
+        start_local, end_local = anchor_dates(start_civil, end_civil, tweet_local, slack_minutes)
         start_utc = start_local.replace(tzinfo=tz).astimezone(timezone.utc)
         end_utc = end_local.replace(tzinfo=tz).astimezone(timezone.utc)
 

@@ -290,13 +290,14 @@ def ingest(
         if not line.strip():
             continue
         total += 1
+        doc = None
         try:
             doc = json.loads(line)
             tweet = RawTweet.from_record(doc)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             tweet_id = None
-            if isinstance(doc_maybe := _safe_loads(line), dict):
-                raw_id = doc_maybe.get("tweet_id")
+            if isinstance(doc, dict):
+                raw_id = doc.get("tweet_id")
                 tweet_id = raw_id if isinstance(raw_id, str) else None
             rejected.append(
                 RejectedLine(line_number, RejectReason.MALFORMED_JSON, tweet_id, str(exc))
@@ -312,13 +313,6 @@ def ingest(
             distinct_users(kept),
         )
     return kept, rejected
-
-
-def _safe_loads(line: str):
-    try:
-        return json.loads(line)
-    except (json.JSONDecodeError, ValueError):
-        return None
 
 
 def reason_counts(reasons: Iterable[RejectReason]) -> dict[str, int]:

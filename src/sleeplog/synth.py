@@ -125,10 +125,6 @@ class SynthConfig:
 
     # Planted effects.
     presleep_quality_delta: float = -5.0   # deep-sleep pp at prob=1 vs prob=0
-    activity_start_shift_minutes: float = 0.0
-    friends_duration_delta_minutes: float = 0.0
-    evening_duration_mean: float | None = None  # duration mean for [18,21) starts
-    weekend_end_shift_minutes: float = 0.0
 
     presleep_prob_range: tuple[float, float] = (0.05, 0.95)
     timeline_background_mean: float = 2.0
@@ -197,11 +193,6 @@ class _User:
     presleep_pi: float
     duration_mean: float
     deep_mean: float
-    start_shift: float = 0.0
-
-    @property
-    def tweets_per_day_planted(self) -> float:
-        return self.statuses_count / self.age_days
 
 
 @dataclass
@@ -240,11 +231,10 @@ def generate(config: SynthConfig) -> SynthResult:
         profile = _profile_fields(user, start_date)
 
         for _ in range(user.n_logs):
-            log, start_local, end_local = _draw_log(config, user, rng, emitted_texts)
+            log, text, start_local, end_local = _draw_log(config, user, rng, emitted_texts)
             created_local = end_local + timedelta(minutes=rng.randint(0, 10))
             created_utc = _to_utc(created_local, user.offset_seconds)
             tweet_id = next_id()
-            text = format_sleeplog(log)
             emitted_texts.add(text)
             tweets.append(
                 (created_utc, tweet_id, _tweet_record(tweet_id, text, created_utc, profile))
@@ -297,8 +287,7 @@ def generate(config: SynthConfig) -> SynthResult:
                 counts["duplicate"] = counts.get("duplicate", 0) + 1
             if rng.random() < rates.get("non_english", 0.0):
                 nid = next_id()
-                n_log, _, n_end = _draw_log(config, user, rng, emitted_texts)
-                ascii_text = format_sleeplog(n_log)
+                _, ascii_text, _, n_end = _draw_log(config, user, rng, emitted_texts)
                 n_text = _fullwidth_digits(ascii_text)
                 emitted_texts.add(ascii_text)
                 emitted_texts.add(n_text)
@@ -419,20 +408,6 @@ def _build_users(config: SynthConfig) -> list[_User]:
                 + _gauss(rng) * config.deep_user_sd,
             )
         )
-
-    # Planted user-level effects need corpus-wide ranks, hence a second pass.
-    if config.activity_start_shift_minutes:
-        ranked = sorted(users, key=lambda u: u.tweets_per_day_planted)
-        denom = max(1, len(ranked) - 1)
-        for rank, user in enumerate(ranked):
-            rho = rank / denom
-            user.start_shift = config.activity_start_shift_minutes * (rho - 0.5) * 2.0
-    if config.friends_duration_delta_minutes:
-        counts = sorted(u.friends_count for u in users)
-        median = counts[math.ceil(len(counts) / 2) - 1]
-        for user in users:
-            if user.friends_count <= median:
-                user.duration_mean += config.friends_duration_delta_minutes
     for user in users:
         user.deep_mean += config.presleep_quality_delta * user.presleep_pi
     return users
@@ -443,8 +418,8 @@ def _draw_log(
     user: _User,
     rng: random.Random,
     emitted_texts: set[str],
-) -> tuple[SleepLog, datetime, datetime]:
-    """One night's log whose formatted text is unique within the user."""
+) -> tuple[SleepLog, str, datetime, datetime]:
+    """One night's log and its formatted text, which is unique within the user."""
     start_date = date.fromisoformat(config.corpus_start)
     window = config.start_profile.get(user.country, (WINDOW_LO, WINDOW_HI))
     for _ in range(200):
@@ -453,24 +428,14 @@ def _draw_log(
             minute = rng.randint(window[0], window[1] - 1)
         else:
             minute = rng.randint(3 * 60, WINDOW_LO - 1)
-        minute += int(round(user.start_shift))
-        minute %= 2 * DAY_MINUTES
 
         start_local = datetime.combine(start_date + timedelta(days=day), time(0, 0)) + timedelta(
             minutes=minute
         )
 
-        mean = user.duration_mean
-        if config.evening_duration_mean is not None and 18 * 60 <= minute % DAY_MINUTES < 21 * 60:
-            mean = config.evening_duration_mean
-        duration = int(round(mean + _gauss(rng) * config.duration_log_sd))
+        duration = int(round(user.duration_mean + _gauss(rng) * config.duration_log_sd))
         duration = max(125, min(715, duration))
         end_local = start_local + timedelta(minutes=duration)
-
-        if config.weekend_end_shift_minutes and end_local.weekday() >= 5:
-            shift = int(config.weekend_end_shift_minutes)
-            start_local += timedelta(minutes=shift)
-            end_local += timedelta(minutes=shift)
 
         if rng.random() < config.deep_absent_rate:
             deep = None
@@ -490,8 +455,9 @@ def _draw_log(
             notation=TimeNotation(notation_name),
             separator=Separator(sep_name),
         )
-        if format_sleeplog(log) not in emitted_texts:
-            return log, start_local, end_local
+        text = format_sleeplog(log)
+        if text not in emitted_texts:
+            return log, text, start_local, end_local
     raise RuntimeError("could not draw a unique log fingerprint after 200 tries")
 
 
@@ -598,9 +564,6 @@ class PrecisionRecall:
     n_predicted: int
     n_truth: int
 
-    def to_record(self) -> dict:
-        return dict(self.__dict__.items())
-
 
 @dataclass
 class ScoreReport:
@@ -608,14 +571,6 @@ class ScoreReport:
     valid: PrecisionRecall
     per_notation_recall: dict[str, float]
     recovered: dict[str, dict]
-
-    def to_record(self) -> dict:
-        return {
-            "per_reason": {k: v.to_record() for k, v in self.per_reason.items()},
-            "valid": self.valid.to_record(),
-            "per_notation_recall": self.per_notation_recall,
-            "recovered": self.recovered,
-        }
 
 
 def _pr(predicted: set[str], actual: set[str]) -> PrecisionRecall:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -301,6 +302,62 @@ def test_robustness_bundle_equals_a_fresh_analysis_of_the_subset(tmp_path, run_d
     assert written == json.loads(json.dumps(presleep))
     summary = per_user_aggregates(steady_logs, resolutions, profiles)[1].to_record()
     assert json.loads((robustness / "summary.json").read_text())["summary"] == summary
+
+
+# --- re-running analyze and report --------------------------------------------
+
+def copy_of(run_dir: Path, tmp_path: Path) -> Path:
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    return out
+
+
+def names_under(root: Path) -> set[str]:
+    """Basenames of every file under root, as manifests key them."""
+    return {path.name for path in root.rglob("*") if path.is_file()}
+
+
+def test_analyze_without_timelines_leaves_no_earlier_presleep_file(tmp_path, run_dir):
+    out = copy_of(run_dir, tmp_path)
+    assert (out / "analysis" / "robustness" / "presleep.json").exists()
+    assert cli.main(["analyze", "--out", str(out)]) == 0
+    assert not (out / "analysis" / "presleep.json").exists()
+    assert not (out / "analysis" / "robustness" / "presleep.json").exists()
+    manifest = json.loads((out / "manifest_analyze.json").read_text())
+    assert names_under(out / "analysis") == set(manifest["outputs"])
+
+
+def test_analyze_with_no_steady_user_leaves_no_earlier_robustness_bundle(tmp_path, run_dir):
+    out = copy_of(run_dir, tmp_path)
+    assert (out / "analysis" / "robustness").is_dir()
+    assert cli.main(["analyze", "--out", str(out), "--min-logs-per-user", "1000"]) == 0
+    assert not (out / "analysis" / "robustness").exists()
+
+
+def test_report_without_a_heatmap_leaves_no_earlier_wake_chart(tmp_path, run_dir):
+    out = copy_of(run_dir, tmp_path)
+    assert (out / "report" / "wake_heatmap.svg").exists()
+    unanchored = tmp_path / "unanchored.jsonl"
+    with open(unanchored, "w", encoding="utf-8") as handle:
+        for line in (run_dir / "filtered.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            doc.update(start_local=None, end_local=None, start_utc=None, end_utc=None)
+            handle.write(json.dumps(doc) + "\n")
+    assert cli.main(["analyze", "--out", str(out), "--logs", str(unanchored)]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    assert not (out / "report" / "wake_heatmap.svg").exists()
+    manifest = json.loads((out / "manifest_report.json").read_text())
+    assert names_under(out / "report") == set(manifest["outputs"])
+
+
+def test_failed_report_keeps_the_earlier_charts(tmp_path, run_dir, capsys):
+    out = copy_of(run_dir, tmp_path)
+    before = tree_hashes(out / "report")
+    assert "wake_heatmap.svg" in before
+    (out / "analysis" / "wake_heatmap.json").unlink()
+    assert cli.main(["report", "--out", str(out)]) == 1
+    assert "wake_heatmap.json" in capsys.readouterr().err
+    assert tree_hashes(out / "report") == before
 
 
 # --- determinism --------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleeplog.grammar import (
-    AnchorPolicy,
     Rejection,
     Separator,
     SleepLog,
@@ -427,9 +426,9 @@ class TestAnchoring:
             utc_offset_seconds=0,
             text=f"{PREFIX}sleeping for 7:10 from 23:02 to 6:12",
         )
-        wide = parse_tweet(tweet, AnchorPolicy(slack_minutes=30))
+        wide = parse_tweet(tweet, slack_minutes=30)
         assert wide.end_local == datetime(2015, 10, 24, 6, 12)
-        tight = parse_tweet(tweet, AnchorPolicy(slack_minutes=5))
+        tight = parse_tweet(tweet, slack_minutes=5)
         assert tight.end_local == datetime(2015, 10, 23, 6, 12)
 
     def test_dst_fall_back_still_anchors(self, make_tweet):

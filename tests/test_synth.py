@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -67,6 +68,24 @@ class TestDeterminism:
         write_corpus(generate(small_config()), str(tmp_path / "b"))
         for name in ("corpus.jsonl", "timelines.jsonl", "truth.jsonl", "synth_manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        # The benchmark's corpora come from this generator, so a change that
+        # moves its bytes must show here.  truth.jsonl is pinned after its
+        # meta line, which carries the config hash.  Every injection kind is on.
+        rates = {k: 0.04 for k in ("spam", "non_english", "too_short", "too_long", "duplicate")}
+        paths = write_corpus(generate(small_config(injection_rates=rates)), str(tmp_path))
+        digests = {}
+        for key in ("corpus", "timelines", "truth"):
+            data = Path(paths[key]).read_bytes()
+            if key == "truth":
+                data = data.split(b"\n", 1)[1]
+            digests[key] = hashlib.sha256(data).hexdigest()
+        assert digests == {
+            "corpus": "3100852c614ff68dc090ebe324da5a686237e3d3fd43de9fec00399ba7fb1a2e",
+            "timelines": "48ee5b383002822508afeeced2298881e81b956ee3b0ac2cd8b72b428e470b7a",
+            "truth": "e50ce9ccf3e03dbea4532203075cf0cd35458ee09c1177b8a43cc7ea4ce5e153",
+        }
 
 
 @pytest.fixture(scope="module")
