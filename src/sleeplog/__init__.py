@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .records import PipelineLedger, RawTweet, RejectReason, dedupe, ingest
 from .grammar import SleepLog, TimeNotation, Separator, format_sleeplog, parse_tweet
-from .pipeline import FilterConfig, filter_logs, summarize_funnel
+from .pipeline import FilterConfig, filter_logs
 
 __all__ = [
     "__version__",
@@ -20,5 +20,4 @@ __all__ = [
     "format_sleeplog",
     "parse_tweet",
     "filter_logs",
-    "summarize_funnel",
 ]

@@ -56,17 +56,15 @@ from .analytics import (
 )
 from .geo import CountryResolution, GeocodeClient, GeocodeError, GeocoderConfig, resolve_users
 from .grammar import Rejection, SleepLog, parse_tweet
-from .pipeline import FilterConfig, filter_logs, summarize_funnel
+from .pipeline import FilterConfig, filter_logs
 from .records import (
     IngestError,
     PipelineLedger,
     RawTweet,
     dedupe,
-    distinct_users,
     ingest_file,
     latest_profiles,
     parse_timestamp,
-    reason_counts,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
 from .synth import SynthConfig, generate, write_corpus
@@ -142,7 +140,7 @@ def _read_jsonl(path: str, build) -> list:
         return _build_each(path, numbered, lambda line: build(json.loads(line)))
 
 
-def _manifest(out_dir: str, command: str, inputs: dict, outputs: list[str], stamp: str) -> None:
+def _manifest(out_dir: str, command: str, inputs: list[str], outputs: list[str], stamp: str) -> None:
     doc = {
         "command": command,
         "tool_version": __version__,
@@ -186,7 +184,7 @@ def _load_ledger(out_dir: str) -> PipelineLedger:
         text = handle.read()
     try:
         return PipelineLedger.from_json(text)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AssertionError) as exc:
         raise _bad_input(path, exc) from None
 
 
@@ -202,8 +200,10 @@ def _save_ledger(out_dir: str, ledger: PipelineLedger) -> str:
 def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[RawTweet]]:
     os.makedirs(out_dir, exist_ok=True)
     ledger = PipelineLedger()
-    tweets, bad_lines = ingest_file(input_path, ledger)
-    tweets, dupes = dedupe(tweets, ledger)
+    tweets, bad_lines = ingest_file(input_path)
+    ledger.account("ingest", tweets, (r.reason for r in bad_lines))
+    tweets, dupes = dedupe(tweets)
+    ledger.account("dedupe", tweets, (r.reason for r in dupes))
 
     tweets_path = os.path.join(out_dir, "tweets.jsonl")
     with open(tweets_path, "w", encoding="utf-8") as handle:
@@ -239,8 +239,7 @@ def do_parse(
             kept.append(outcome)
 
     ledger = _load_ledger(out_dir)
-    reasons = reason_counts(r.reason for _, r in rejected)
-    ledger.record("parse", len(tweets), len(kept), reasons, distinct_users(kept))
+    ledger.account("parse", kept, (r.reason for _, r in rejected))
 
     logs_path = os.path.join(out_dir, "logs.jsonl")
     _write_logs(logs_path, kept)
@@ -266,7 +265,8 @@ def do_filter(
         require_anchor=settings["require_anchor"],
     )
     ledger = _load_ledger(out_dir)
-    kept, rejected = filter_logs(logs, config, ledger)
+    kept, rejected = filter_logs(logs, config)
+    ledger.account("filter", kept, (r.reason for r in rejected))
 
     filtered_path = os.path.join(out_dir, "filtered.jsonl")
     _write_logs(filtered_path, kept)
@@ -486,20 +486,23 @@ def do_report(out_dir: str, settings: dict) -> str:
 
 
 def do_funnel(out_dir: str, settings: dict) -> str:
+    """One row per ledger stage; a stage whose input is not the previous stage's kept is fatal."""
+    ledger_path = _ledger_path(out_dir)
     ledger = _load_ledger(out_dir)
     if not ledger.stages:
-        raise ValueError(f"no ledger stages recorded in {_ledger_path(out_dir)}")
-    rows = summarize_funnel(ledger)
+        raise ValueError(f"no ledger stages recorded in {ledger_path}")
+    try:
+        ledger.validate_chain()
+    except AssertionError as exc:
+        raise _bad_input(ledger_path, exc) from None
+    rows = [[s.name, s.input, s.kept, s.distinct_users_kept] for s in ledger.stages]
     stamp = config_stamp(settings)
     funnel_path = os.path.join(out_dir, "funnel.csv")
-    _write_csv(
-        funnel_path, stamp, ["stage", "tweets_in", "tweets_kept", "users_kept"],
-        [[r.stage, r.tweets_in, r.tweets_kept, r.users_kept] for r in rows],
-    )
-    _manifest(out_dir, "funnel", [_ledger_path(out_dir)], [funnel_path], stamp)
+    _write_csv(funnel_path, stamp, ["stage", "tweets_in", "tweets_kept", "users_kept"], rows)
+    _manifest(out_dir, "funnel", [ledger_path], [funnel_path], stamp)
     lines = [f"{'stage':<10} {'in':>8} {'kept':>8} {'users':>8}"]
-    for r in rows:
-        lines.append(f"{r.stage:<10} {r.tweets_in:>8} {r.tweets_kept:>8} {r.users_kept:>8}")
+    for name, tweets_in, kept, users in rows:
+        lines.append(f"{name:<10} {tweets_in:>8} {kept:>8} {users:>8}")
     return "\n".join(lines)
 
 

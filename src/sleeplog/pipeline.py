@@ -1,4 +1,4 @@
-"""Duration filtering and funnel summarization."""
+"""Duration filtering."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .grammar import SleepLog
-from .records import PipelineLedger, RejectReason, distinct_users, reason_counts
+from .records import RejectReason
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,12 @@ class FilteredOut:
 def filter_logs(
     logs: Iterable[SleepLog],
     config: FilterConfig | None = None,
-    ledger: PipelineLedger | None = None,
 ) -> tuple[list[SleepLog], list[FilteredOut]]:
     """Keep plausible sleep records; each rejection carries one reason."""
     config = config or FilterConfig()
     kept: list[SleepLog] = []
     rejected: list[FilteredOut] = []
-    total = 0
     for log in logs:
-        total += 1
         if log.duration_minutes < config.min_duration_minutes:
             rejected.append(FilteredOut(log.tweet_id, RejectReason.TOO_SHORT))
         elif log.duration_minutes > config.max_duration_minutes:
@@ -54,29 +51,4 @@ def filter_logs(
             rejected.append(FilteredOut(log.tweet_id, RejectReason.ANCHOR_UNRESOLVED))
         else:
             kept.append(log)
-    if ledger is not None:
-        reasons = reason_counts(r.reason for r in rejected)
-        ledger.record("filter", total, len(kept), reasons, distinct_users(kept))
     return kept, rejected
-
-
-@dataclass(frozen=True)
-class FunnelRow:
-    stage: str
-    tweets_in: int
-    tweets_kept: int
-    users_kept: int
-
-
-def summarize_funnel(ledger: PipelineLedger) -> list[FunnelRow]:
-    """One row per stage; an inconsistent ledger is a pipeline bug and fatal."""
-    ledger.validate_chain()
-    return [
-        FunnelRow(
-            stage=entry.name,
-            tweets_in=entry.input,
-            tweets_kept=entry.kept,
-            users_kept=entry.distinct_users_kept,
-        )
-        for entry in ledger.stages
-    ]

@@ -1,13 +1,15 @@
 """Core record types, JSONL ingestion, and duplicate removal.
 
 Everything downstream (parsing, filtering, analytics) consumes the types
-defined here.  Counts for every stage are tracked in a PipelineLedger so
-that no record is ever silently dropped.
+defined here.  The PipelineLedger derives every stage's counts from what the
+stage kept and why it rejected the rest; its chain check (each stage's input
+is the previous stage's kept) catches a record that a stage silently dropped.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -188,7 +190,7 @@ class PipelineLedger:
         kept: int,
         rejected_by_reason: dict[str, int],
         distinct_users_kept: int,
-    ) -> StageEntry:
+    ) -> None:
         entry = StageEntry(
             name=name,
             input=input_count,
@@ -201,22 +203,15 @@ class PipelineLedger:
         if name in names:
             del self.stages[names.index(name):]
         self.stages.append(entry)
-        return entry
 
-    @property
-    def counts(self) -> dict[str, dict]:
-        return {
-            s.name: {
-                "input": s.input,
-                "kept": s.kept,
-                "rejected_by_reason": dict(s.rejected_by_reason),
-            }
-            for s in self.stages
-        }
+    def account(self, name: str, kept: list, reasons: Iterable[RejectReason]) -> None:
+        """Record a stage from the records it kept and one reason per record it rejected.
 
-    @property
-    def distinct_users_per_stage(self) -> dict[str, int]:
-        return {s.name: s.distinct_users_kept for s in self.stages}
+        Input is kept plus rejected; users are the distinct `user_id`s kept.
+        """
+        counts = Counter(reason.value for reason in reasons)
+        users = len({r.user_id for r in kept})
+        self.record(name, len(kept) + sum(counts.values()), len(kept), counts, users)
 
     def validate_chain(self) -> None:
         """Per-stage conservation plus kept[k] == input[k+1] between stages."""
@@ -246,17 +241,29 @@ class PipelineLedger:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineLedger":
-        doc = json.loads(text)
+        """Rebuild a saved ledger; counts must be non-negative integers that balance."""
         ledger = cls()
-        for s in doc["stages"]:
+        for s in json.loads(text)["stages"]:
+            name, reasons = s["name"], s["rejected_by_reason"]
+            if not isinstance(name, str) or not isinstance(reasons, dict):
+                raise ValueError(f"ledger stage {name!r}: needs a string name and a reason object")
             ledger.record(
-                s["name"],
-                s["input"],
-                s["kept"],
-                s["rejected_by_reason"],
-                s["distinct_users_kept"],
+                name,
+                _count(name, "input", s["input"]),
+                _count(name, "kept", s["kept"]),
+                {reason: _count(name, reason, n) for reason, n in reasons.items()},
+                _count(name, "distinct_users_kept", s["distinct_users_kept"]),
             )
         return ledger
+
+
+def _count(stage: str, what: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(
+            f"ledger stage {stage!r}: {what} must be a non-negative integer, "
+            f"got {json.dumps(value)}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -269,15 +276,7 @@ class RejectedLine:
     detail: str | None = None
 
 
-def distinct_users(records: Iterable) -> int:
-    """Distinct `user_id`s among tweets or sleep logs."""
-    return len({r.user_id for r in records})
-
-
-def ingest(
-    lines: Iterable[str],
-    ledger: PipelineLedger | None = None,
-) -> tuple[list[RawTweet], list[RejectedLine]]:
+def ingest(lines: Iterable[str]) -> tuple[list[RawTweet], list[RejectedLine]]:
     """Parse JSON Lines into RawTweets, preserving input order.
 
     A malformed line (bad JSON, missing required field, bad timestamp) is
@@ -285,11 +284,9 @@ def ingest(
     """
     kept: list[RawTweet] = []
     rejected: list[RejectedLine] = []
-    total = 0
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        total += 1
         doc = None
         try:
             doc = json.loads(line)
@@ -304,38 +301,21 @@ def ingest(
             )
             continue
         kept.append(tweet)
-    if ledger is not None:
-        ledger.record(
-            "ingest",
-            total,
-            len(kept),
-            reason_counts(r.reason for r in rejected),
-            distinct_users(kept),
-        )
     return kept, rejected
 
 
-def reason_counts(reasons: Iterable[RejectReason]) -> dict[str, int]:
-    """Rejections per reason value, as the ledger records them."""
-    counts: dict[str, int] = {}
-    for reason in reasons:
-        counts[reason.value] = counts.get(reason.value, 0) + 1
-    return counts
-
-
-def ingest_file(path: str, ledger: PipelineLedger | None = None):
+def ingest_file(path: str) -> tuple[list[RawTweet], list[RejectedLine]]:
     """Ingest from a file path; an unreadable file is fatal (IngestError)."""
     try:
         handle: TextIO = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     with handle:
-        return ingest(handle, ledger)
+        return ingest(handle)
 
 
 def dedupe(
     tweets: Iterable[RawTweet],
-    ledger: PipelineLedger | None = None,
     by_id: bool = True,
     by_content: bool = True,
 ) -> tuple[list[RawTweet], list[RejectedLine]]:
@@ -349,9 +329,7 @@ def dedupe(
     seen_content: set[tuple[str, str]] = set()
     kept: list[RawTweet] = []
     rejected: list[RejectedLine] = []
-    total = 0
     for position, tweet in enumerate(tweets, start=1):
-        total += 1
         if by_id and tweet.tweet_id in seen_ids:
             rejected.append(
                 RejectedLine(position, RejectReason.DUPLICATE_ID, tweet.tweet_id)
@@ -366,12 +344,4 @@ def dedupe(
         seen_ids.add(tweet.tweet_id)
         seen_content.add(content_key)
         kept.append(tweet)
-    if ledger is not None:
-        ledger.record(
-            "dedupe",
-            total,
-            len(kept),
-            reason_counts(r.reason for r in rejected),
-            distinct_users(kept),
-        )
     return kept, rejected

@@ -43,7 +43,7 @@ from sleeplog.grammar import (
     parse_tweet,
     recomputed_duration,
 )
-from sleeplog.pipeline import FilterConfig, filter_logs, summarize_funnel
+from sleeplog.pipeline import FilterConfig, filter_logs
 from sleeplog.records import (
     PipelineLedger,
     RawTweet,
@@ -78,22 +78,25 @@ def make_log(duration_minutes: int, tweet_id: str = "t0", user_id: str = "u0") -
 def run_pipeline(result, ledger: PipelineLedger):
     """Library-level ingest -> dedupe -> parse -> filter over a generated corpus."""
     lines = [json.dumps(doc) for doc in result.tweets]
-    tweets, bad_lines = ingest(lines, ledger)
-    tweets, dupes = dedupe(tweets, ledger)
+    tweets, bad_lines = ingest(lines)
+    ledger.account("ingest", tweets, (r.reason for r in bad_lines))
+    tweets, dupes = dedupe(tweets)
+    ledger.account("dedupe", tweets, (r.reason for r in dupes))
     rejected = {r.tweet_id: r.reason.value for r in bad_lines + dupes if r.tweet_id}
 
     kept: list[SleepLog] = []
-    reasons: dict[str, int] = {}
+    reasons = []
     for tweet in tweets:
         outcome = parse_tweet(tweet)
         if isinstance(outcome, Rejection):
             rejected[tweet.tweet_id] = outcome.reason.value
-            reasons[outcome.reason.value] = reasons.get(outcome.reason.value, 0) + 1
+            reasons.append(outcome.reason)
         else:
             kept.append(outcome)
-    ledger.record("parse", len(tweets), len(kept), reasons, len({l.user_id for l in kept}))
+    ledger.account("parse", kept, reasons)
 
-    kept, dropped = filter_logs(kept, FilterConfig(), ledger)
+    kept, dropped = filter_logs(kept, FilterConfig())
+    ledger.account("filter", kept, (r.reason for r in dropped))
     for item in dropped:
         rejected[item.tweet_id] = item.reason.value
     return tweets, kept, rejected
@@ -188,8 +191,8 @@ def test_c3_funnel_conserves_and_recovers_every_label():
 
     for stage in ledger.stages:
         assert stage.input == stage.kept + sum(stage.rejected_by_reason.values()), stage.name
-    rows = summarize_funnel(ledger)  # raises if any stage loses records
-    assert [r.stage for r in rows] == ["ingest", "dedupe", "parse", "filter"]
+    ledger.validate_chain()  # raises if any stage loses records
+    assert [s.name for s in ledger.stages] == ["ingest", "dedupe", "parse", "filter"]
 
     report = score(result.truth, kept, rejected, planted=result.manifest["planted"])
     assert report.valid.precision == 1.0

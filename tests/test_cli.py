@@ -167,6 +167,25 @@ def test_funnel_stages_chain_without_loss(run_dir):
         assert int(r["users_kept"]) <= int(r["tweets_kept"])
 
 
+# sha256 of run-all's accounting outputs for the module corpus (synth, 14 users,
+# seed 77, default settings); these files hold only integers and strings.
+PINNED_ACCOUNTING = {
+    "ledger.json": "0a921bcf58bdb9c7e53ee241359576f4f9464605f0c418747958c42e04e4cf4e",
+    "funnel.csv": "feb815c160ff61d034648982539e5c49023305e6b9932424188425a13883f6b6",
+    "ingest_rejects.csv": "56d3f01d4732da587c81732bd2af6f2d7a1a33d5a99f12ab65a6cd4786c4da6a",
+    "parse_rejects.csv": "4587f13c527bd2077bf6a178a1363ed167e891196bdd95f8d2aaea5b55d36d4e",
+    "filter_rejects.csv": "6656de7eaf9f039bd2ba3921fd38738ff6ea66ec924b07c462c0a33a29c7cbaa",
+    "logs.jsonl": "fa58fda615964f95ad6878c8a5437bd28f81a12ab068005183161a511c49efd6",
+    "filtered.jsonl": "c2624f18d3a097ab8704d6193d63db834c16a2cac1a3cd011a1b15f34b35b574",
+}
+
+
+def test_accounting_outputs_are_pinned(run_dir):
+    hashes = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+              for name in PINNED_ACCOUNTING}
+    assert hashes == PINNED_ACCOUNTING
+
+
 def test_ledger_file_balances_each_stage(run_dir):
     ledger = PipelineLedger.from_json((run_dir / "ledger.json").read_text())
     assert [s.name for s in ledger.stages] == ["ingest", "dedupe", "parse", "filter"]
@@ -510,10 +529,32 @@ def _ledger_stage_without_input(tmp_path, run_dir, corpus_dir):
     return ["funnel"], f"{bad}: missing field 'input'"
 
 
+def _ledger_stage_that_does_not_balance(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "ledger.json"
+    doc = json.loads((run_dir / "ledger.json").read_text())
+    stage = doc["stages"][0]
+    stage["input"] += 1
+    bad.write_text(json.dumps(doc))
+    return ["funnel"], (
+        f"{bad}: ledger stage 'ingest': input {stage['input']} != kept {stage['kept']} "
+        f"+ rejected {sum(stage['rejected_by_reason'].values())}"
+    )
+
+
+def _ledger_stage_with_non_integer_counts(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "ledger.json"
+    bad.write_text(json.dumps({"stages": [{
+        "name": "ingest", "input": True, "kept": 1,
+        "rejected_by_reason": {}, "distinct_users_kept": 1.5,
+    }]}))
+    return ["funnel"], f"{bad}: ledger stage 'ingest': input must be a non-negative integer, got true"
+
+
 @pytest.mark.parametrize(
     "make_bad_input",
     [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
-     _countries_without_method, _ledger_stage_without_input],
+     _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
+     _ledger_stage_with_non_integer_counts],
 )
 def test_malformed_stage_input_is_a_located_error(
     tmp_path, run_dir, corpus_dir, capsys, make_bad_input

@@ -1,4 +1,4 @@
-"""Duration-window filtering and funnel summarization."""
+"""Duration-window filtering and funnel accounting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from datetime import datetime, time, timedelta, timezone
 import pytest
 
 from sleeplog.grammar import Separator, SleepLog, TimeNotation
-from sleeplog.pipeline import FilterConfig, FilteredOut, filter_logs, summarize_funnel
+from sleeplog.pipeline import FilterConfig, FilteredOut, filter_logs
 from sleeplog.records import PipelineLedger, RejectReason
 
 
@@ -91,7 +91,8 @@ class TestFilterBookkeeping:
     def test_ledger_stage_conservation(self):
         logs = [log_with(d, tweet_id=f"t{i}") for i, d in enumerate([30, 400, 900, 500])]
         ledger = PipelineLedger()
-        kept, rejected = filter_logs(logs, FilterConfig(), ledger)
+        kept, rejected = filter_logs(logs, FilterConfig())
+        ledger.account("filter", kept, (r.reason for r in rejected))
         (entry,) = ledger.stages
         assert entry.name == "filter"
         assert entry.input == 4
@@ -105,7 +106,8 @@ class TestFilterBookkeeping:
             log_with(500, tweet_id="t3", user_id="alice"),
         ]
         ledger = PipelineLedger()
-        filter_logs(logs, FilterConfig(), ledger)
+        kept, rejected = filter_logs(logs, FilterConfig())
+        ledger.account("filter", kept, (r.reason for r in rejected))
         assert ledger.stages[0].distinct_users_kept == 1
 
     def test_no_ledger_write_when_omitted(self):
@@ -130,17 +132,19 @@ class TestFunnel:
         return ledger
 
     def test_rows_one_per_stage_in_order(self):
-        rows = summarize_funnel(self.ledger())
-        assert [r.stage for r in rows] == ["ingest", "parse", "filter"]
-        assert [r.tweets_in for r in rows] == [10, 9, 6]
-        assert [r.tweets_kept for r in rows] == [9, 6, 5]
-        assert [r.users_kept for r in rows] == [4, 3, 3]
+        ledger = self.ledger()
+        ledger.validate_chain()
+        rows = ledger.stages
+        assert [r.name for r in rows] == ["ingest", "parse", "filter"]
+        assert [r.input for r in rows] == [10, 9, 6]
+        assert [r.kept for r in rows] == [9, 6, 5]
+        assert [r.distinct_users_kept for r in rows] == [4, 3, 3]
 
     def test_broken_chain_rejected(self):
         ledger = self.ledger()
         ledger.record("extra", 99, 99, {}, 1)
         with pytest.raises(AssertionError):
-            summarize_funnel(ledger)
+            ledger.validate_chain()
 
     def test_unbalanced_stage_rejected_at_record_time(self):
         ledger = PipelineLedger()

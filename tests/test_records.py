@@ -90,7 +90,8 @@ class TestIngest:
 
     def test_blank_lines_not_counted(self):
         ledger = PipelineLedger()
-        kept, _ = ingest([line(), "", "   \n", line(tweet_id="t2")], ledger)
+        kept, rejected = ingest([line(), "", "   \n", line(tweet_id="t2")])
+        ledger.account("ingest", kept, (r.reason for r in rejected))
         assert ledger.stages[0].input == 2
         assert len(kept) == 2
 
@@ -107,7 +108,8 @@ class TestIngest:
 
     def test_ledger_conservation(self):
         ledger = PipelineLedger()
-        ingest([line(), "{", line(tweet_id="x", friends_count=-3)], ledger)
+        kept, rejected = ingest([line(), "{", line(tweet_id="x", friends_count=-3)])
+        ledger.account("ingest", kept, (r.reason for r in rejected))
         stage = ledger.stages[0]
         assert stage.input == 3
         assert stage.kept == 1
@@ -128,7 +130,8 @@ class TestIngest:
     )
     def test_every_line_kept_or_rejected(self, lines):
         ledger = PipelineLedger()
-        kept, rejected = ingest(lines, ledger)
+        kept, rejected = ingest(lines)
+        ledger.account("ingest", kept, (r.reason for r in rejected))
         nonblank = sum(1 for l in lines if l.strip())
         assert len(kept) + len(rejected) == nonblank
         ledger.validate_chain()
@@ -210,5 +213,4 @@ class TestLedger:
         ledger.record("a", 10, 8, {"X": 2}, 5)
         ledger.record("b", 8, 8, {}, 5)
         again = PipelineLedger.from_json(ledger.to_json())
-        assert again.counts == ledger.counts
-        assert again.distinct_users_per_stage == ledger.distinct_users_per_stage
+        assert again.stages == ledger.stages
