@@ -67,7 +67,6 @@ from .records import (
     parse_timestamp,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
-from .synth import SynthConfig, generate, write_corpus
 
 
 # --- Small file helpers --------------------------------------------------------
@@ -154,7 +153,7 @@ def _manifest(out_dir: str, command: str, inputs: list[str], outputs: list[str],
 def _write_logs(path: str, logs: list[SleepLog]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for log in logs:
-            handle.write(json.dumps(log.to_record(), ensure_ascii=True, sort_keys=True) + "\n")
+            handle.write(log.to_json() + "\n")
 
 
 def _read_countries(path: str) -> dict[str, CountryResolution]:
@@ -507,6 +506,8 @@ def do_funnel(out_dir: str, settings: dict) -> str:
 
 
 def do_synth(out_dir: str, settings: dict) -> str:
+    from .synth import SynthConfig, generate, write_corpus  # only this subcommand needs it
+
     config = SynthConfig(seed=settings["seed"], n_users=settings["synth_users"])
     result = generate(config)
     paths = write_corpus(result, out_dir)

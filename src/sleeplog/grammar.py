@@ -13,9 +13,10 @@ import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from zoneinfo import ZoneInfo
 
-from .records import RawTweet, RejectReason
+from .records import RawTweet, RejectReason, _opt_instant
 
 PREFIX = "Sleep as Android: "
 
@@ -106,10 +107,20 @@ class SleepLog:
     duration_inconsistent: bool = False
 
     def __post_init__(self) -> None:
-        if self.duration_minutes <= 0:
-            raise ValueError("duration_minutes must be positive")
-        if self.deep_sleep_pct is not None and not 0 <= self.deep_sleep_pct <= 100:
-            raise ValueError("deep_sleep_pct must be within [0, 100]")
+        # Exact types, so that to_json writes every value as json.dumps would.
+        for name in ("tweet_id", "user_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+        duration, pct = self.duration_minutes, self.deep_sleep_pct
+        if type(duration) is not int or duration <= 0:
+            raise ValueError(f"duration_minutes must be a positive integer, got {duration!r}")
+        if pct is not None and (type(pct) is not int or not 0 <= pct <= 100):
+            raise ValueError(f"deep_sleep_pct must be an integer in [0, 100] or null, got {pct!r}")
+        if type(self.duration_inconsistent) is not bool:
+            raise ValueError(
+                f"duration_inconsistent must be true or false, got {self.duration_inconsistent!r}"
+            )
         if (self.start_utc is None) != (self.end_utc is None):
             raise ValueError("start/end instants must be both present or both absent")
         if self.start_utc is not None and self.end_utc <= self.start_utc:
@@ -120,6 +131,7 @@ class SleepLog:
         return self.start_utc is not None
 
     def to_record(self) -> dict:
+        """The dict form; `to_json` writes the same object as one JSON line."""
         return {
             "tweet_id": self.tweet_id,
             "user_id": self.user_id,
@@ -136,22 +148,48 @@ class SleepLog:
             "duration_inconsistent": self.duration_inconsistent,
         }
 
+    def to_json(self) -> str:
+        """`json.dumps(self.to_record(), ensure_ascii=True, sort_keys=True)`, without the dict."""
+        pct, start, end = self.deep_sleep_pct, self.start_civil, self.end_civil
+        return (
+            f'{{"deep_sleep_pct": {"null" if pct is None else pct}, '
+            f'"duration_inconsistent": {"true" if self.duration_inconsistent else "false"}, '
+            f'"duration_minutes": {self.duration_minutes}, '
+            f'"end_civil": "{end.hour:02d}:{end.minute:02d}", '
+            f'"end_local": {_opt_instant(self.end_local)}, '
+            f'"end_utc": {_opt_instant(self.end_utc)}, '
+            f'"notation": "{self.notation.value}", '
+            f'"separator": "{self.separator.value}", '
+            f'"start_civil": "{start.hour:02d}:{start.minute:02d}", '
+            f'"start_local": {_opt_instant(self.start_local)}, '
+            f'"start_utc": {_opt_instant(self.start_utc)}, '
+            f'"tweet_id": {encode_basestring_ascii(self.tweet_id)}, '
+            f'"user_id": {encode_basestring_ascii(self.user_id)}}}'
+        )
+
     @classmethod
     def from_record(cls, doc: dict) -> "SleepLog":
+        """Build from a decoded `logs.jsonl` object.
+
+        Raises KeyError for a missing field and ValueError for a value of the
+        wrong type (see `__post_init__`).
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"log record must be a JSON object, got {type(doc).__name__}")
         return cls(
-            tweet_id=doc["tweet_id"],
-            user_id=doc["user_id"],
-            start_civil=_parse_hhmm(doc["start_civil"]),
-            end_civil=_parse_hhmm(doc["end_civil"]),
-            duration_minutes=doc["duration_minutes"],
-            deep_sleep_pct=doc["deep_sleep_pct"],
-            notation=TimeNotation(doc["notation"]),
-            separator=Separator(doc["separator"]),
-            start_local=_dt_or_none(doc["start_local"]),
-            end_local=_dt_or_none(doc["end_local"]),
-            start_utc=_dt_or_none(doc["start_utc"]),
-            end_utc=_dt_or_none(doc["end_utc"]),
-            duration_inconsistent=doc["duration_inconsistent"],
+            doc["tweet_id"],
+            doc["user_id"],
+            _parse_hhmm(doc["start_civil"]),
+            _parse_hhmm(doc["end_civil"]),
+            doc["duration_minutes"],
+            doc["deep_sleep_pct"],
+            TimeNotation(doc["notation"]),
+            Separator(doc["separator"]),
+            _dt_or_none(doc["start_local"]),
+            _dt_or_none(doc["end_local"]),
+            _dt_or_none(doc["start_utc"]),
+            _dt_or_none(doc["end_utc"]),
+            doc["duration_inconsistent"],
         )
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quoted  # JSON string literal, ASCII only
 from typing import Iterable, TextIO
 
 
@@ -77,70 +78,85 @@ class RawTweet:
     account_created_at: datetime | None = None
 
     def __post_init__(self) -> None:
-        if not self.tweet_id:
-            raise ValueError("tweet_id must be non-empty")
-        if not self.user_id:
-            raise ValueError("user_id must be non-empty")
+        # Exact types, so that to_json writes every value as json.dumps would.
+        for name in ("tweet_id", "text", "user_id", "screen_name"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"missing or empty field: {name}")
+        for name in ("location_text", "time_zone", "interface_lang", "bio"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"field {name} must be a string")
+        for name in ("utc_offset_seconds", "friends_count", "followers_count", "statuses_count"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"field {name} must be an integer")
         for name in ("friends_count", "followers_count", "statuses_count"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+        account = self.account_created_at
+        if not isinstance(self.created_at, datetime) or not (
+            account is None or isinstance(account, datetime)
+        ):
+            raise ValueError("created_at and account_created_at must be datetimes")
 
     def to_json(self) -> str:
-        doc: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, datetime):
-                value = value.isoformat()
-            doc[f.name] = value
-        return json.dumps(doc, ensure_ascii=True)
+        """One `tweets.jsonl` line: the fields in declaration order, instants in ISO 8601."""
+        return (
+            f'{{"tweet_id": {_quoted(self.tweet_id)}, "text": {_quoted(self.text)}, '
+            f'"created_at": "{self.created_at.isoformat()}", '
+            f'"user_id": {_quoted(self.user_id)}, "screen_name": {_quoted(self.screen_name)}, '
+            f'"location_text": {_opt_str(self.location_text)}, '
+            f'"time_zone": {_opt_str(self.time_zone)}, '
+            f'"utc_offset_seconds": {_opt_int(self.utc_offset_seconds)}, '
+            f'"interface_lang": {_opt_str(self.interface_lang)}, '
+            f'"bio": {_opt_str(self.bio)}, '
+            f'"friends_count": {_opt_int(self.friends_count)}, '
+            f'"followers_count": {_opt_int(self.followers_count)}, '
+            f'"statuses_count": {_opt_int(self.statuses_count)}, '
+            f'"account_created_at": {_opt_instant(self.account_created_at)}}}'
+        )
 
     @classmethod
     def from_record(cls, doc: dict) -> "RawTweet":
         """Build from a decoded JSON object; raises ValueError when invalid."""
         if not isinstance(doc, dict):
             raise ValueError("tweet record must be a JSON object")
-
-        def req_str(key: str) -> str:
-            value = doc.get(key)
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"missing or empty field: {key}")
-            return value
-
-        def opt_str(key: str) -> str | None:
-            value = doc.get(key)
-            if value is None:
-                return None
-            if not isinstance(value, str):
-                raise ValueError(f"field {key} must be a string")
-            return value
-
-        def opt_int(key: str) -> int | None:
-            value = doc.get(key)
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"field {key} must be an integer")
-            return value
-
-        account_raw = doc.get("account_created_at")
+        get = doc.get
+        account_raw = get("account_created_at")
         account_created = parse_timestamp(account_raw) if account_raw else None
+        created_raw = get("created_at")
+        if not isinstance(created_raw, str) or not created_raw:
+            raise ValueError("missing or empty field: created_at")
         return cls(
-            tweet_id=req_str("tweet_id"),
-            text=req_str("text"),
-            created_at=parse_timestamp(req_str("created_at")),
-            user_id=req_str("user_id"),
-            screen_name=req_str("screen_name"),
-            location_text=opt_str("location_text"),
-            time_zone=opt_str("time_zone"),
-            utc_offset_seconds=opt_int("utc_offset_seconds"),
-            interface_lang=opt_str("interface_lang"),
-            bio=opt_str("bio"),
-            friends_count=opt_int("friends_count"),
-            followers_count=opt_int("followers_count"),
-            statuses_count=opt_int("statuses_count"),
-            account_created_at=account_created,
+            get("tweet_id"),
+            get("text"),
+            parse_timestamp(created_raw),
+            get("user_id"),
+            get("screen_name"),
+            get("location_text"),
+            get("time_zone"),
+            get("utc_offset_seconds"),
+            get("interface_lang"),
+            get("bio"),
+            get("friends_count"),
+            get("followers_count"),
+            get("statuses_count"),
+            account_created,
         )
+
+
+def _opt_str(value: str | None) -> str:
+    return "null" if value is None else _quoted(value)
+
+
+def _opt_int(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
+def _opt_instant(value: datetime | None) -> str:
+    return "null" if value is None else f'"{value.isoformat()}"'
 
 
 def latest_profiles(tweets: Iterable[RawTweet]) -> dict[str, RawTweet]:
@@ -171,6 +187,11 @@ class StageEntry:
             raise AssertionError(
                 f"ledger stage {self.name!r}: input {self.input} != kept "
                 f"{self.kept} + rejected {self.rejected_total()}"
+            )
+        if self.distinct_users_kept > self.kept:
+            raise AssertionError(
+                f"ledger stage {self.name!r}: distinct_users_kept {self.distinct_users_kept} "
+                f"> kept {self.kept}"
             )
 
 
@@ -241,12 +262,18 @@ class PipelineLedger:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineLedger":
-        """Rebuild a saved ledger; counts must be non-negative integers that balance."""
+        """Rebuild a saved ledger; counts must be non-negative integers that balance.
+
+        Each stage may appear once: `record` would take a repeat for a re-run
+        and silently drop the stages in between.
+        """
         ledger = cls()
         for s in json.loads(text)["stages"]:
             name, reasons = s["name"], s["rejected_by_reason"]
             if not isinstance(name, str) or not isinstance(reasons, dict):
                 raise ValueError(f"ledger stage {name!r}: needs a string name and a reason object")
+            if any(entry.name == name for entry in ledger.stages):
+                raise ValueError(f"ledger stage {name!r}: listed more than once")
             ledger.record(
                 name,
                 _count(name, "input", s["input"]),

@@ -6,8 +6,6 @@ attribute order is fixed, and nothing timestamps or randomizes the output.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 MARGIN_LEFT = 56
 MARGIN_TOP = 34
 MARGIN_BOTTOM = 42
@@ -17,6 +15,14 @@ BAR_FILL = "#4878a8"
 BAR_FILL_ALT = "#c46d4e"
 AXIS_COLOR = "#444444"
 TEXT_STYLE = 'font-family="monospace" font-size="11"'
+
+
+def _escape(text: str) -> str:
+    """XML character data, as `xml.sax.saxutils.escape` writes it.
+
+    Kept here because importing `xml.sax.saxutils` loads `urllib.request`.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -31,7 +37,7 @@ def _header(width: int, height: int, title: str) -> list[str]:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{escape(title)}</text>',
+        f'font-family="monospace" font-size="14">{_escape(title)}</text>',
     ]
 
 
@@ -67,7 +73,7 @@ def render_histogram(
         )
         parts.append(
             f'<text x="{_fmt(x + bar_w / 2)}" y="{height - MARGIN_BOTTOM + 14}" '
-            f'text-anchor="middle" {TEXT_STYLE}>{escape(label)}</text>'
+            f'text-anchor="middle" {TEXT_STYLE}>{_escape(label)}</text>'
         )
     parts.append(
         f'<text x="{MARGIN_LEFT - 6}" y="{MARGIN_TOP + 4}" text-anchor="end" '
@@ -106,7 +112,7 @@ def render_heatmap(
         y = MARGIN_TOP + r * cell_h
         parts.append(
             f'<text x="{MARGIN_LEFT - 6}" y="{_fmt(y + cell_h / 2 + 4)}" '
-            f'text-anchor="end" {TEXT_STYLE}>{escape(row_labels[r])}</text>'
+            f'text-anchor="end" {TEXT_STYLE}>{_escape(row_labels[r])}</text>'
         )
         for c, value in enumerate(row):
             x = MARGIN_LEFT + c * cell_w
@@ -120,7 +126,7 @@ def render_heatmap(
         x = MARGIN_LEFT + c * cell_w + cell_w / 2
         parts.append(
             f'<text x="{_fmt(x)}" y="{height - MARGIN_BOTTOM + 14}" '
-            f'text-anchor="middle" {TEXT_STYLE}>{escape(label)}</text>'
+            f'text-anchor="middle" {TEXT_STYLE}>{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -168,13 +174,13 @@ def render_grouped_bars(
             f'<rect x="{legend_x}" y="{legend_y}" width="10" height="10" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{legend_x + 14}" y="{legend_y + 9}" {TEXT_STYLE}>{escape(name)}</text>'
+            f'<text x="{legend_x + 14}" y="{legend_y + 9}" {TEXT_STYLE}>{_escape(name)}</text>'
         )
     for g, label in enumerate(groups):
         x = MARGIN_LEFT + g * slot + slot / 2
         parts.append(
             f'<text x="{_fmt(x)}" y="{height - MARGIN_BOTTOM + 14}" '
-            f'text-anchor="middle" {TEXT_STYLE}>{escape(label)}</text>'
+            f'text-anchor="middle" {TEXT_STYLE}>{_escape(label)}</text>'
         )
     parts.append(
         f'<text x="{MARGIN_LEFT - 6}" y="{MARGIN_TOP + 4}" text-anchor="end" '

@@ -2,7 +2,7 @@
 
 Everything runs through main() with an argv list instead of a subprocess,
 so monkeypatching and tmp_path behave normally and failures show real
-tracebacks.
+tracebacks.  Only the import check starts a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -10,12 +10,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import sleeplog
 from sleeplog import analytics, cli
 from sleeplog.analytics import filter_min_logs, per_user_aggregates, presleep_activity
 from sleeplog.grammar import SleepLog
@@ -481,12 +485,15 @@ def test_funnel_without_ledger_exits_1(tmp_path, capsys):
     assert "no ledger stages" in capsys.readouterr().err
 
 
+def _edit_first(src: Path, dst: Path, edit) -> None:
+    """Copy a JSON Lines file with its first record replaced by `edit(record)`."""
+    lines = src.read_text().splitlines()
+    dst.write_text("\n".join([json.dumps(edit(json.loads(lines[0])))] + lines[1:]) + "\n")
+
+
 def _drop_field(src: Path, dst: Path, field: str) -> None:
     """Copy a JSON Lines file with `field` removed from its first record."""
-    lines = src.read_text().splitlines()
-    doc = json.loads(lines[0])
-    del doc[field]
-    dst.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+    _edit_first(src, dst, lambda doc: {k: v for k, v in doc.items() if k != field})
 
 
 def _timeline_without_user_id(tmp_path, run_dir, corpus_dir):
@@ -550,11 +557,66 @@ def _ledger_stage_with_non_integer_counts(tmp_path, run_dir, corpus_dir):
     return ["funnel"], f"{bad}: ledger stage 'ingest': input must be a non-negative integer, got true"
 
 
+def _ledger_stage_listed_twice(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "ledger.json"
+    doc = json.loads((run_dir / "ledger.json").read_text())
+    doc["stages"].append(doc["stages"][0])
+    bad.write_text(json.dumps(doc))
+    return ["funnel"], f"{bad}: ledger stage 'ingest': listed more than once"
+
+
+def _ledger_stage_with_more_users_than_kept(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "ledger.json"
+    doc = json.loads((run_dir / "ledger.json").read_text())
+    stage = doc["stages"][0]
+    stage["distinct_users_kept"] = stage["kept"] + 1
+    bad.write_text(json.dumps(doc))
+    return ["funnel"], (
+        f"{bad}: ledger stage 'ingest': distinct_users_kept {stage['kept'] + 1} > kept {stage['kept']}"
+    )
+
+
+def _log_with(edit, message: str):
+    """A `filter` run on logs.jsonl whose first record is `edit(record)`."""
+    def make(tmp_path, run_dir, corpus_dir):
+        bad = tmp_path / "logs.jsonl"
+        _edit_first(run_dir / "logs.jsonl", bad, edit)
+        return ["filter", str(bad)], f"{bad}:1: {message}"
+    return make
+
+
+def _set(field: str, value):
+    return lambda doc: {**doc, field: value}
+
+
+_MISTYPED_LOGS = [
+    pytest.param(_log_with(_set("duration_minutes", 420.5),
+                           "duration_minutes must be a positive integer, got 420.5"),
+                 id="fractional-duration"),
+    pytest.param(_log_with(_set("deep_sleep_pct", 33.3),
+                           "deep_sleep_pct must be an integer in [0, 100] or null, got 33.3"),
+                 id="fractional-deep-sleep"),
+    pytest.param(_log_with(_set("deep_sleep_pct", True),
+                           "deep_sleep_pct must be an integer in [0, 100] or null, got True"),
+                 id="boolean-deep-sleep"),
+    pytest.param(_log_with(_set("duration_inconsistent", "no"),
+                           "duration_inconsistent must be true or false, got 'no'"),
+                 id="string-inconsistent-flag"),
+    pytest.param(_log_with(_set("tweet_id", 12345), "tweet_id must be a non-empty string, got 12345"),
+                 id="integer-tweet-id"),
+    pytest.param(_log_with(_set("user_id", ["u1"]), "user_id must be a non-empty string, got ['u1']"),
+                 id="list-user-id"),
+    pytest.param(_log_with(lambda doc: [doc["tweet_id"]], "log record must be a JSON object, got list"),
+                 id="log-not-an-object"),
+]
+
+
 @pytest.mark.parametrize(
     "make_bad_input",
     [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
      _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
-     _ledger_stage_with_non_integer_counts],
+     _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice,
+     _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS],
 )
 def test_malformed_stage_input_is_a_located_error(
     tmp_path, run_dir, corpus_dir, capsys, make_bad_input
@@ -650,3 +712,14 @@ def test_version_flag_exits_0(capsys):
         cli.main(["--version"])
     assert excinfo.value.code == 0
     assert "sleeplog" in capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_no_synth_or_http_modules():
+    # A fresh interpreter: this test process has imported everything already.
+    probe = ("import sys, sleeplog.cli; "
+             "print(sorted({'urllib.request', 'http.client', 'sleeplog.synth'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sleeplog.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

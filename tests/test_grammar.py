@@ -7,6 +7,8 @@ generated texts is the main correctness argument.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 from datetime import date, datetime, time, timedelta, timezone
 
@@ -441,3 +443,68 @@ class TestAnchoring:
         log = parse_tweet(tweet)
         assert log.anchored
         assert log.end_local.time() == time(6, 30)
+
+
+# --- Record codec ------------------------------------------------------------------
+
+# Ids that JSON must escape: quotes, backslashes, control and non-BMP characters,
+# lone surrogates, next to anything else Unicode holds.
+IDS = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\U0001f634'), st.characters(exclude_categories=())),
+    min_size=1,
+)
+OFFSETS = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59))
+INSTANTS = st.datetimes(
+    max_value=datetime(9000, 1, 1),
+    timezones=st.one_of(st.none(), st.just(timezone.utc), st.builds(timezone, OFFSETS)),
+)
+
+
+@st.composite
+def sleep_logs(draw) -> SleepLog:
+    start_utc = end_utc = None
+    if draw(st.booleans()):  # anchored
+        start_utc = draw(INSTANTS.filter(lambda dt: dt.tzinfo is not None))
+        end_utc = start_utc + draw(st.timedeltas(timedelta(microseconds=1), timedelta(days=2)))
+    return SleepLog(
+        tweet_id=draw(IDS),
+        user_id=draw(IDS),
+        start_civil=draw(st.times()),
+        end_civil=draw(st.times()),
+        duration_minutes=draw(st.integers(min_value=1)),
+        deep_sleep_pct=draw(st.none() | st.integers(0, 100)),
+        notation=draw(st.sampled_from(list(TimeNotation))),
+        separator=draw(st.sampled_from(list(Separator))),
+        start_local=draw(st.none() | INSTANTS),
+        end_local=draw(st.none() | INSTANTS),
+        start_utc=start_utc,
+        end_utc=end_utc,
+        duration_inconsistent=draw(st.booleans()),
+    )
+
+
+def dict_based_json(log: SleepLog) -> str:
+    return json.dumps(log.to_record(), ensure_ascii=True, sort_keys=True)
+
+
+class TestRecordCodec:
+    @settings(deadline=None)
+    @given(
+        sleep_logs(),
+        st.sampled_from(["tweet_id", "user_id", "duration_minutes", "deep_sleep_pct",
+                         "duration_inconsistent"]),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), IDS, st.lists(IDS)),
+    )
+    def test_to_json_is_the_sorted_dict_form_for_every_accepted_value(self, log, name, value):
+        assert log.to_json() == dict_based_json(log)
+        try:
+            log = dataclasses.replace(log, **{name: value})
+        except ValueError:
+            return
+        assert log.to_json() == dict_based_json(log)
+
+    @settings(deadline=None)
+    @given(sleep_logs())
+    def test_decoding_a_line_writes_it_back_byte_for_byte(self, log):
+        line = log.to_json()
+        assert SleepLog.from_record(json.loads(line)).to_json() == line

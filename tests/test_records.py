@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sleeplog.records import (
     IngestError,
@@ -80,6 +81,83 @@ class TestRawTweet:
         del doc["screen_name"]
         with pytest.raises(ValueError):
             RawTweet.from_record(doc)
+
+
+# Text that JSON must escape: quotes, backslashes, control and non-BMP
+# characters, lone surrogates, next to anything else Unicode holds.
+TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\U0001f634'),
+    st.characters(exclude_categories=()),
+))
+OFFSETS = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59))
+INSTANTS = st.datetimes(timezones=st.one_of(st.none(), st.just(timezone.utc), st.builds(timezone, OFFSETS)))
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), TEXT, INSTANTS, st.lists(st.integers()),
+)
+
+
+@st.composite
+def raw_tweets(draw) -> RawTweet:
+    counts = st.one_of(st.none(), st.integers(min_value=0))
+    return RawTweet(
+        tweet_id=draw(TEXT.filter(bool)),
+        text=draw(TEXT.filter(bool)),
+        created_at=draw(INSTANTS),
+        user_id=draw(TEXT.filter(bool)),
+        screen_name=draw(TEXT.filter(bool)),
+        location_text=draw(st.none() | TEXT),
+        time_zone=draw(st.none() | TEXT),
+        utc_offset_seconds=draw(st.none() | st.integers()),
+        interface_lang=draw(st.none() | TEXT),
+        bio=draw(st.none() | TEXT),
+        friends_count=draw(counts),
+        followers_count=draw(counts),
+        statuses_count=draw(counts),
+        account_created_at=draw(st.none() | INSTANTS),
+    )
+
+
+def dict_based_json(tweet: RawTweet) -> str:
+    """The dict-building encoder that RawTweet.to_json replaced, kept as the reference."""
+    doc = {}
+    for f in dataclasses.fields(tweet):
+        value = getattr(tweet, f.name)
+        if isinstance(value, datetime):
+            value = value.isoformat()
+        doc[f.name] = value
+    return json.dumps(doc, ensure_ascii=True)
+
+
+class TestRawTweetEncoder:
+    @settings(deadline=None)
+    @given(raw_tweets(), st.sampled_from([f.name for f in dataclasses.fields(RawTweet)]), ANY_VALUE)
+    def test_same_bytes_as_dict_based_encoder_for_every_accepted_value(self, tweet, name, value):
+        assert tweet.to_json() == dict_based_json(tweet)
+        try:
+            tweet = dataclasses.replace(tweet, **{name: value})
+        except ValueError:
+            return
+        assert tweet.to_json() == dict_based_json(tweet)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("friends_count", True), ("statuses_count", 1.0), ("utc_offset_seconds", "3600"),
+         ("bio", 5), ("tweet_id", ""), ("user_id", ["u1"]), ("created_at", "2015-10-24"),
+         ("account_created_at", 0)],
+    )
+    def test_constructor_rejects_what_from_record_rejects(self, make_tweet, name, value):
+        with pytest.raises(ValueError):
+            make_tweet(**{name: value})
+
+    @settings(deadline=None)
+    @given(raw_tweets())
+    def test_decodes_to_itself_when_instants_are_utc(self, tweet):
+        utc = {
+            f: getattr(tweet, f).replace(tzinfo=timezone.utc)
+            for f in ("created_at", "account_created_at") if getattr(tweet, f) is not None
+        }
+        tweet = dataclasses.replace(tweet, **utc)
+        assert RawTweet.from_record(json.loads(tweet.to_json())) == tweet
 
 
 class TestIngest:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sleeplog.svg import _fmt, render_grouped_bars, render_heatmap, render_histogram
+from sleeplog.svg import _escape, _fmt, render_grouped_bars, render_heatmap, render_histogram
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -24,6 +26,11 @@ class TestFloatFormat:
     def test_negative_zero_normalized(self):
         assert _fmt(-0.0001) == "0.00"
         assert _fmt(-0.0) == "0.00"
+
+
+@given(st.text(st.one_of(st.sampled_from("&<>\"'"), st.characters())))
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)
 
 
 class TestHistogram:
