@@ -49,8 +49,10 @@ SETTINGS: tuple[Setting, ...] = (
 _BY_NAME = {s.name: s for s in SETTINGS}
 
 # Below these a setting has no meaning: an empty or negative window, a floor
-# that keeps users with no logs, a negative clock skew.
-_LOWER_BOUNDS = {"presleep_window_minutes": 1, "min_logs_per_user": 1, "slack_minutes": 0}
+# that keeps users with no logs, a negative clock skew, a corpus of no users.
+_LOWER_BOUNDS = {
+    "presleep_window_minutes": 1, "min_logs_per_user": 1, "slack_minutes": 0, "synth_users": 1,
+}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}

@@ -171,24 +171,26 @@ class SleepLog:
     def from_record(cls, doc: dict) -> "SleepLog":
         """Build from a decoded `logs.jsonl` object.
 
-        Raises KeyError for a missing field and ValueError for a value of the
-        wrong type (see `__post_init__`).
+        Times and instants must have the shapes that stages write: civil times
+        `HH:MM`, local instants naive `YYYY-MM-DDTHH:MM:SS`, UTC instants the
+        same plus `+00:00`, and an absent instant `null`.  Raises KeyError for
+        a missing field and ValueError for any other value (see `__post_init__`).
         """
         if not isinstance(doc, dict):
             raise ValueError(f"log record must be a JSON object, got {type(doc).__name__}")
         return cls(
             doc["tweet_id"],
             doc["user_id"],
-            _parse_hhmm(doc["start_civil"]),
-            _parse_hhmm(doc["end_civil"]),
+            _civil(doc, "start_civil"),
+            _civil(doc, "end_civil"),
             doc["duration_minutes"],
             doc["deep_sleep_pct"],
             TimeNotation(doc["notation"]),
             Separator(doc["separator"]),
-            _dt_or_none(doc["start_local"]),
-            _dt_or_none(doc["end_local"]),
-            _dt_or_none(doc["start_utc"]),
-            _dt_or_none(doc["end_utc"]),
+            _instant(doc, "start_local", False),
+            _instant(doc, "end_local", False),
+            _instant(doc, "start_utc", True),
+            _instant(doc, "end_utc", True),
             doc["duration_inconsistent"],
         )
 
@@ -200,13 +202,28 @@ def _iso_or_none(dt: datetime | None) -> str | None:
     return dt.isoformat() if dt is not None else None
 
 
-def _dt_or_none(raw: str | None) -> datetime | None:
-    return datetime.fromisoformat(raw) if raw else None
+# Shape checks, not `fromisoformat` alone: it accepts far more than stages
+# write, and more on Python 3.11 than on 3.10.
+_HHMM = re.compile(r"\d\d:\d\d", re.ASCII).fullmatch
+_LOCAL = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", re.ASCII).fullmatch
+_UTC = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", re.ASCII).fullmatch
 
 
-def _parse_hhmm(raw: str) -> time:
-    hh, mm = raw.split(":")
-    return time(int(hh), int(mm))
+def _civil(doc: dict, name: str) -> time:
+    raw = doc[name]
+    if not isinstance(raw, str) or _HHMM(raw) is None:
+        raise ValueError(f"{name} must be HH:MM, got {raw!r}")
+    return time.fromisoformat(raw)
+
+
+def _instant(doc: dict, name: str, utc: bool) -> datetime | None:
+    raw = doc[name]
+    if raw is None:
+        return None
+    if not isinstance(raw, str) or (_UTC if utc else _LOCAL)(raw) is None:
+        form = "YYYY-MM-DDTHH:MM:SS+00:00" if utc else "YYYY-MM-DDTHH:MM:SS"
+        raise ValueError(f"{name} must be {form} or null, got {raw!r}")
+    return datetime.fromisoformat(raw)
 
 
 def recomputed_duration(start: time, end: time) -> int:

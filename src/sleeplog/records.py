@@ -124,11 +124,14 @@ class RawTweet:
         if not isinstance(doc, dict):
             raise ValueError("tweet record must be a JSON object")
         get = doc.get
-        account_raw = get("account_created_at")
-        account_created = parse_timestamp(account_raw) if account_raw else None
         created_raw = get("created_at")
         if not isinstance(created_raw, str) or not created_raw:
             raise ValueError("missing or empty field: created_at")
+        account_raw = get("account_created_at")
+        if account_raw is not None and (not isinstance(account_raw, str) or not account_raw):
+            raise ValueError(
+                f"account_created_at must be a timestamp string or null, got {account_raw!r}"
+            )
         return cls(
             get("tweet_id"),
             get("text"),
@@ -143,7 +146,7 @@ class RawTweet:
             get("friends_count"),
             get("followers_count"),
             get("statuses_count"),
-            account_created,
+            None if account_raw is None else parse_timestamp(account_raw),
         )
 
 

@@ -16,12 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, time, timedelta, timezone
+from operator import attrgetter
 
 from .grammar import SleepLog, Separator, TimeNotation, format_sleeplog
-from .records import RejectReason
+from .records import RawTweet, RejectReason
 
 # Countries with their timezone pool (name, fixed UTC offset seconds) and
 # the interface language the profile claims.
@@ -71,48 +74,43 @@ WINDOW_LO = 22 * 60
 WINDOW_HI = 27 * 60
 DAY_MINUTES = 1440
 
+# The population every corpus is drawn from.
+# Day 0 of the corpus, in each user's local time.
+CORPUS_START = date(2015, 10, 1)
+# Country shares; "other" draws uniformly from OTHER_POOL.
+COUNTRY_MIX = {"JP": 0.44, "US": 0.14, "RU": 0.07, "GB": 0.04, "other": 0.31}
+# Within-window start sub-range per country (minutes; wraps past 1440).
+START_PROFILE = {"JP": (1410, WINDOW_HI), "US": (WINDOW_LO, 1530)}
+# Per-country means ("*" for the rest), then the spread between users and
+# between one user's nights.
+DURATION_MEAN_BY_COUNTRY = {"JP": 337.0, "US": 388.0, "*": 370.0}
+DURATION_USER_SD = 25.0
+DURATION_LOG_SD = 35.0
+DEEP_MEAN_BY_COUNTRY = {"JP": 52.0, "US": 44.0, "*": 46.0}
+DEEP_USER_SD = 6.0
+DEEP_LOG_SD = 10.0
+NOTATION_MIX = {
+    "H24:COLON": 0.40,
+    "H24:DOT": 0.12,
+    "H12_AMPM:COLON": 0.15,
+    "H12_AMPM:DOT": 0.08,
+    "H12_DOTTED_AMPM:COLON": 0.15,
+    "H12_DOTTED_AMPM:DOT": 0.10,
+}
+# Each user's chance of a timeline tweet before a night's sleep is drawn from here.
+PRESLEEP_PROB_RANGE = (0.05, 0.95)
+
 
 @dataclass
 class SynthConfig:
+    """What a corpus varies; the population it is drawn from is fixed above."""
+
     seed: int = 20151024
     n_users: int = 100
     logs_per_user_range: tuple[int, int] = (1, 633)
     days: int = 60
-    corpus_start: str = "2015-10-01"
-
-    country_mix: dict[str, float] = field(
-        default_factory=lambda: {"JP": 0.44, "US": 0.14, "RU": 0.07, "GB": 0.04, "other": 0.31}
-    )
-    # Within-window start sub-range per country (minutes; wraps past 1440).
-    start_profile: dict[str, tuple[int, int]] = field(
-        default_factory=lambda: {"JP": (1410, WINDOW_HI), "US": (WINDOW_LO, 1530)}
-    )
-    start_window_share: float = 0.77
-
-    duration_mean_by_country: dict[str, float] = field(
-        default_factory=lambda: {"JP": 337.0, "US": 388.0, "*": 370.0}
-    )
-    duration_user_sd: float = 25.0
-    duration_log_sd: float = 35.0
-
-    deep_mean_by_country: dict[str, float] = field(
-        default_factory=lambda: {"JP": 52.0, "US": 44.0, "*": 46.0}
-    )
-    deep_user_sd: float = 6.0
-    deep_log_sd: float = 10.0
+    timeline_background_mean: float = 2.0
     deep_absent_rate: float = 0.05
-
-    notation_mix: dict[str, float] = field(
-        default_factory=lambda: {
-            "H24:COLON": 0.40,
-            "H24:DOT": 0.12,
-            "H12_AMPM:COLON": 0.15,
-            "H12_AMPM:DOT": 0.08,
-            "H12_DOTTED_AMPM:COLON": 0.15,
-            "H12_DOTTED_AMPM:DOT": 0.10,
-        }
-    )
-
     injection_rates: dict[str, float] = field(
         default_factory=lambda: {
             "spam": 0.02,
@@ -124,20 +122,11 @@ class SynthConfig:
     )
 
     # Planted effects.
+    start_window_share: float = 0.77       # share of sleep starts in [22:00, 03:00)
     presleep_quality_delta: float = -5.0   # deep-sleep pp at prob=1 vs prob=0
 
-    presleep_prob_range: tuple[float, float] = (0.05, 0.95)
-    timeline_background_mean: float = 2.0
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["logs_per_user_range"] = list(self.logs_per_user_range)
-        doc["presleep_prob_range"] = list(self.presleep_prob_range)
-        doc["start_profile"] = {k: list(v) for k, v in self.start_profile.items()}
-        return doc
-
     def run_id(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        canonical = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -197,8 +186,8 @@ class _User:
 
 @dataclass
 class SynthResult:
-    tweets: list[dict]
-    timelines: list[dict]
+    tweets: list[RawTweet]
+    timelines: list[RawTweet]
     truth: list[dict]
     manifest: dict
 
@@ -209,187 +198,135 @@ def _pick_mean(table: dict[str, float], country: str) -> float:
 
 def generate(config: SynthConfig) -> SynthResult:
     """Build a corpus, its user timelines, and per-tweet ground truth."""
-    start_date = date.fromisoformat(config.corpus_start)
-    users = _build_users(config)
-
-    tweets: list[tuple[datetime, str, dict]] = []
-    timelines: list[tuple[datetime, str, dict]] = []
+    tweets: list[RawTweet] = []
+    timelines: list[RawTweet] = []
     truth: list[dict] = []
-    counts = {"valid": 0}
+    counts = Counter(valid=0)
+    rates = config.injection_rates
     spam_counter = 0
 
-    for user in users:
+    def emit(
+        tweet: RawTweet, kind: str, reason: RejectReason | None, true_fields: dict | None = None
+    ) -> None:
+        """Add a corpus tweet and its ground truth: valid when there is no reason to reject it."""
+        tweets.append(tweet)
+        truth.append({
+            "tweet_id": tweet.tweet_id,
+            "label": "valid" if reason is None else "invalid",
+            "reason": None if reason is None else reason.value,
+            "true_fields": true_fields,
+        })
+        counts[kind] += 1
+
+    for user in _build_users(config):
         rng = _substream(config.seed, "logs", user.index)
         emitted_texts: set[str] = set()
+        profile = _profile(user)
         serial = 0
 
-        def next_id() -> str:
+        def next_tweet(text: str, at: datetime) -> RawTweet:
+            """The user's next corpus tweet; every kind shares the id serial."""
             nonlocal serial
             serial += 1
-            return f"t{user.index:05d}x{serial:04d}"
-
-        profile = _profile_fields(user, start_date)
+            return RawTweet(f"t{user.index:05d}x{serial:04d}", text, at, *profile)
 
         for _ in range(user.n_logs):
             log, text, start_local, end_local = _draw_log(config, user, rng, emitted_texts)
-            created_local = end_local + timedelta(minutes=rng.randint(0, 10))
-            created_utc = _to_utc(created_local, user.offset_seconds)
-            tweet_id = next_id()
+            created_utc = _posted(end_local, user, rng)
             emitted_texts.add(text)
-            tweets.append(
-                (created_utc, tweet_id, _tweet_record(tweet_id, text, created_utc, profile))
-            )
-            truth.append(
-                {
-                    "tweet_id": tweet_id,
-                    "label": "valid",
-                    "reason": None,
-                    "true_fields": {
-                        "user_id": user.user_id,
-                        "country": user.country,
-                        "start_local": start_local.isoformat(),
-                        "end_local": end_local.isoformat(),
-                        "duration_minutes": log.duration_minutes,
-                        "deep_sleep_pct": log.deep_sleep_pct,
-                        "notation": log.notation.value,
-                        "separator": log.separator.value,
-                    },
-                }
-            )
-            counts["valid"] += 1
+            emit(next_tweet(text, created_utc), "valid", None, {
+                "user_id": user.user_id,
+                "country": user.country,
+                "start_local": start_local.isoformat(),
+                "end_local": end_local.isoformat(),
+                "duration_minutes": log.duration_minutes,
+                "deep_sleep_pct": log.deep_sleep_pct,
+                "notation": log.notation.value,
+                "separator": log.separator.value,
+            })
 
             # Pre-sleep timeline tweet for this night.
             if rng.random() < user.presleep_pi:
                 before = rng.randint(10, 110)
-                t_local = start_local - timedelta(minutes=before)
-                t_utc = _to_utc(t_local, user.offset_seconds)
-                m_id = f"m{user.index:05d}x{serial:04d}"
-                timelines.append(
-                    (
-                        t_utc,
-                        m_id,
-                        _tweet_record(
-                            m_id,
-                            _TIMELINE_TEMPLATES[serial % len(_TIMELINE_TEMPLATES)].format(k=serial),
-                            t_utc,
-                            profile,
-                        ),
-                    )
-                )
+                timelines.append(RawTweet(
+                    f"m{user.index:05d}x{serial:04d}",
+                    _TIMELINE_TEMPLATES[serial % len(_TIMELINE_TEMPLATES)].format(k=serial),
+                    _to_utc(start_local - timedelta(minutes=before), user.offset_seconds),
+                    *profile,
+                ))
 
             # Injections ride along with the valid stream at fixed rates.
-            rates = config.injection_rates
             if rng.random() < rates.get("duplicate", 0.0):
-                dup_id = next_id()
                 dup_at = created_utc + timedelta(minutes=rng.randint(1, 2880))
-                tweets.append((dup_at, dup_id, _tweet_record(dup_id, text, dup_at, profile)))
-                truth.append(_invalid(dup_id, RejectReason.DUPLICATE_CONTENT))
-                counts["duplicate"] = counts.get("duplicate", 0) + 1
+                emit(next_tweet(text, dup_at), "duplicate", RejectReason.DUPLICATE_CONTENT)
             if rng.random() < rates.get("non_english", 0.0):
-                nid = next_id()
                 _, ascii_text, _, n_end = _draw_log(config, user, rng, emitted_texts)
                 n_text = _fullwidth_digits(ascii_text)
-                emitted_texts.add(ascii_text)
-                emitted_texts.add(n_text)
-                n_at = _to_utc(n_end + timedelta(minutes=rng.randint(0, 10)), user.offset_seconds)
-                tweets.append((n_at, nid, _tweet_record(nid, n_text, n_at, profile)))
-                truth.append(_invalid(nid, RejectReason.NON_ENGLISH_NOTATION))
-                counts["non_english"] = counts.get("non_english", 0) + 1
+                emitted_texts.update((ascii_text, n_text))
+                emit(next_tweet(n_text, _posted(n_end, user, rng)), "non_english",
+                     RejectReason.NON_ENGLISH_NOTATION)
             if rng.random() < rates.get("too_short", 0.0):
-                sid = next_id()
-                s_text, s_at = _extreme_log(config, user, rng, emitted_texts, (10, 119))
-                tweets.append((s_at, sid, _tweet_record(sid, s_text, s_at, profile)))
-                truth.append(_invalid(sid, RejectReason.TOO_SHORT))
-                counts["too_short"] = counts.get("too_short", 0) + 1
+                short = _extreme_log(config, user, rng, emitted_texts, (10, 119))
+                emit(next_tweet(*short), "too_short", RejectReason.TOO_SHORT)
             if rng.random() < rates.get("too_long", 0.0):
-                lid = next_id()
-                l_text, l_at = _extreme_log(config, user, rng, emitted_texts, (721, 1380))
-                tweets.append((l_at, lid, _tweet_record(lid, l_text, l_at, profile)))
-                truth.append(_invalid(lid, RejectReason.TOO_LONG))
-                counts["too_long"] = counts.get("too_long", 0) + 1
+                long = _extreme_log(config, user, rng, emitted_texts, (721, 1380))
+                emit(next_tweet(*long), "too_long", RejectReason.TOO_LONG)
             if rng.random() < rates.get("spam", 0.0):
                 spam_counter += 1
-                spam_idx = spam_counter % 5
-                spam_user = f"s{spam_idx:03d}"
-                spam_id = f"sp{spam_counter:06d}"
-                spam_at = created_utc + timedelta(minutes=rng.randint(-600, 600))
-                template = _SPAM_TEMPLATES[spam_counter % len(_SPAM_TEMPLATES)]
-                spam_profile = {
-                    "user_id": spam_user,
-                    "screen_name": f"deals{spam_idx:03d}",
-                    "location_text": None,
-                    "time_zone": None,
-                    "utc_offset_seconds": None,
-                    "interface_lang": "en",
-                    "bio": "offers and opinions",
-                    "friends_count": 13,
-                    "followers_count": 7,
-                    "statuses_count": 99999,
-                    "account_created_at": None,
-                }
-                tweets.append(
-                    (
-                        spam_at,
-                        spam_id,
-                        _tweet_record(spam_id, template.format(k=spam_counter), spam_at, spam_profile),
-                    )
+                k = spam_counter % 5
+                spam = RawTweet(
+                    tweet_id=f"sp{spam_counter:06d}",
+                    text=_SPAM_TEMPLATES[spam_counter % len(_SPAM_TEMPLATES)].format(k=spam_counter),
+                    created_at=created_utc + timedelta(minutes=rng.randint(-600, 600)),
+                    user_id=f"s{k:03d}",
+                    screen_name=f"deals{k:03d}",
+                    interface_lang="en",
+                    bio="offers and opinions",
+                    friends_count=13,
+                    followers_count=7,
+                    statuses_count=99999,
                 )
-                truth.append(_invalid(spam_id, RejectReason.NOT_SLEEP_LOG))
-                counts["spam"] = counts.get("spam", 0) + 1
+                emit(spam, "spam", RejectReason.NOT_SLEEP_LOG)
 
         # Background timeline chatter, unrelated to sleep.
         bg_rng = _substream(config.seed, "background", user.index)
         for b in range(_poisson(bg_rng, config.timeline_background_mean)):
-            day = bg_rng.randint(0, config.days - 1)
-            minute = bg_rng.randint(0, DAY_MINUTES - 1)
-            t_local = datetime.combine(start_date + timedelta(days=day), time(0, 0)) + timedelta(minutes=minute)
-            t_utc = _to_utc(t_local, user.offset_seconds)
-            b_id = f"b{user.index:05d}x{b:04d}"
-            timelines.append(
-                (
-                    t_utc,
-                    b_id,
-                    _tweet_record(
-                        b_id,
-                        _TIMELINE_TEMPLATES[b % len(_TIMELINE_TEMPLATES)].format(k=1000 + b),
-                        t_utc,
-                        profile,
-                    ),
-                )
-            )
+            local = _local(bg_rng.randint(0, config.days - 1), bg_rng.randint(0, DAY_MINUTES - 1))
+            timelines.append(RawTweet(
+                f"b{user.index:05d}x{b:04d}",
+                _TIMELINE_TEMPLATES[b % len(_TIMELINE_TEMPLATES)].format(k=1000 + b),
+                _to_utc(local, user.offset_seconds),
+                *profile,
+            ))
 
-    tweets.sort(key=lambda item: (item[0], item[1]))
-    timelines.sort(key=lambda item: (item[0], item[1]))
+    by_time = attrgetter("created_at", "tweet_id")
+    tweets.sort(key=by_time)
+    timelines.sort(key=by_time)
     counts["tweets_total"] = len(tweets)
 
+    run_id = config.run_id()
     manifest = {
-        "run_id": config.run_id(),
-        "config": config.to_dict(),
+        "run_id": run_id,
+        "config": asdict(config),
         "counts": dict(sorted(counts.items())),
         "planted": {
             "start_window_share": config.start_window_share,
-            "duration_mean_by_country": dict(config.duration_mean_by_country),
+            "duration_mean_by_country": dict(DURATION_MEAN_BY_COUNTRY),
             "presleep_quality_delta": config.presleep_quality_delta,
         },
     }
-    truth_meta = {"record": "meta", "run_id": config.run_id()}
-    return SynthResult(
-        tweets=[doc for _, _, doc in tweets],
-        timelines=[doc for _, _, doc in timelines],
-        truth=[truth_meta] + truth,
-        manifest=manifest,
-    )
+    truth_meta = {"record": "meta", "run_id": run_id}
+    return SynthResult(tweets, timelines, [truth_meta] + truth, manifest)
 
 
 def _build_users(config: SynthConfig) -> list[_User]:
     users = []
     for i in range(config.n_users):
         rng = _substream(config.seed, "user", i)
-        bucket = _weighted(rng, config.country_mix)
+        bucket = _weighted(rng, COUNTRY_MIX)
         country = bucket if bucket != "other" else OTHER_POOL[int(rng.random() * len(OTHER_POOL)) % len(OTHER_POOL)]
         zone, offset = ZONES_BY_COUNTRY[country][int(rng.random() * len(ZONES_BY_COUNTRY[country])) % len(ZONES_BY_COUNTRY[country])]
         lo, hi = config.logs_per_user_range
-        pi_lo, pi_hi = config.presleep_prob_range
         users.append(
             _User(
                 index=i,
@@ -401,11 +338,11 @@ def _build_users(config: SynthConfig) -> list[_User]:
                 statuses_count=_log_uniform_int(rng, 50, 50_000),
                 age_days=rng.randint(300, 2000),
                 friends_count=_log_uniform_int(rng, 10, 5_000),
-                presleep_pi=rng.uniform(pi_lo, pi_hi),
-                duration_mean=_pick_mean(config.duration_mean_by_country, country)
-                + _gauss(rng) * config.duration_user_sd,
-                deep_mean=_pick_mean(config.deep_mean_by_country, country)
-                + _gauss(rng) * config.deep_user_sd,
+                presleep_pi=rng.uniform(*PRESLEEP_PROB_RANGE),
+                duration_mean=_pick_mean(DURATION_MEAN_BY_COUNTRY, country)
+                + _gauss(rng) * DURATION_USER_SD,
+                deep_mean=_pick_mean(DEEP_MEAN_BY_COUNTRY, country)
+                + _gauss(rng) * DEEP_USER_SD,
             )
         )
     for user in users:
@@ -420,30 +357,26 @@ def _draw_log(
     emitted_texts: set[str],
 ) -> tuple[SleepLog, str, datetime, datetime]:
     """One night's log and its formatted text, which is unique within the user."""
-    start_date = date.fromisoformat(config.corpus_start)
-    window = config.start_profile.get(user.country, (WINDOW_LO, WINDOW_HI))
+    window = START_PROFILE.get(user.country, (WINDOW_LO, WINDOW_HI))
     for _ in range(200):
         day = rng.randint(0, config.days - 1)
         if rng.random() < config.start_window_share:
             minute = rng.randint(window[0], window[1] - 1)
         else:
             minute = rng.randint(3 * 60, WINDOW_LO - 1)
+        start_local = _local(day, minute)
 
-        start_local = datetime.combine(start_date + timedelta(days=day), time(0, 0)) + timedelta(
-            minutes=minute
-        )
-
-        duration = int(round(user.duration_mean + _gauss(rng) * config.duration_log_sd))
+        duration = int(round(user.duration_mean + _gauss(rng) * DURATION_LOG_SD))
         duration = max(125, min(715, duration))
         end_local = start_local + timedelta(minutes=duration)
 
         if rng.random() < config.deep_absent_rate:
             deep = None
         else:
-            deep = int(round(user.deep_mean + _gauss(rng) * config.deep_log_sd))
+            deep = int(round(user.deep_mean + _gauss(rng) * DEEP_LOG_SD))
             deep = max(0, min(100, deep))
 
-        notation_key = _weighted(rng, config.notation_mix)
+        notation_key = _weighted(rng, NOTATION_MIX)
         notation_name, sep_name = notation_key.split(":")
         log = SleepLog(
             tweet_id="pending",
@@ -468,15 +401,12 @@ def _extreme_log(
     emitted_texts: set[str],
     duration_range: tuple[int, int],
 ) -> tuple[str, datetime]:
-    """A grammatical log with an implausible duration (filtered later)."""
-    start_date = date.fromisoformat(config.corpus_start)
+    """A grammatical log with an implausible duration (filtered later), and when it was posted."""
     for _ in range(200):
         day = rng.randint(0, config.days - 1)
         minute = rng.randint(0, DAY_MINUTES - 1)
         duration = rng.randint(*duration_range)
-        start_local = datetime.combine(start_date + timedelta(days=day), time(0, 0)) + timedelta(
-            minutes=minute
-        )
+        start_local = _local(day, minute)
         end_local = start_local + timedelta(minutes=duration)
         log = SleepLog(
             tweet_id="pending",
@@ -491,8 +421,7 @@ def _extreme_log(
         text = format_sleeplog(log)
         if text not in emitted_texts:
             emitted_texts.add(text)
-            created = _to_utc(end_local + timedelta(minutes=rng.randint(0, 10)), user.offset_seconds)
-            return text, created
+            return text, _posted(end_local, user, rng)
     raise RuntimeError("could not draw a unique extreme log after 200 tries")
 
 
@@ -500,44 +429,43 @@ def _fullwidth_digits(text: str) -> str:
     return "".join(chr(ord(c) + 0xFEE0) if "0" <= c <= "9" else c for c in text)
 
 
+def _local(day: int, minute: int) -> datetime:
+    """Naive local time: `minute` minutes into day `day` of the corpus."""
+    return datetime.combine(CORPUS_START, time()) + timedelta(days=day, minutes=minute)
+
+
 def _to_utc(local: datetime, offset_seconds: int) -> datetime:
     tz = timezone(timedelta(seconds=offset_seconds))
     return local.replace(tzinfo=tz).astimezone(timezone.utc)
 
 
-def _profile_fields(user: _User, start_date: date) -> dict:
+def _posted(end_local: datetime, user: _User, rng: random.Random) -> datetime:
+    """When the app tweets a log: 0 to 10 minutes after the wake-up, in UTC."""
+    return _to_utc(end_local + timedelta(minutes=rng.randint(0, 10)), user.offset_seconds)
+
+
+def _profile(user: _User) -> tuple:
+    """The RawTweet fields after `created_at` that every tweet of `user` carries."""
     account_created = datetime.combine(
-        start_date - timedelta(days=user.age_days), time(12, 0), tzinfo=timezone.utc
+        CORPUS_START - timedelta(days=user.age_days), time(12, 0), tzinfo=timezone.utc
     )
-    return {
-        "user_id": user.user_id,
-        "screen_name": f"sleeper_{user.index:05d}",
-        "location_text": None,
-        "time_zone": user.zone,
-        "utc_offset_seconds": user.offset_seconds,
-        "interface_lang": LANG_BY_COUNTRY[user.country],
-        "bio": None,
-        "friends_count": user.friends_count,
-        "followers_count": user.friends_count // 2,
-        "statuses_count": user.statuses_count,
-        "account_created_at": account_created.isoformat(),
-    }
-
-
-def _tweet_record(tweet_id: str, text: str, created_at: datetime, profile: dict) -> dict:
-    doc = {"tweet_id": tweet_id, "text": text, "created_at": created_at.isoformat()}
-    doc.update(profile)
-    return doc
-
-
-def _invalid(tweet_id: str, reason: RejectReason) -> dict:
-    return {"tweet_id": tweet_id, "label": "invalid", "reason": reason.value, "true_fields": None}
+    return (
+        user.user_id,
+        f"sleeper_{user.index:05d}",
+        None,  # location_text
+        user.zone,
+        user.offset_seconds,
+        LANG_BY_COUNTRY[user.country],
+        None,  # bio
+        user.friends_count,
+        user.friends_count // 2,
+        user.statuses_count,
+        account_created,
+    )
 
 
 def write_corpus(result: SynthResult, out_dir: str) -> dict[str, str]:
     """Write corpus.jsonl, timelines.jsonl, truth.jsonl, synth_manifest.json."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "corpus": os.path.join(out_dir, "corpus.jsonl"),
@@ -545,10 +473,14 @@ def write_corpus(result: SynthResult, out_dir: str) -> dict[str, str]:
         "truth": os.path.join(out_dir, "truth.jsonl"),
         "manifest": os.path.join(out_dir, "synth_manifest.json"),
     }
-    for key, docs in (("corpus", result.tweets), ("timelines", result.timelines), ("truth", result.truth)):
+    for key, lines in (
+        ("corpus", (tweet.to_json() for tweet in result.tweets)),
+        ("timelines", (tweet.to_json() for tweet in result.timelines)),
+        ("truth", (json.dumps(doc, ensure_ascii=True) for doc in result.truth)),
+    ):
         with open(paths[key], "w", encoding="utf-8") as handle:
-            for doc in docs:
-                handle.write(json.dumps(doc, ensure_ascii=True) + "\n")
+            for line in lines:
+                handle.write(line + "\n")
     with open(paths["manifest"], "w", encoding="utf-8") as handle:
         json.dump(result.manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -10,7 +10,6 @@ the unit-suite helpers, so a shared bug cannot hide.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 import time
@@ -50,7 +49,6 @@ from sleeplog.records import (
     RejectReason,
     dedupe,
     ingest,
-    parse_timestamp,
 )
 from sleeplog.stats import mann_whitney_u, pearson, quartile_split
 from sleeplog.synth import SynthConfig, generate, score
@@ -77,7 +75,7 @@ def make_log(duration_minutes: int, tweet_id: str = "t0", user_id: str = "u0") -
 
 def run_pipeline(result, ledger: PipelineLedger):
     """Library-level ingest -> dedupe -> parse -> filter over a generated corpus."""
-    lines = [json.dumps(doc) for doc in result.tweets]
+    lines = [tweet.to_json() for tweet in result.tweets]
     tweets, bad_lines = ingest(lines)
     ledger.account("ingest", tweets, (r.reason for r in bad_lines))
     tweets, dupes = dedupe(tweets)
@@ -104,8 +102,8 @@ def run_pipeline(result, ledger: PipelineLedger):
 
 def build_timelines(result) -> dict[str, list[datetime]]:
     timelines: dict[str, list[datetime]] = {}
-    for doc in result.timelines:
-        timelines.setdefault(doc["user_id"], []).append(parse_timestamp(doc["created_at"]))
+    for tweet in result.timelines:
+        timelines.setdefault(tweet.user_id, []).append(tweet.created_at)
     return timelines
 
 
@@ -396,8 +394,8 @@ def test_c6_null_corpora_reject_at_the_nominal_rate():
         )
         result = generate(config)
         logs = []
-        for doc in result.tweets:
-            outcome = parse_tweet(RawTweet.from_record(doc))
+        for tweet in result.tweets:
+            outcome = parse_tweet(tweet)
             assert not isinstance(outcome, Rejection)
             logs.append(outcome)
         report = presleep_activity(

@@ -608,7 +608,43 @@ _MISTYPED_LOGS = [
                  id="list-user-id"),
     pytest.param(_log_with(lambda doc: [doc["tweet_id"]], "log record must be a JSON object, got list"),
                  id="log-not-an-object"),
+    pytest.param(_log_with(_set("start_civil", "7:5"), "start_civil must be HH:MM, got '7:5'"),
+                 id="unpadded-civil-time"),
+    pytest.param(_log_with(_set("end_local", ""),
+                           "end_local must be YYYY-MM-DDTHH:MM:SS or null, got ''"),
+                 id="empty-local-instant"),
+    pytest.param(_log_with(_set("start_local", "2015-10-01 03:36"),
+                           "start_local must be YYYY-MM-DDTHH:MM:SS or null, got '2015-10-01 03:36'"),
+                 id="space-separated-local-instant"),
+    pytest.param(_log_with(_set("start_local", "2015-10-01T03:36:00+09:00"),
+                           "start_local must be YYYY-MM-DDTHH:MM:SS or null, "
+                           "got '2015-10-01T03:36:00+09:00'"),
+                 id="local-instant-with-offset"),
+    pytest.param(_log_with(_set("end_utc", "2015-10-01T01:04:00"),
+                           "end_utc must be YYYY-MM-DDTHH:MM:SS+00:00 or null, got '2015-10-01T01:04:00'"),
+                 id="utc-instant-without-offset"),
+    pytest.param(_log_with(_set("start_utc", "2015-09-30T20:14:00Z"),
+                           "start_utc must be YYYY-MM-DDTHH:MM:SS+00:00 or null, "
+                           "got '2015-09-30T20:14:00Z'"),
+                 id="utc-instant-with-zulu"),
 ]
+
+
+def _presleep_log_with_naive_utc(tmp_path, run_dir, corpus_dir):
+    # Pre-sleep analysis compares log instants with aware timeline instants.
+    bad = tmp_path / "filtered.jsonl"
+    _edit_first(run_dir / "filtered.jsonl", bad,
+                lambda doc: {**doc, "start_utc": doc["start_utc"][:19], "end_utc": doc["end_utc"][:19]})
+    start_utc = json.loads(bad.read_text().splitlines()[0])["start_utc"]
+    argv = ["analyze", "--logs", str(bad), "--tweets", str(run_dir / "tweets.jsonl"),
+            "--timelines", str(corpus_dir / "timelines.jsonl")]
+    return argv, f"{bad}:1: start_utc must be YYYY-MM-DDTHH:MM:SS+00:00 or null, got {start_utc!r}"
+
+
+def _tweet_with_empty_account_created_at(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "tweets.jsonl"
+    _edit_first(run_dir / "tweets.jsonl", bad, _set("account_created_at", ""))
+    return ["parse", str(bad)], f"{bad}:1: account_created_at must be a timestamp string or null, got ''"
 
 
 @pytest.mark.parametrize(
@@ -616,7 +652,8 @@ _MISTYPED_LOGS = [
     [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
      _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
      _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice,
-     _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS],
+     _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
+     _tweet_with_empty_account_created_at],
 )
 def test_malformed_stage_input_is_a_located_error(
     tmp_path, run_dir, corpus_dir, capsys, make_bad_input

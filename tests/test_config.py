@@ -125,7 +125,7 @@ class TestResolve:
     @pytest.mark.parametrize(
         "name, value",
         [("presleep_window_minutes", 0), ("presleep_window_minutes", -30),
-         ("min_logs_per_user", 0), ("slack_minutes", -1)],
+         ("min_logs_per_user", 0), ("slack_minutes", -1), ("synth_users", -3)],
     )
     def test_value_below_its_floor_raises(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -133,7 +133,8 @@ class TestResolve:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("presleep_window_minutes", 1), ("min_logs_per_user", 1), ("slack_minutes", 0)],
+        [("presleep_window_minutes", 1), ("min_logs_per_user", 1), ("slack_minutes", 0),
+         ("synth_users", 1)],
     )
     def test_value_at_its_floor_is_accepted(self, name, value):
         assert resolve(environ={}, flag_values={name: value})[name] == value

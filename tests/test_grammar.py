@@ -460,12 +460,19 @@ INSTANTS = st.datetimes(
 )
 
 
+# Instants in the shapes stages write: local ones naive and UTC ones in UTC,
+# both to the second.  `SleepLog.from_record` accepts no others.
+STAGE_LOCAL = st.datetimes(max_value=datetime(9000, 1, 1)).map(lambda dt: dt.replace(microsecond=0))
+STAGE_UTC = STAGE_LOCAL.map(lambda dt: dt.replace(tzinfo=timezone.utc))
+
+
 @st.composite
-def sleep_logs(draw) -> SleepLog:
+def sleep_logs(draw, local=INSTANTS, utc=INSTANTS.filter(lambda dt: dt.tzinfo is not None),
+               gaps=st.timedeltas(timedelta(microseconds=1), timedelta(days=2))) -> SleepLog:
     start_utc = end_utc = None
     if draw(st.booleans()):  # anchored
-        start_utc = draw(INSTANTS.filter(lambda dt: dt.tzinfo is not None))
-        end_utc = start_utc + draw(st.timedeltas(timedelta(microseconds=1), timedelta(days=2)))
+        start_utc = draw(utc)
+        end_utc = start_utc + draw(gaps)
     return SleepLog(
         tweet_id=draw(IDS),
         user_id=draw(IDS),
@@ -475,8 +482,8 @@ def sleep_logs(draw) -> SleepLog:
         deep_sleep_pct=draw(st.none() | st.integers(0, 100)),
         notation=draw(st.sampled_from(list(TimeNotation))),
         separator=draw(st.sampled_from(list(Separator))),
-        start_local=draw(st.none() | INSTANTS),
-        end_local=draw(st.none() | INSTANTS),
+        start_local=draw(st.none() | local),
+        end_local=draw(st.none() | local),
         start_utc=start_utc,
         end_utc=end_utc,
         duration_inconsistent=draw(st.booleans()),
@@ -504,7 +511,7 @@ class TestRecordCodec:
         assert log.to_json() == dict_based_json(log)
 
     @settings(deadline=None)
-    @given(sleep_logs())
+    @given(sleep_logs(STAGE_LOCAL, STAGE_UTC, st.integers(1, 2 * 86400).map(lambda s: timedelta(seconds=s))))
     def test_decoding_a_line_writes_it_back_byte_for_byte(self, log):
         line = log.to_json()
         assert SleepLog.from_record(json.loads(line)).to_json() == line

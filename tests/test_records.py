@@ -184,6 +184,12 @@ class TestIngest:
         assert kept == []
         assert rejected[0].tweet_id == "broken"
 
+    @pytest.mark.parametrize("value", ["", 0, False, [], {}])
+    def test_account_created_at_is_null_or_a_timestamp(self, value):
+        kept, rejected = ingest([line(tweet_id="odd", account_created_at=value)])
+        assert kept == []
+        assert (rejected[0].reason, rejected[0].tweet_id) == (RejectReason.MALFORMED_JSON, "odd")
+
     def test_ledger_conservation(self):
         ledger = PipelineLedger()
         kept, rejected = ingest([line(), "{", line(tweet_id="x", friends_count=-3)])

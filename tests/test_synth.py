@@ -27,7 +27,7 @@ def small_config(**overrides) -> SynthConfig:
 
 def run_pipeline(result):
     """Library-level ingest -> dedupe -> parse -> filter over a SynthResult."""
-    lines = [json.dumps(doc) for doc in result.tweets]
+    lines = [tweet.to_json() for tweet in result.tweets]
     tweets, ingest_rejects = ingest(lines)
     tweets, dupe_rejects = dedupe(tweets)
     kept_logs: list[SleepLog] = []
@@ -99,30 +99,34 @@ class TestCorpusShape:
 
     def test_truth_covers_exactly_the_corpus(self, result):
         truth_ids = {r["tweet_id"] for r in result.truth if r.get("record") != "meta"}
-        corpus_ids = {doc["tweet_id"] for doc in result.tweets}
+        corpus_ids = {tweet.tweet_id for tweet in result.tweets}
         assert truth_ids == corpus_ids
 
     def test_truth_meta_line_first(self, result):
         assert result.truth[0] == {"record": "meta", "run_id": result.manifest["run_id"]}
 
     def test_tweets_sorted_by_time_then_id(self, result):
-        keys = [(doc["created_at"], doc["tweet_id"]) for doc in result.tweets]
+        keys = [(tweet.created_at, tweet.tweet_id) for tweet in result.tweets]
         assert keys == sorted(keys)
 
-    def test_corpus_records_ingest_cleanly(self, result):
-        for doc in result.tweets:
-            RawTweet.from_record(doc)
+    def test_corpus_records_ingest_cleanly(self, result, tmp_path):
+        # Every written tweet line reads back as the RawTweet it was written
+        # from, spam's null profile fields and fullwidth digits included.
+        paths = write_corpus(result, str(tmp_path))
+        for key, tweets in (("corpus", result.tweets), ("timelines", result.timelines)):
+            lines = Path(paths[key]).read_text(encoding="utf-8").splitlines()
+            assert [RawTweet.from_record(json.loads(line)) for line in lines] == tweets
 
     def test_duplicate_labels_match_repeated_texts(self, result):
         dup_ids = {r["tweet_id"] for r in result.truth
                    if r.get("reason") == "DUPLICATE_CONTENT"}
-        by_user: dict[str, list[dict]] = {}
-        for doc in result.tweets:
-            by_user.setdefault(doc["user_id"], []).append(doc)
-        for user_id, docs in by_user.items():
-            texts = [d["text"] for d in docs]
+        by_user: dict[str, list[RawTweet]] = {}
+        for tweet in result.tweets:
+            by_user.setdefault(tweet.user_id, []).append(tweet)
+        for user_id, tweets in by_user.items():
+            texts = [t.text for t in tweets]
             n_repeats = len(texts) - len(set(texts))
-            n_labeled = sum(1 for d in docs if d["tweet_id"] in dup_ids)
+            n_labeled = sum(1 for t in tweets if t.tweet_id in dup_ids)
             assert n_repeats == n_labeled, user_id
 
     def test_all_notation_variants_generated(self, result):
@@ -152,9 +156,9 @@ class TestCorpusShape:
 
     def test_timeline_tweets_are_chatter(self, result):
         assert result.timelines, "expected timeline tweets at default rates"
-        for doc in result.timelines:
-            assert not doc["text"].startswith("Sleep as Android:")
-            assert doc["tweet_id"][0] in "mb"
+        for tweet in result.timelines:
+            assert not tweet.text.startswith("Sleep as Android:")
+            assert tweet.tweet_id[0] in "mb"
 
     def test_country_mix_roughly_honored(self):
         result = generate(small_config(n_users=300, logs_per_user_range=(1, 2)))
@@ -227,7 +231,7 @@ class TestWrittenCorpus:
         paths = write_corpus(result, str(tmp_path))
         corpus_lines = Path(paths["corpus"]).read_text().splitlines()
         assert len(corpus_lines) == len(result.tweets)
-        assert json.loads(corpus_lines[0]) == result.tweets[0]
+        assert corpus_lines[0] == result.tweets[0].to_json()
         manifest = json.loads(Path(paths["manifest"]).read_text())
         assert manifest["run_id"] == result.manifest["run_id"]
         truth_lines = Path(paths["truth"]).read_text().splitlines()
