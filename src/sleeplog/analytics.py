@@ -21,6 +21,7 @@ from .stats import (
     mann_whitney_u,
     pearson,
     quartile_split,
+    QUARTILE_LABELS,
 )
 
 
@@ -470,15 +471,14 @@ def presleep_report(
 
     if len(ordered_users) >= 4 and len(set(probs.values())) > 1:
         quartiles = quartile_split(probs)
-        top = [deep_by_user[u] for u, q in quartiles.items() if q == "Q4"]
-        bottom = [deep_by_user[u] for u, q in quartiles.items() if q == "Q1"]
+        groups = {
+            q: [deep_by_user[u] for u, qq in quartiles.items() if qq == q] for q in QUARTILE_LABELS
+        }
+        top, bottom = groups["Q4"], groups["Q1"]
         if top and bottom:
             cohort = CohortReport(
                 grouping="presleep-prob-quartile:deep_sleep",
-                group_values={
-                    q: [deep_by_user[u] for u, qq in quartiles.items() if qq == q]
-                    for q in ("Q1", "Q2", "Q3", "Q4")
-                },
+                group_values=groups,
                 tests={"deep_sleep_top_vs_bottom": mann_whitney_u(top, bottom)},
             )
         else:
@@ -522,7 +522,7 @@ def activity_cohorts(
 
     matrix = []
     values: dict[str, list[float]] = {}
-    for label in ("Q1", "Q2", "Q3", "Q4"):
+    for label in QUARTILE_LABELS:
         members = [u for u in eligible if quartiles[u.user_id] == label]
         values[label] = [u.avg_duration_minutes for u in members]
         bin_counts = [0.0] * len(START_BIN_LABELS)
@@ -545,7 +545,7 @@ def activity_cohorts(
         group_values=values,
         tests=tests,
         matrix=matrix,
-        matrix_row_labels=["Q1", "Q2", "Q3", "Q4"],
+        matrix_row_labels=list(QUARTILE_LABELS),
         matrix_col_labels=list(START_BIN_LABELS),
         notes=notes,
     )

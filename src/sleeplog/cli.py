@@ -26,6 +26,7 @@ Exit codes: 0 success, 1 operational failure (bad paths, broken data),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -33,6 +34,8 @@ import os
 import shutil
 import sys
 from datetime import datetime
+from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 from . import __version__
 from .config import ConfigError, SETTINGS, config_stamp, load_file, resolve
@@ -90,22 +93,6 @@ def _read_json(path: str):
         return json.load(handle)
 
 
-def _write_json(path: str, obj: object) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_csv(path: str, stamp: str, header: list[str], rows: list[list]) -> None:
-    """RFC 4180 fields with LF endings, preceded by one settings comment line."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(f"# sleeplog-config: {stamp}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-
-
 def _bad_input(where: str, exc: Exception) -> ValueError:
     detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
     return ValueError(f"{where}: {detail}")
@@ -139,23 +126,6 @@ def _read_jsonl(path: str, build) -> list:
         return _build_each(path, numbered, lambda line: build(json.loads(line)))
 
 
-def _manifest(out_dir: str, command: str, inputs: list[str], outputs: list[str], stamp: str) -> None:
-    doc = {
-        "command": command,
-        "tool_version": __version__,
-        "settings": stamp,
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
-    }
-    _write_json(os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json"), doc)
-
-
-def _write_logs(path: str, logs: list[SleepLog]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for log in logs:
-            handle.write(log.to_json() + "\n")
-
-
 def _read_countries(path: str) -> dict[str, CountryResolution]:
     def build(row: dict) -> CountryResolution:
         blanks = {"country": row["country"] or None, "query_text": row["query_text"] or None}
@@ -171,12 +141,8 @@ def _read_timelines(path: str) -> dict[str, list[datetime]]:
     return timelines
 
 
-def _ledger_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "ledger.json")
-
-
 def _load_ledger(out_dir: str) -> PipelineLedger:
-    path = _ledger_path(out_dir)
+    path = os.path.join(out_dir, "ledger.json")
     if not os.path.exists(path):
         return PipelineLedger()
     with open(path, "r", encoding="utf-8") as handle:
@@ -187,36 +153,83 @@ def _load_ledger(out_dir: str) -> PipelineLedger:
         raise _bad_input(path, exc) from None
 
 
-def _save_ledger(out_dir: str, ledger: PipelineLedger) -> str:
-    path = _ledger_path(out_dir)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(ledger.to_json() + "\n")
-    return path
+# --- Stage outputs -------------------------------------------------------------
+
+def _jsonl(records) -> Iterator[str]:
+    """One `to_json()` line per record, produced as the file is written."""
+    for record in records:
+        yield record.to_json() + "\n"
+
+
+def _csv(stamp: str, header: list[str], rows: list[list]) -> Iterator[str]:
+    """One settings comment line, then RFC 4180 fields with LF endings."""
+    # `writerow` returns what its file's `write` returns: here, the line itself.
+    line = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
+    yield f"# sleeplog-config: {stamp}\n"
+    yield line(header)
+    for row in rows:
+        yield line(["" if v is None else v for v in row])
+
+
+def _json(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _publish(
+    out_dir: str, command: str, inputs: list[str], stamp: str, outputs: dict[str, Iterable[str]]
+) -> None:
+    """Write a stage's files, then `manifest_<command>.json` over exactly those files.
+
+    `outputs` maps a path under `out_dir` to the file's text: a string or an
+    iterable of string chunks.  Every file, the manifest last, is written to
+    `<path>.tmp`; the temp files replace their targets only once all are
+    written.  A failed write leaves the previous files and no temp file.
+    """
+    files = {os.path.join(out_dir, rel): text for rel, text in outputs.items()}
+    written = list(files)
+
+    def manifest() -> Iterator[str]:  # drawn last, when every file in `written` is complete
+        yield _json({
+            "command": command,
+            "tool_version": __version__,
+            "settings": stamp,
+            "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+            "outputs": {os.path.basename(p): _sha256(p + ".tmp") for p in written},
+        })
+
+    files[os.path.join(out_dir, f"manifest_{command}.json")] = manifest()
+    try:
+        for path, text in files.items():
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path + ".tmp", "w", encoding="utf-8", newline="") as handle:
+                handle.writelines([text] if isinstance(text, str) else text)
+        for path in files:
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for path in files:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
+        raise
 
 
 # --- Stage implementations -----------------------------------------------------
 
 def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[RawTweet]]:
-    os.makedirs(out_dir, exist_ok=True)
     ledger = PipelineLedger()
     tweets, bad_lines = ingest_file(input_path)
     ledger.account("ingest", tweets, (r.reason for r in bad_lines))
     tweets, dupes = dedupe(tweets)
     ledger.account("dedupe", tweets, (r.reason for r in dupes))
 
-    tweets_path = os.path.join(out_dir, "tweets.jsonl")
-    with open(tweets_path, "w", encoding="utf-8") as handle:
-        for tweet in tweets:
-            handle.write(tweet.to_json() + "\n")
-
     stamp = config_stamp(settings)
-    rejects_path = os.path.join(out_dir, "ingest_rejects.csv")
+    header = ["stage", "position", "reason", "tweet_id", "detail"]
     rows = [["ingest", r.line_number, r.reason.value, r.tweet_id, r.detail] for r in bad_lines]
     rows += [["dedupe", r.line_number, r.reason.value, r.tweet_id, r.detail] for r in dupes]
-    _write_csv(rejects_path, stamp, ["stage", "position", "reason", "tweet_id", "detail"], rows)
-
-    ledger_path = _save_ledger(out_dir, ledger)
-    _manifest(out_dir, "ingest", [input_path], [tweets_path, rejects_path, ledger_path], stamp)
+    _publish(out_dir, "ingest", [input_path], stamp, {
+        "tweets.jsonl": _jsonl(tweets),
+        "ingest_rejects.csv": _csv(stamp, header, rows),
+        "ledger.json": ledger.to_json() + "\n",
+    })
     message = (
         f"ingest: kept {len(tweets)} tweets "
         f"({len(bad_lines)} malformed, {len(dupes)} duplicates)"
@@ -227,7 +240,6 @@ def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[
 def do_parse(
     tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, list[SleepLog]]:
-    os.makedirs(out_dir, exist_ok=True)
     kept: list[SleepLog] = []
     rejected: list[tuple[str, Rejection]] = []
     for tweet in tweets:
@@ -240,23 +252,19 @@ def do_parse(
     ledger = _load_ledger(out_dir)
     ledger.account("parse", kept, (r.reason for _, r in rejected))
 
-    logs_path = os.path.join(out_dir, "logs.jsonl")
-    _write_logs(logs_path, kept)
     stamp = config_stamp(settings)
-    rejects_path = os.path.join(out_dir, "parse_rejects.csv")
-    _write_csv(
-        rejects_path, stamp, ["tweet_id", "reason", "span_lo", "span_hi"],
-        [[tweet_id, r.reason.value, *(r.span or (None, None))] for tweet_id, r in rejected],
-    )
-    ledger_path = _save_ledger(out_dir, ledger)
-    _manifest(out_dir, "parse", [tweets_path], [logs_path, rejects_path, ledger_path], stamp)
+    rows = [[tweet_id, r.reason.value, *(r.span or (None, None))] for tweet_id, r in rejected]
+    _publish(out_dir, "parse", [tweets_path], stamp, {
+        "logs.jsonl": _jsonl(kept),
+        "parse_rejects.csv": _csv(stamp, ["tweet_id", "reason", "span_lo", "span_hi"], rows),
+        "ledger.json": ledger.to_json() + "\n",
+    })
     return f"parse: kept {len(kept)} logs, rejected {len(rejected)}", kept
 
 
 def do_filter(
     logs: list[SleepLog], logs_path: str, out_dir: str, settings: dict
 ) -> tuple[str, list[SleepLog]]:
-    os.makedirs(out_dir, exist_ok=True)
     config = FilterConfig(
         min_duration_minutes=settings["min_duration_minutes"],
         max_duration_minutes=settings["max_duration_minutes"],
@@ -267,23 +275,19 @@ def do_filter(
     kept, rejected = filter_logs(logs, config)
     ledger.account("filter", kept, (r.reason for r in rejected))
 
-    filtered_path = os.path.join(out_dir, "filtered.jsonl")
-    _write_logs(filtered_path, kept)
     stamp = config_stamp(settings)
-    rejects_path = os.path.join(out_dir, "filter_rejects.csv")
-    _write_csv(
-        rejects_path, stamp, ["tweet_id", "reason"],
-        [[r.tweet_id, r.reason.value] for r in rejected],
-    )
-    ledger_path = _save_ledger(out_dir, ledger)
-    _manifest(out_dir, "filter", [logs_path], [filtered_path, rejects_path, ledger_path], stamp)
+    rows = [[r.tweet_id, r.reason.value] for r in rejected]
+    _publish(out_dir, "filter", [logs_path], stamp, {
+        "filtered.jsonl": _jsonl(kept),
+        "filter_rejects.csv": _csv(stamp, ["tweet_id", "reason"], rows),
+        "ledger.json": ledger.to_json() + "\n",
+    })
     return f"filter: kept {len(kept)} of {len(logs)} logs", kept
 
 
 def do_geo(
     tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, dict[str, CountryResolution]]:
-    os.makedirs(out_dir, exist_ok=True)
     client = GeocodeClient(
         config=GeocoderConfig(base_url=settings["geo_base_url"]),
         cache_path=settings["geo_cache"],
@@ -292,13 +296,12 @@ def do_geo(
     resolutions = resolve_users(tweets, client)
 
     stamp = config_stamp(settings)
-    countries_path = os.path.join(out_dir, "countries.csv")
     rows = [
         [r.user_id, r.country, r.method.value, r.query_text]
         for r in (resolutions[u] for u in sorted(resolutions))
     ]
-    _write_csv(countries_path, stamp, ["user_id", "country", "method", "query_text"], rows)
-    _manifest(out_dir, "geo", [tweets_path], [countries_path], stamp)
+    header = ["user_id", "country", "method", "query_text"]
+    _publish(out_dir, "geo", [tweets_path], stamp, {"countries.csv": _csv(stamp, header, rows)})
 
     resolved = sum(1 for r in resolutions.values() if r.country is not None)
     mode = "offline" if settings["geo_offline"] else "online"
@@ -330,48 +333,38 @@ def _wake_doc(logs: list[SleepLog]) -> dict:
 
 
 def _analysis_bundle(
-    out_dir: str,
+    bundle_dir: str,
     stamp: str,
     logs: list[SleepLog],
     users: list[UserRecord],
     summary: DatasetSummary,
     presleep: PresleepReport | None,
-) -> list[str]:
-    """Write one analysis bundle from finished per-user values; returns the paths."""
-    tables = {
-        "users.csv": (_USER_HEADER, [[getattr(u, k) for k in _USER_HEADER] for u in users]),
-        "frequency.csv": (
-            ["bin_label", "n_users", "percent"],
+) -> dict[str, Iterable[str]]:
+    """One analysis bundle from finished per-user values, as `{path under --out: text}`."""
+    users_rows = [[getattr(u, k) for k in _USER_HEADER] for u in users]
+    bundle = {
+        "users.csv": _csv(stamp, _USER_HEADER, users_rows),
+        "frequency.csv": _csv(
+            stamp, ["bin_label", "n_users", "percent"],
             [[row.bin_label, row.n_users, row.percent] for row in frequency_table(users)],
         ),
-    }
-    docs = {
-        "summary.json": {
+        "summary.json": _json({
             "summary": summary.to_record(),
             "clock": sleep_clock(logs).to_record(),
             "settings": stamp,
-        },
-        "start_bins.json": duration_by_start_bin(logs).to_record(),
-        "wake_heatmap.json": _wake_doc(logs),
-        "country_duration.json": {
+        }),
+        "start_bins.json": _json(duration_by_start_bin(logs).to_record()),
+        "wake_heatmap.json": _json(_wake_doc(logs)),
+        "country_duration.json": _json({
             "duration": _cohort_or_note(country_compare, users, "JP", "US", "duration"),
             "deep_sleep": _cohort_or_note(country_compare, users, "JP", "US", "deep_sleep"),
-        },
-        "activity.json": _cohort_or_note(activity_cohorts, users, logs),
-        "friends.json": _cohort_or_note(friends_split, users),
+        }),
+        "activity.json": _json(_cohort_or_note(activity_cohorts, users, logs)),
+        "friends.json": _json(_cohort_or_note(friends_split, users)),
     }
     if presleep is not None:
-        docs["presleep.json"] = presleep.to_record()
-
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-    for name, (header, rows) in tables.items():
-        outputs.append(os.path.join(out_dir, name))
-        _write_csv(outputs[-1], stamp, header, rows)
-    for name, doc in docs.items():
-        outputs.append(os.path.join(out_dir, name))
-        _write_json(outputs[-1], doc)
-    return outputs
+        bundle["presleep.json"] = _json(presleep.to_record())
+    return {os.path.join(bundle_dir, name): text for name, text in bundle.items()}
 
 
 def do_analyze(
@@ -401,9 +394,7 @@ def do_analyze(
         for user in users:
             user.presleep_tweet_prob = presleep.probabilities.get(user.user_id)
     stamp = config_stamp(settings)
-    analysis_dir = os.path.join(out_dir, "analysis")
-    _fresh_dir(analysis_dir)
-    outputs = _analysis_bundle(analysis_dir, stamp, logs, users, summary, presleep)
+    outputs = _analysis_bundle("analysis", stamp, logs, users, summary, presleep)
 
     # Robustness subset: drop casual users, keep everyone else's values.
     min_logs = settings["min_logs_per_user"]
@@ -420,12 +411,13 @@ def do_analyze(
                 presleep.denominator,
             )
         steady_summary = dataset_summary(steady_logs, steady_users)
-        outputs += _analysis_bundle(
-            os.path.join(analysis_dir, "robustness"),
+        outputs.update(_analysis_bundle(
+            os.path.join("analysis", "robustness"),
             stamp, steady_logs, steady_users, steady_summary, steady_presleep,
-        )
+        ))
 
-    _manifest(out_dir, "analyze", inputs, outputs, stamp)
+    _fresh_dir(os.path.join(out_dir, "analysis"))  # only once both bundles are computed
+    _publish(out_dir, "analyze", inputs, stamp, outputs)
     return (
         f"analyze: {summary.n_logs} logs over {summary.n_users} users; "
         f"robustness subset (>= {min_logs} logs) holds {len(steady_users)} users"
@@ -468,25 +460,19 @@ def do_report(out_dir: str, settings: dict) -> str:
     report_dir = os.path.join(out_dir, "report")
     stamp = config_stamp(settings)
     inputs = [os.path.join(analysis_dir, source) for _, source, _ in _CHARTS]
-    svgs = [
-        draw(_read_csv(path) if path.endswith(".csv") else _read_json(path))
-        for (_, _, draw), path in zip(_CHARTS, inputs)
-    ]
-    _fresh_dir(report_dir)  # only once every chart is drawn: a failed report keeps the last one
-    outputs = []
-    for (chart, _, _), svg in zip(_CHARTS, svgs):
+    charts = {}
+    for (chart, _, draw), path in zip(_CHARTS, inputs):
+        svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json(path))
         if svg is not None:
-            outputs.append(os.path.join(report_dir, chart))
-            with open(outputs[-1], "w", encoding="utf-8") as handle:
-                handle.write(svg)
-
-    _manifest(out_dir, "report", inputs, outputs, stamp)
-    return f"report: wrote {len(outputs)} charts to {report_dir}"
+            charts[os.path.join("report", chart)] = svg
+    _fresh_dir(report_dir)  # only once every chart is drawn: a failed report keeps the last one
+    _publish(out_dir, "report", inputs, stamp, charts)
+    return f"report: wrote {len(charts)} charts to {report_dir}"
 
 
 def do_funnel(out_dir: str, settings: dict) -> str:
     """One row per ledger stage; a stage whose input is not the previous stage's kept is fatal."""
-    ledger_path = _ledger_path(out_dir)
+    ledger_path = os.path.join(out_dir, "ledger.json")
     ledger = _load_ledger(out_dir)
     if not ledger.stages:
         raise ValueError(f"no ledger stages recorded in {ledger_path}")
@@ -496,9 +482,8 @@ def do_funnel(out_dir: str, settings: dict) -> str:
         raise _bad_input(ledger_path, exc) from None
     rows = [[s.name, s.input, s.kept, s.distinct_users_kept] for s in ledger.stages]
     stamp = config_stamp(settings)
-    funnel_path = os.path.join(out_dir, "funnel.csv")
-    _write_csv(funnel_path, stamp, ["stage", "tweets_in", "tweets_kept", "users_kept"], rows)
-    _manifest(out_dir, "funnel", [ledger_path], [funnel_path], stamp)
+    header = ["stage", "tweets_in", "tweets_kept", "users_kept"]
+    _publish(out_dir, "funnel", [ledger_path], stamp, {"funnel.csv": _csv(stamp, header, rows)})
     lines = [f"{'stage':<10} {'in':>8} {'kept':>8} {'users':>8}"]
     for name, tweets_in, kept, users in rows:
         lines.append(f"{name:<10} {tweets_in:>8} {kept:>8} {users:>8}")
@@ -525,22 +510,15 @@ def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: st
     parsed, logs = do_parse(tweets, tweets_path, out_dir, settings)
     filtered, logs = do_filter(logs, os.path.join(out_dir, "logs.jsonl"), out_dir, settings)
     located, resolutions = do_geo(tweets, tweets_path, out_dir, settings)
-    inputs = [os.path.join(out_dir, "filtered.jsonl"), tweets_path]
-    inputs.append(os.path.join(out_dir, "countries.csv"))
+    inputs = [os.path.join(out_dir, n) for n in ("filtered.jsonl", "tweets.jsonl", "countries.csv")]
     timelines = None
     if timelines_path:
         timelines = _read_timelines(timelines_path)
         inputs.append(timelines_path)
-    messages = [
-        ingested,
-        parsed,
-        filtered,
-        located,
-        do_analyze(logs, latest_profiles(tweets), resolutions, timelines, inputs, out_dir, settings),
-        do_report(out_dir, settings),
-        do_funnel(out_dir, settings),
-    ]
-    return "\n".join(messages)
+    profiles = latest_profiles(tweets)
+    analyzed = do_analyze(logs, profiles, resolutions, timelines, inputs, out_dir, settings)
+    reported, funnel = do_report(out_dir, settings), do_funnel(out_dir, settings)
+    return "\n".join([ingested, parsed, filtered, located, analyzed, reported, funnel])
 
 
 # --- Argument wiring -----------------------------------------------------------

@@ -121,6 +121,17 @@ class SleepLog:
             raise ValueError(
                 f"duration_inconsistent must be true or false, got {self.duration_inconsistent!r}"
             )
+        # The instants `from_record` reads back: local ones naive, UTC ones in UTC, to the second.
+        for name, value in (("start_local", self.start_local), ("end_local", self.end_local)):
+            if value is not None and (
+                not isinstance(value, datetime) or value.microsecond or value.tzinfo is not None
+            ):
+                raise ValueError(f"{name} must be a whole-second naive datetime or None, got {value!r}")
+        for name, value in (("start_utc", self.start_utc), ("end_utc", self.end_utc)):
+            if value is not None and (
+                not isinstance(value, datetime) or value.microsecond or value.utcoffset() != timedelta(0)
+            ):
+                raise ValueError(f"{name} must be a whole-second UTC datetime or None, got {value!r}")
         if (self.start_utc is None) != (self.end_utc is None):
             raise ValueError("start/end instants must be both present or both absent")
         if self.start_utc is not None and self.end_utc <= self.start_utc:
@@ -210,20 +221,26 @@ _UTC = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", re.ASCII).fullmatch
 
 
 def _civil(doc: dict, name: str) -> time:
-    raw = doc[name]
-    if not isinstance(raw, str) or _HHMM(raw) is None:
-        raise ValueError(f"{name} must be HH:MM, got {raw!r}")
-    return time.fromisoformat(raw)
+    return _decode(doc[name], name, _HHMM, "HH:MM", time.fromisoformat)
 
 
 def _instant(doc: dict, name: str, utc: bool) -> datetime | None:
     raw = doc[name]
     if raw is None:
         return None
-    if not isinstance(raw, str) or (_UTC if utc else _LOCAL)(raw) is None:
-        form = "YYYY-MM-DDTHH:MM:SS+00:00" if utc else "YYYY-MM-DDTHH:MM:SS"
-        raise ValueError(f"{name} must be {form} or null, got {raw!r}")
-    return datetime.fromisoformat(raw)
+    if utc:
+        return _decode(raw, name, _UTC, "YYYY-MM-DDTHH:MM:SS+00:00 or null", datetime.fromisoformat)
+    return _decode(raw, name, _LOCAL, "YYYY-MM-DDTHH:MM:SS or null", datetime.fromisoformat)
+
+
+def _decode(raw, name: str, shape, form: str, decode):
+    """`decode(raw)` for a string of `shape`; any other value, or one out of range, names `name`."""
+    if not isinstance(raw, str) or shape(raw) is None:
+        raise ValueError(f"{name} must be {form}, got {raw!r}")
+    try:
+        return decode(raw)
+    except ValueError as exc:
+        raise ValueError(f"{name} out of range ({exc}), got {raw!r}") from None
 
 
 def recomputed_duration(start: time, end: time) -> int:
@@ -393,10 +410,13 @@ def _build_log(
     start_local = end_local = start_utc = end_utc = None
     tz = user_tzinfo(tweet)
     if tz is not None:
-        tweet_local = tweet.created_at.astimezone(tz).replace(tzinfo=None)
-        start_local, end_local = anchor_dates(start_civil, end_civil, tweet_local, slack_minutes)
-        start_utc = start_local.replace(tzinfo=tz).astimezone(timezone.utc)
-        end_utc = end_local.replace(tzinfo=tz).astimezone(timezone.utc)
+        try:
+            tweet_local = tweet.created_at.astimezone(tz).replace(tzinfo=None)
+            start_local, end_local = anchor_dates(start_civil, end_civil, tweet_local, slack_minutes)
+            start_utc = start_local.replace(tzinfo=tz).astimezone(timezone.utc)
+            end_utc = end_local.replace(tzinfo=tz).astimezone(timezone.utc)
+        except OverflowError:  # the dates leave datetime's range: leave the log unanchored
+            start_local = end_local = start_utc = end_utc = None
 
     return SleepLog(
         tweet_id=tweet.tweet_id,

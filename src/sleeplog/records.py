@@ -45,7 +45,6 @@ def parse_timestamp(raw: str) -> datetime:
     if not isinstance(raw, str) or not raw.strip():
         raise ValueError(f"empty timestamp: {raw!r}")
     text = raw.strip()
-    dt = None
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
@@ -55,7 +54,10 @@ def parse_timestamp(raw: str) -> datetime:
             raise ValueError(f"unparseable timestamp: {raw!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # e.g. 0001-01-01T00:20:00+05:00
+        raise ValueError(f"timestamp out of range in UTC: {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,9 @@ class RawTweet:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+        offset = self.utc_offset_seconds
+        if offset is not None and not -86400 < offset < 86400:  # what `datetime.timezone` takes
+            raise ValueError(f"utc_offset_seconds must be in (-86400, 86400), got {offset}")
         account = self.account_created_at
         if not isinstance(self.created_at, datetime) or not (
             account is None or isinstance(account, datetime)

@@ -9,6 +9,7 @@ of the regularized incomplete beta function.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -328,20 +329,9 @@ def quartile_split(metric: dict[str, float]) -> dict[str, str]:
     if n < 4:
         raise ValueError(f"need at least 4 keyed values, got {n}")
     ordered = sorted(metric.values())
-    q1 = ordered[math.ceil(0.25 * n) - 1]
-    q2 = ordered[math.ceil(0.50 * n) - 1]
-    q3 = ordered[math.ceil(0.75 * n) - 1]
-    out: dict[str, str] = {}
-    for key, value in metric.items():
-        if value <= q1:
-            out[key] = "Q1"
-        elif value <= q2:
-            out[key] = "Q2"
-        elif value <= q3:
-            out[key] = "Q3"
-        else:
-            out[key] = "Q4"
-    return out
+    thresholds = [ordered[math.ceil(share * n) - 1] for share in (0.25, 0.50, 0.75)]
+    # The number of thresholds strictly below a value picks its quartile.
+    return {key: QUARTILE_LABELS[bisect_left(thresholds, v)] for key, v in metric.items()}
 
 
 def hour_histogram(moments: Iterable, normalize: bool = False) -> list[float]:

@@ -8,6 +8,7 @@ tracebacks.  Only the import check starts a fresh interpreter.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -383,6 +384,25 @@ def test_failed_report_keeps_the_earlier_charts(tmp_path, run_dir, capsys):
     assert tree_hashes(out / "report") == before
 
 
+def test_failed_write_replaces_none_of_the_stage_files(tmp_path, run_dir, monkeypatch, capsys):
+    out = copy_of(run_dir, tmp_path)
+    names = ("filtered.jsonl", "filter_rejects.csv", "ledger.json", "manifest_filter.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    encode, written = SleepLog.to_json, []
+
+    def to_json_until_the_disk_fills(log):
+        written.append(log.tweet_id)
+        if len(written) == 100:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return encode(log)
+
+    monkeypatch.setattr(SleepLog, "to_json", to_json_until_the_disk_fills)
+    assert cli.main(["filter", "--out", str(out)]) == 1
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert not list(out.rglob("*.tmp"))
+
+
 # --- determinism --------------------------------------------------------------
 
 def test_repeat_runs_are_byte_identical(tmp_path, corpus_dir, capsys):
@@ -627,6 +647,12 @@ _MISTYPED_LOGS = [
                            "start_utc must be YYYY-MM-DDTHH:MM:SS+00:00 or null, "
                            "got '2015-09-30T20:14:00Z'"),
                  id="utc-instant-with-zulu"),
+    pytest.param(_log_with(_set("start_civil", "24:00"),
+                           "start_civil out of range (hour must be in 0..23), got '24:00'"),
+                 id="civil-hour-out-of-range"),
+    pytest.param(_log_with(_set("start_local", "2015-13-01T03:36:00"),
+                           "start_local out of range (month must be in 1..12), got '2015-13-01T03:36:00'"),
+                 id="local-month-out-of-range"),
 ]
 
 
@@ -647,13 +673,19 @@ def _tweet_with_empty_account_created_at(tmp_path, run_dir, corpus_dir):
     return ["parse", str(bad)], f"{bad}:1: account_created_at must be a timestamp string or null, got ''"
 
 
+def _tweet_with_a_day_long_offset(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "tweets.jsonl"
+    _edit_first(run_dir / "tweets.jsonl", bad, _set("utc_offset_seconds", 86400))
+    return ["parse", str(bad)], f"{bad}:1: utc_offset_seconds must be in (-86400, 86400), got 86400"
+
+
 @pytest.mark.parametrize(
     "make_bad_input",
     [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
      _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
      _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice,
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
-     _tweet_with_empty_account_created_at],
+     _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset],
 )
 def test_malformed_stage_input_is_a_located_error(
     tmp_path, run_dir, corpus_dir, capsys, make_bad_input
@@ -663,6 +695,27 @@ def test_malformed_stage_input_is_a_located_error(
     err = capsys.readouterr().err
     assert err == f"error: {located}\n"
     assert "Traceback" not in err
+
+
+SLEEP_TEXT = (
+    "Sleep as Android: I was sleeping for 7:10 from 23:02 to 6:12 with 21% deep sleep"
+    " #sleep_as_android"
+)
+
+
+@pytest.mark.parametrize("created_at, offset", [
+    ("0001-01-01T00:20:00+05:00", None),  # before year 1 once in UTC
+    ("2015-10-24T06:20:00Z", 86400),  # an offset `datetime.timezone` refuses
+    ("0001-01-01T00:20:00Z", -18000),  # local time before year 1
+    ("9999-12-31T23:59:00Z", 0),  # wake-up cutoff after year 9999
+])
+def test_no_single_raw_tweet_stops_run_all(tmp_path, corpus_dir, created_at, offset):
+    def edit(doc: dict) -> dict:
+        return {**doc, "text": SLEEP_TEXT, "created_at": created_at, "utc_offset_seconds": offset}
+
+    _edit_first(corpus_dir / "corpus.jsonl", tmp_path / "corpus.jsonl", edit)
+    shutil.copy(corpus_dir / "timelines.jsonl", tmp_path)
+    assert run_all_into(tmp_path / "out", tmp_path, tmp_path / "cache.json") == 0
 
 
 def test_missing_explicit_countries_file_exits_1(tmp_path, run_dir, capsys):

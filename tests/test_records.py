@@ -107,7 +107,7 @@ def raw_tweets(draw) -> RawTweet:
         screen_name=draw(TEXT.filter(bool)),
         location_text=draw(st.none() | TEXT),
         time_zone=draw(st.none() | TEXT),
-        utc_offset_seconds=draw(st.none() | st.integers()),
+        utc_offset_seconds=draw(st.none() | st.integers(-86399, 86399)),
         interface_lang=draw(st.none() | TEXT),
         bio=draw(st.none() | TEXT),
         friends_count=draw(counts),
@@ -142,6 +142,7 @@ class TestRawTweetEncoder:
     @pytest.mark.parametrize(
         "name, value",
         [("friends_count", True), ("statuses_count", 1.0), ("utc_offset_seconds", "3600"),
+         ("utc_offset_seconds", 86400), ("utc_offset_seconds", -86400),
          ("bio", 5), ("tweet_id", ""), ("user_id", ["u1"]), ("created_at", "2015-10-24"),
          ("account_created_at", 0)],
     )
@@ -183,6 +184,15 @@ class TestIngest:
         kept, rejected = ingest([line(tweet_id="broken", created_at="not a time")])
         assert kept == []
         assert rejected[0].tweet_id == "broken"
+
+    @pytest.mark.parametrize("field, value", [
+        ("created_at", "0001-01-01T00:20:00+05:00"),
+        ("utc_offset_seconds", 86400),
+    ])
+    def test_value_no_stage_can_use_is_a_malformed_line(self, field, value):
+        kept, rejected = ingest([line(tweet_id="odd", **{field: value}), line()])
+        assert len(kept) == 1
+        assert (rejected[0].reason, rejected[0].tweet_id) == (RejectReason.MALFORMED_JSON, "odd")
 
     @pytest.mark.parametrize("value", ["", 0, False, [], {}])
     def test_account_created_at_is_null_or_a_timestamp(self, value):
