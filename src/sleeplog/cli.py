@@ -31,7 +31,6 @@ import csv
 import hashlib
 import json
 import os
-import shutil
 import sys
 from datetime import datetime
 from types import SimpleNamespace
@@ -82,10 +81,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _fresh_dir(path: str) -> None:
-    if os.path.isdir(path):
-        shutil.rmtree(path)
-    os.makedirs(path)
+def _prune(out_dir: str, sub_dir: str, written: Iterable[str]) -> None:
+    """Delete each file under `out_dir/sub_dir` that is not in `written` (paths
+    under `out_dir`), and each directory below it that this leaves empty."""
+    keep = {os.path.join(out_dir, rel) for rel in written}
+    root = os.path.join(out_dir, sub_dir)
+    for dirpath, _, filenames in os.walk(root, topdown=False):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            if path not in keep:
+                os.remove(path)
+        if dirpath != root and not os.listdir(dirpath):
+            os.rmdir(dirpath)
 
 
 def _read_json(path: str):
@@ -124,6 +131,28 @@ def _read_jsonl(path: str, build) -> list:
     with open(path, "r", encoding="utf-8") as handle:
         numbered = ((n, line) for n, line in enumerate(handle, start=1) if line.strip())
         return _build_each(path, numbered, lambda line: build(json.loads(line)))
+
+
+def _kept_lines(path: str, logs: list[SleepLog], kept: list[SleepLog]) -> Iterator[str]:
+    """The lines of `path` behind `kept`, in file order, each ending in a newline.
+
+    `logs` holds one record per non-blank line of `path`, as `_read_jsonl`
+    reads them, and `kept` is an ordered subsequence of `logs`.  Lines stream
+    from disk; none is held past its own write.
+    """
+    wanted = iter(kept)
+    want = next(wanted, None)
+    n = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            if n < len(logs) and logs[n] is want:
+                yield line if line.endswith("\n") else line + "\n"
+                want = next(wanted, None)
+            n += 1
+    if n != len(logs):
+        raise ValueError(f"{path}: holds {n} log lines, but {len(logs)} logs were read from it")
 
 
 def _read_countries(path: str) -> dict[str, CountryResolution]:
@@ -265,6 +294,7 @@ def do_parse(
 def do_filter(
     logs: list[SleepLog], logs_path: str, out_dir: str, settings: dict
 ) -> tuple[str, list[SleepLog]]:
+    """Plausible logs; `logs` are the records of `logs_path`, whose kept lines are copied."""
     config = FilterConfig(
         min_duration_minutes=settings["min_duration_minutes"],
         max_duration_minutes=settings["max_duration_minutes"],
@@ -278,7 +308,7 @@ def do_filter(
     stamp = config_stamp(settings)
     rows = [[r.tweet_id, r.reason.value] for r in rejected]
     _publish(out_dir, "filter", [logs_path], stamp, {
-        "filtered.jsonl": _jsonl(kept),
+        "filtered.jsonl": _kept_lines(logs_path, logs, kept),
         "filter_rejects.csv": _csv(stamp, ["tweet_id", "reason"], rows),
         "ledger.json": ledger.to_json() + "\n",
     })
@@ -416,8 +446,8 @@ def do_analyze(
             stamp, steady_logs, steady_users, steady_summary, steady_presleep,
         ))
 
-    _fresh_dir(os.path.join(out_dir, "analysis"))  # only once both bundles are computed
     _publish(out_dir, "analyze", inputs, stamp, outputs)
+    _prune(out_dir, "analysis", outputs)  # only once the new files are in place
     return (
         f"analyze: {summary.n_logs} logs over {summary.n_users} users; "
         f"robustness subset (>= {min_logs} logs) holds {len(steady_users)} users"
@@ -465,8 +495,8 @@ def do_report(out_dir: str, settings: dict) -> str:
         svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json(path))
         if svg is not None:
             charts[os.path.join("report", chart)] = svg
-    _fresh_dir(report_dir)  # only once every chart is drawn: a failed report keeps the last one
     _publish(out_dir, "report", inputs, stamp, charts)
+    _prune(out_dir, "report", charts)  # only once the new charts are in place
     return f"report: wrote {len(charts)} charts to {report_dir}"
 
 

@@ -20,6 +20,8 @@ from .records import RawTweet, RejectReason, _opt_instant
 
 PREFIX = "Sleep as Android: "
 
+_ZERO = timedelta(0)
+
 # Minutes of slack allowed between a stated wake-up time and the tweet's
 # local timestamp: the app can post a minute or two before the stated end
 # once rounding is involved.
@@ -108,10 +110,11 @@ class SleepLog:
 
     def __post_init__(self) -> None:
         # Exact types, so that to_json writes every value as json.dumps would.
-        for name in ("tweet_id", "user_id"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+        tweet_id, user_id = self.tweet_id, self.user_id
+        if not isinstance(tweet_id, str) or not tweet_id:
+            raise ValueError(f"tweet_id must be a non-empty string, got {tweet_id!r}")
+        if not isinstance(user_id, str) or not user_id:
+            raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
         duration, pct = self.duration_minutes, self.deep_sleep_pct
         if type(duration) is not int or duration <= 0:
             raise ValueError(f"duration_minutes must be a positive integer, got {duration!r}")
@@ -122,19 +125,32 @@ class SleepLog:
                 f"duration_inconsistent must be true or false, got {self.duration_inconsistent!r}"
             )
         # The instants `from_record` reads back: local ones naive, UTC ones in UTC, to the second.
-        for name, value in (("start_local", self.start_local), ("end_local", self.end_local)):
-            if value is not None and (
-                not isinstance(value, datetime) or value.microsecond or value.tzinfo is not None
-            ):
-                raise ValueError(f"{name} must be a whole-second naive datetime or None, got {value!r}")
-        for name, value in (("start_utc", self.start_utc), ("end_utc", self.end_utc)):
-            if value is not None and (
-                not isinstance(value, datetime) or value.microsecond or value.utcoffset() != timedelta(0)
-            ):
-                raise ValueError(f"{name} must be a whole-second UTC datetime or None, got {value!r}")
-        if (self.start_utc is None) != (self.end_utc is None):
+        # One check per field, not a loop over (name, value) pairs: this runs for every log built.
+        start_local, end_local = self.start_local, self.end_local
+        if start_local is not None and (
+            not isinstance(start_local, datetime) or start_local.microsecond
+            or start_local.tzinfo is not None
+        ):
+            _refuse_instant("start_local", "naive", start_local)
+        if end_local is not None and (
+            not isinstance(end_local, datetime) or end_local.microsecond
+            or end_local.tzinfo is not None
+        ):
+            _refuse_instant("end_local", "naive", end_local)
+        start_utc, end_utc = self.start_utc, self.end_utc
+        if start_utc is not None and (
+            not isinstance(start_utc, datetime) or start_utc.microsecond
+            or start_utc.utcoffset() != _ZERO
+        ):
+            _refuse_instant("start_utc", "UTC", start_utc)
+        if end_utc is not None and (
+            not isinstance(end_utc, datetime) or end_utc.microsecond
+            or end_utc.utcoffset() != _ZERO
+        ):
+            _refuse_instant("end_utc", "UTC", end_utc)
+        if (start_utc is None) != (end_utc is None):
             raise ValueError("start/end instants must be both present or both absent")
-        if self.start_utc is not None and self.end_utc <= self.start_utc:
+        if start_utc is not None and end_utc <= start_utc:
             raise ValueError("sleep end must be strictly after sleep start")
 
     @property
@@ -209,6 +225,10 @@ class SleepLog:
 ParseOutcome = SleepLog | Rejection
 
 
+def _refuse_instant(name: str, kind: str, value) -> None:
+    raise ValueError(f"{name} must be a whole-second {kind} datetime or None, got {value!r}")
+
+
 def _iso_or_none(dt: datetime | None) -> str | None:
     return dt.isoformat() if dt is not None else None
 
@@ -272,10 +292,19 @@ def anchor_dates(
     return start_local, end_local
 
 
+# One `timezone` per fixed UTC offset in seconds, built the first time a tweet
+# carries it; `RawTweet` admits only offsets in (-86400, 86400), so it stays bounded.
+_FIXED_ZONES: dict[int, timezone] = {}
+
+
 def user_tzinfo(tweet: RawTweet):
     """Timezone for local-time math: explicit offset first, else IANA name."""
-    if tweet.utc_offset_seconds is not None:
-        return timezone(timedelta(seconds=tweet.utc_offset_seconds))
+    seconds = tweet.utc_offset_seconds
+    if seconds is not None:
+        zone = _FIXED_ZONES.get(seconds)
+        if zone is None:
+            zone = _FIXED_ZONES[seconds] = timezone(timedelta(seconds=seconds))
+        return zone
     if tweet.time_zone:
         try:
             return ZoneInfo(tweet.time_zone)
@@ -419,27 +448,19 @@ def _build_log(
             start_local = end_local = start_utc = end_utc = None
 
     return SleepLog(
-        tweet_id=tweet.tweet_id,
-        user_id=tweet.user_id,
-        start_civil=start_civil,
-        end_civil=end_civil,
-        duration_minutes=stated,
-        deep_sleep_pct=deep,
-        notation=notation,
-        separator=separator,
-        start_local=start_local,
-        end_local=end_local,
-        start_utc=start_utc,
-        end_utc=end_utc,
-        duration_inconsistent=inconsistent,
+        tweet.tweet_id, tweet.user_id, start_civil, end_civil, stated, deep, notation, separator,
+        start_local, end_local, start_utc, end_utc, inconsistent,
     )
+
+
+# Per endpoint prefix: the hour, minute, meridiem and separator group names.
+_TIME_GROUPS = {p: (p + "h", p + "m", p + "mer", p + "sep") for p in ("s", "e")}
 
 
 def _read_time(match: re.Match, prefix: str):
     """Return (time, meridiem, separator) or the offending group name."""
-    hour = int(match[prefix + "h"])
-    minute = int(match[prefix + "m"])
-    meridiem = match[prefix + "mer"]
+    hour, minute, meridiem, sep = match.group(*_TIME_GROUPS[prefix])
+    hour, minute = int(hour), int(minute)
     if minute > 59:
         return prefix + "m"
     if meridiem is not None:
@@ -449,7 +470,7 @@ def _read_time(match: re.Match, prefix: str):
         hour = hour % 12 + shift
     elif hour > 23:
         return prefix + "h"
-    return time(hour, minute), meridiem, match[prefix + "sep"]
+    return time(hour, minute), meridiem, sep
 
 
 def format_sleeplog(

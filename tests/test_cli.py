@@ -384,23 +384,128 @@ def test_failed_report_keeps_the_earlier_charts(tmp_path, run_dir, capsys):
     assert tree_hashes(out / "report") == before
 
 
+def _disk_full() -> OSError:
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def test_failed_write_replaces_none_of_the_stage_files(tmp_path, run_dir, monkeypatch, capsys):
     out = copy_of(run_dir, tmp_path)
     names = ("filtered.jsonl", "filter_rejects.csv", "ledger.json", "manifest_filter.json")
     before = {name: (out / name).read_bytes() for name in names}
-    encode, written = SleepLog.to_json, []
+    copy_lines = cli._kept_lines
 
-    def to_json_until_the_disk_fills(log):
-        written.append(log.tweet_id)
-        if len(written) == 100:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return encode(log)
+    def lines_until_the_disk_fills(*args):
+        for n, line in enumerate(copy_lines(*args), start=1):
+            if n == 100:
+                raise _disk_full()
+            yield line
 
-    monkeypatch.setattr(SleepLog, "to_json", to_json_until_the_disk_fills)
+    monkeypatch.setattr(cli, "_kept_lines", lines_until_the_disk_fills)
     assert cli.main(["filter", "--out", str(out)]) == 1
     assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
     assert {name: (out / name).read_bytes() for name in names} == before
     assert not list(out.rglob("*.tmp"))
+
+
+def fill_the_disk_on_the_last_file(monkeypatch) -> None:
+    """`_publish` fails once the last file it is given is written, before its manifest."""
+    publish = cli._publish
+
+    def publish_until_the_disk_fills(out_dir, command, inputs, stamp, outputs):
+        *_, last = outputs
+
+        def then_fail(text):
+            yield from [text] if isinstance(text, str) else text
+            raise _disk_full()
+
+        return publish(out_dir, command, inputs, stamp, {**outputs, last: then_fail(outputs[last])})
+
+    monkeypatch.setattr(cli, "_publish", publish_until_the_disk_fills)
+
+
+@pytest.mark.parametrize("stage, directory", [("analyze", "analysis"), ("report", "report")])
+def test_failed_write_keeps_the_earlier_directory(
+    tmp_path, run_dir, monkeypatch, capsys, stage, directory
+):
+    out = copy_of(run_dir, tmp_path)
+    before = tree_hashes(out / directory)
+    manifest = (out / f"manifest_{stage}.json").read_bytes()
+    fill_the_disk_on_the_last_file(monkeypatch)
+    assert cli.main([stage, "--out", str(out)]) == 1
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert tree_hashes(out / directory) == before
+    assert (out / f"manifest_{stage}.json").read_bytes() == manifest
+    assert not list(out.rglob("*.tmp"))
+
+
+# --- filter copies the lines it keeps ------------------------------------------
+
+def test_filtered_lines_are_the_kept_lines_of_the_logs_file(run_dir):
+    _, rejects = read_stamped_csv(run_dir / "filter_rejects.csv")
+    dropped = {r["tweet_id"] for r in rejects}
+    assert dropped
+    lines = (run_dir / "logs.jsonl").read_bytes().splitlines(keepends=True)
+    kept = [line for line in lines if json.loads(line)["tweet_id"] not in dropped]
+    assert (run_dir / "filtered.jsonl").read_bytes() == b"".join(kept)
+
+
+def test_filter_copies_hand_edited_lines_verbatim(tmp_path, run_dir):
+    lines = (run_dir / "logs.jsonl").read_text().splitlines(keepends=True)
+    docs = [json.loads(line) for line in lines]
+
+    def plausible(doc: dict) -> bool:
+        return 120 <= doc["duration_minutes"] <= 720
+
+    last = max(i for i, doc in enumerate(docs) if plausible(doc))
+    lines, docs = lines[:last + 1], docs[:last + 1]
+    first = next(i for i, doc in enumerate(docs) if plausible(doc))
+    assert first < last
+    canonical = tmp_path / "canonical" / "logs.jsonl"
+    canonical.parent.mkdir()
+    canonical.write_text("".join(lines))
+
+    reordered = json.dumps(dict(reversed(docs[first].items())), separators=(" ,  ", " : "))
+    unterminated = lines[last].rstrip("\n")
+    edited_lines = [*lines[:first], reordered + "\n", "  \n", *lines[first + 1:last], unterminated]
+    edited = tmp_path / "edited" / "logs.jsonl"
+    edited.parent.mkdir()
+    edited.write_text("".join(edited_lines))
+
+    for path in (canonical, edited):
+        assert cli.main(["filter", str(path), "--out", str(path.parent)]) == 0
+    expected = [line if line.endswith("\n") else line + "\n"
+                for line in edited_lines if line.strip() and plausible(json.loads(line))]
+    assert (edited.parent / "filtered.jsonl").read_text() == "".join(expected)
+    assert reordered + "\n" in expected and expected[-1] == unterminated + "\n"
+
+    def filter_entry(out: Path):
+        ledger = PipelineLedger.from_json((out / "ledger.json").read_text())
+        return [stage for stage in ledger.stages if stage.name == "filter"]
+
+    assert filter_entry(edited.parent) == filter_entry(canonical.parent) != []
+    argv = ["analyze", "--out", str(edited.parent), "--tweets", str(run_dir / "tweets.jsonl")]
+    assert cli.main(argv) == 0
+
+
+def test_logs_file_that_changes_after_it_is_read_is_an_error(tmp_path, run_dir, monkeypatch, capsys):
+    logs = tmp_path / "logs.jsonl"
+    shutil.copy(run_dir / "logs.jsonl", logs)
+    n = len(logs.read_text().splitlines())
+    read = cli._read_jsonl
+
+    def read_then_append(path, build):
+        records = read(path, build)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(logs.read_text().splitlines(keepends=True)[0])
+        return records
+
+    monkeypatch.setattr(cli, "_read_jsonl", read_then_append)
+    out = tmp_path / "out"
+    assert cli.main(["filter", str(logs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {logs}: holds {n + 1} log lines, but {n} logs were read from it\n"
+    )
+    assert not out.exists() or not list(out.iterdir())
 
 
 # --- determinism --------------------------------------------------------------
