@@ -16,11 +16,19 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from zoneinfo import ZoneInfo
 
-from .records import RawTweet, RejectReason, _opt_instant
+from .records import RawTweet, RejectReason
 
 PREFIX = "Sleep as Android: "
 
 _ZERO = timedelta(0)
+# Anchoring counts whole minutes from datetime.min, 0001-01-01 00:00 (ordinal day 1).
+_MINUTE = timedelta(minutes=1)
+_NAIVE_MIN = datetime.min
+_UTC_MIN = datetime.min.replace(tzinfo=timezone.utc)
+_LAST_DAY = datetime.max.toordinal()
+# One shared civil `time` and one "HH:MM" string per minute of the day.
+_CIVIL = [time(m // 60, m % 60) for m in range(1440)]
+_HHMM_TEXT = [f"{m // 60:02d}:{m % 60:02d}" for m in range(1440)]
 
 # Minutes of slack allowed between a stated wake-up time and the tweet's
 # local timestamp: the app can post a minute or two before the stated end
@@ -41,10 +49,7 @@ class Separator(Enum):
 
 _SEP_CHAR = {Separator.COLON: ":", Separator.DOT: "."}
 
-_MERIDIEM_HOUR_SHIFT = {
-    "AM": 0, "am": 0, "a.m.": 0,
-    "PM": 12, "pm": 12, "p.m.": 12,
-}
+_PM_MERIDIEMS = {"PM", "pm", "p.m."}
 _DOTTED_MERIDIEMS = {"a.m.", "p.m."}
 
 
@@ -168,28 +173,33 @@ class SleepLog:
             "deep_sleep_pct": self.deep_sleep_pct,
             "notation": self.notation.value,
             "separator": self.separator.value,
-            "start_local": _iso_or_none(self.start_local),
-            "end_local": _iso_or_none(self.end_local),
-            "start_utc": _iso_or_none(self.start_utc),
-            "end_utc": _iso_or_none(self.end_utc),
+            "start_local": None if self.start_local is None else self.start_local.isoformat(),
+            "end_local": None if self.end_local is None else self.end_local.isoformat(),
+            "start_utc": None if self.start_utc is None else self.start_utc.isoformat(),
+            "end_utc": None if self.end_utc is None else self.end_utc.isoformat(),
             "duration_inconsistent": self.duration_inconsistent,
         }
 
     def to_json(self) -> str:
         """`json.dumps(self.to_record(), ensure_ascii=True, sort_keys=True)`, without the dict."""
         pct, start, end = self.deep_sleep_pct, self.start_civil, self.end_civil
+        start_local = "null" if self.start_local is None else f'"{self.start_local.isoformat()}"'
+        end_local = "null" if self.end_local is None else f'"{self.end_local.isoformat()}"'
+        start_utc = "null" if self.start_utc is None else f'"{self.start_utc.isoformat()}"'
+        end_utc = "null" if self.end_utc is None else f'"{self.end_utc.isoformat()}"'
+        # `_value_`, not the `value` property: this runs for every log written.
         return (
             f'{{"deep_sleep_pct": {"null" if pct is None else pct}, '
             f'"duration_inconsistent": {"true" if self.duration_inconsistent else "false"}, '
             f'"duration_minutes": {self.duration_minutes}, '
-            f'"end_civil": "{end.hour:02d}:{end.minute:02d}", '
-            f'"end_local": {_opt_instant(self.end_local)}, '
-            f'"end_utc": {_opt_instant(self.end_utc)}, '
-            f'"notation": "{self.notation.value}", '
-            f'"separator": "{self.separator.value}", '
-            f'"start_civil": "{start.hour:02d}:{start.minute:02d}", '
-            f'"start_local": {_opt_instant(self.start_local)}, '
-            f'"start_utc": {_opt_instant(self.start_utc)}, '
+            f'"end_civil": "{_HHMM_TEXT[end.hour * 60 + end.minute]}", '
+            f'"end_local": {end_local}, '
+            f'"end_utc": {end_utc}, '
+            f'"notation": "{self.notation._value_}", '
+            f'"separator": "{self.separator._value_}", '
+            f'"start_civil": "{_HHMM_TEXT[start.hour * 60 + start.minute]}", '
+            f'"start_local": {start_local}, '
+            f'"start_utc": {start_utc}, '
             f'"tweet_id": {encode_basestring_ascii(self.tweet_id)}, '
             f'"user_id": {encode_basestring_ascii(self.user_id)}}}'
         )
@@ -227,10 +237,6 @@ ParseOutcome = SleepLog | Rejection
 
 def _refuse_instant(name: str, kind: str, value) -> None:
     raise ValueError(f"{name} must be a whole-second {kind} datetime or None, got {value!r}")
-
-
-def _iso_or_none(dt: datetime | None) -> str | None:
-    return dt.isoformat() if dt is not None else None
 
 
 # Shape checks, not `fromisoformat` alone: it accepts far more than stages
@@ -280,16 +286,20 @@ def anchor_dates(
 
     The wake-up is the most recent occurrence of end_civil at or before the
     tweet time plus slack; the sleep start is the most recent occurrence of
-    start_civil strictly before that, crossing midnight when needed.
+    start_civil strictly before that, recomputed_duration minutes earlier.
+    Both are naive wall times in whole minutes, counted from the wall-clock
+    fields of tweet_time_local (its tzinfo is not read); a UTC instant is the
+    local one minus the zone's offset at that wall time.  Raises OverflowError
+    when a date leaves datetime's range.
     """
-    cutoff = tweet_time_local + timedelta(minutes=slack_minutes)
-    end_local = datetime.combine(cutoff.date(), end_civil)
-    if end_local > cutoff:
-        end_local -= timedelta(days=1)
-    start_local = datetime.combine(end_local.date(), start_civil)
-    if start_local >= end_local:
-        start_local -= timedelta(days=1)
-    return start_local, end_local
+    t = tweet_time_local
+    cutoff = (t.toordinal() - 1) * 1440 + t.hour * 60 + t.minute + slack_minutes
+    if cutoff >= _LAST_DAY * 1440:
+        raise OverflowError("the anchoring cutoff is after year 9999")
+    # The latest minute of the day m at or before minute c is (c - m) mod 1440 before c.
+    end = cutoff - (cutoff - end_civil.hour * 60 - end_civil.minute) % 1440
+    start = end - 1 - (end - 1 - start_civil.hour * 60 - start_civil.minute) % 1440
+    return _NAIVE_MIN + _MINUTE * start, _NAIVE_MIN + _MINUTE * end
 
 
 # One `timezone` per fixed UTC offset in seconds, built the first time a tweet
@@ -394,36 +404,32 @@ def _clause_span(body: str, offset: int) -> tuple[int, int]:
 def _build_log(
     tweet: RawTweet, match: re.Match, offset: int, slack_minutes: int
 ) -> ParseOutcome:
-    def bad(group: str) -> Rejection:
-        lo, hi = match.span(group)
-        return Rejection(RejectReason.UNPARSEABLE_TIME, (offset + lo, offset + hi))
-
-    dur_h, dur_m = int(match["dh"]), int(match["dm"])
+    dur_h, _, dur_m, start_h, start_sep, start_m, start_mer, end_h, _, end_m, end_mer, deep_raw = (
+        match.groups()
+    )
+    dur_h, dur_m = int(dur_h), int(dur_m)
     if dur_h > 23 or dur_m > 59:
-        return bad("dm" if dur_m > 59 else "dh")
+        return _unparseable(match, offset, "dm" if dur_m > 59 else "dh")
     stated = dur_h * 60 + dur_m
     if stated == 0:
-        return bad("dh")
+        return _unparseable(match, offset, "dh")
 
-    start = _read_time(match, "s")
-    if isinstance(start, str):
-        return bad(start)
-    end = _read_time(match, "e")
-    if isinstance(end, str):
-        return bad(end)
-    start_civil, start_mer, start_sep = start
-    end_civil, end_mer, end_sep = end
+    start = _minute_of_day(start_h, start_m, start_mer)
+    if type(start) is str:
+        return _unparseable(match, offset, "s" + start)
+    end = _minute_of_day(end_h, end_m, end_mer)
+    if type(end) is str:
+        return _unparseable(match, offset, "e" + end)
 
     # A meridiem on only one endpoint leaves the other ambiguous.
     if (start_mer is None) != (end_mer is None):
-        return bad("emer" if end_mer is None else "smer")
+        return _unparseable(match, offset, "emer" if end_mer is None else "smer")
 
-    deep_raw = match["deep"]
     deep = None
     if deep_raw is not None:
         deep = int(deep_raw)
         if deep > 100:
-            return bad("deep")
+            return _unparseable(match, offset, "deep")
 
     if start_mer is None:
         notation = TimeNotation.H24
@@ -433,18 +439,24 @@ def _build_log(
         notation = TimeNotation.H12_AMPM
     separator = Separator.COLON if start_sep == ":" else Separator.DOT
 
-    recomputed = recomputed_duration(start_civil, end_civil)
-    inconsistent = abs(recomputed - stated) > 1
+    start_civil, end_civil = _CIVIL[start], _CIVIL[end]
+    inconsistent = abs(recomputed_duration(start_civil, end_civil) - stated) > 1
 
     start_local = end_local = start_utc = end_utc = None
     tz = user_tzinfo(tweet)
     if tz is not None:
         try:
-            tweet_local = tweet.created_at.astimezone(tz).replace(tzinfo=None)
-            start_local, end_local = anchor_dates(start_civil, end_civil, tweet_local, slack_minutes)
-            start_utc = start_local.replace(tzinfo=tz).astimezone(timezone.utc)
-            end_utc = end_local.replace(tzinfo=tz).astimezone(timezone.utc)
-        except OverflowError:  # the dates leave datetime's range: leave the log unanchored
+            start_local, end_local = anchor_dates(
+                start_civil, end_civil, tweet.created_at.astimezone(tz), slack_minutes
+            )
+            # local - utcoffset(local), tagged UTC: the fold=0 instant, fixed or IANA zone.
+            start_utc = _UTC_MIN + (start_local - _NAIVE_MIN - tz.utcoffset(start_local))
+            end_utc = _UTC_MIN + (end_local - _NAIVE_MIN - tz.utcoffset(end_local))
+        except OverflowError:
+            end_utc = None
+        # Unanchored when a date leaves datetime's range, or when a spring-forward gap
+        # swallows the whole sleep (02:00-03:00 on the night clocks jump from 02:00 to 03:00).
+        if end_utc is None or end_utc <= start_utc:
             start_local = end_local = start_utc = end_utc = None
 
     return SleepLog(
@@ -453,24 +465,21 @@ def _build_log(
     )
 
 
-# Per endpoint prefix: the hour, minute, meridiem and separator group names.
-_TIME_GROUPS = {p: (p + "h", p + "m", p + "mer", p + "sep") for p in ("s", "e")}
+def _unparseable(match: re.Match, offset: int, group: str) -> Rejection:
+    lo, hi = match.span(group)
+    return Rejection(RejectReason.UNPARSEABLE_TIME, (offset + lo, offset + hi))
 
 
-def _read_time(match: re.Match, prefix: str):
-    """Return (time, meridiem, separator) or the offending group name."""
-    hour, minute, meridiem, sep = match.group(*_TIME_GROUPS[prefix])
+def _minute_of_day(hour: str, minute: str, meridiem: str | None) -> int | str:
+    """The minute of the day one endpoint names, or its group at fault: "h" or "m"."""
     hour, minute = int(hour), int(minute)
     if minute > 59:
-        return prefix + "m"
+        return "m"
+    if hour > (23 if meridiem is None else 12):
+        return "h"
     if meridiem is not None:
-        if hour > 12:
-            return prefix + "h"
-        shift = _MERIDIEM_HOUR_SHIFT[meridiem]
-        hour = hour % 12 + shift
-    elif hour > 23:
-        return prefix + "h"
-    return time(hour, minute), meridiem, sep
+        hour = hour % 12 + (12 if meridiem in _PM_MERIDIEMS else 0)
+    return hour * 60 + minute
 
 
 def format_sleeplog(

@@ -81,23 +81,39 @@ class RawTweet:
 
     def __post_init__(self) -> None:
         # Exact types, so that to_json writes every value as json.dumps would.
-        for name in ("tweet_id", "text", "user_id", "screen_name"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"missing or empty field: {name}")
-        for name in ("location_text", "time_zone", "interface_lang", "bio"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"field {name} must be a string")
-        for name in ("utc_offset_seconds", "friends_count", "followers_count", "statuses_count"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not int:
-                raise ValueError(f"field {name} must be an integer")
-        for name in ("friends_count", "followers_count", "statuses_count"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        offset = self.utc_offset_seconds
+        # One check per field, not a loop over names: this runs for every tweet ingested.
+        if not isinstance(self.tweet_id, str) or not self.tweet_id:
+            raise ValueError("missing or empty field: tweet_id")
+        if not isinstance(self.text, str) or not self.text:
+            raise ValueError("missing or empty field: text")
+        if not isinstance(self.user_id, str) or not self.user_id:
+            raise ValueError("missing or empty field: user_id")
+        if not isinstance(self.screen_name, str) or not self.screen_name:
+            raise ValueError("missing or empty field: screen_name")
+        if self.location_text is not None and not isinstance(self.location_text, str):
+            raise ValueError("field location_text must be a string")
+        if self.time_zone is not None and not isinstance(self.time_zone, str):
+            raise ValueError("field time_zone must be a string")
+        if self.interface_lang is not None and not isinstance(self.interface_lang, str):
+            raise ValueError("field interface_lang must be a string")
+        if self.bio is not None and not isinstance(self.bio, str):
+            raise ValueError("field bio must be a string")
+        offset, friends = self.utc_offset_seconds, self.friends_count
+        followers, statuses = self.followers_count, self.statuses_count
+        if offset is not None and type(offset) is not int:
+            raise ValueError("field utc_offset_seconds must be an integer")
+        if friends is not None and type(friends) is not int:
+            raise ValueError("field friends_count must be an integer")
+        if followers is not None and type(followers) is not int:
+            raise ValueError("field followers_count must be an integer")
+        if statuses is not None and type(statuses) is not int:
+            raise ValueError("field statuses_count must be an integer")
+        if friends is not None and friends < 0:
+            raise ValueError(f"friends_count must be non-negative, got {friends}")
+        if followers is not None and followers < 0:
+            raise ValueError(f"followers_count must be non-negative, got {followers}")
+        if statuses is not None and statuses < 0:
+            raise ValueError(f"statuses_count must be non-negative, got {statuses}")
         if offset is not None and not -86400 < offset < 86400:  # what `datetime.timezone` takes
             raise ValueError(f"utc_offset_seconds must be in (-86400, 86400), got {offset}")
         account = self.account_created_at
@@ -108,6 +124,8 @@ class RawTweet:
 
     def to_json(self) -> str:
         """One `tweets.jsonl` line: the fields in declaration order, instants in ISO 8601."""
+        account = self.account_created_at
+        account = "null" if account is None else f'"{account.isoformat()}"'
         return (
             f'{{"tweet_id": {_quoted(self.tweet_id)}, "text": {_quoted(self.text)}, '
             f'"created_at": "{self.created_at.isoformat()}", '
@@ -120,7 +138,7 @@ class RawTweet:
             f'"friends_count": {_opt_int(self.friends_count)}, '
             f'"followers_count": {_opt_int(self.followers_count)}, '
             f'"statuses_count": {_opt_int(self.statuses_count)}, '
-            f'"account_created_at": {_opt_instant(self.account_created_at)}}}'
+            f'"account_created_at": {account}}}'
         )
 
     @classmethod
@@ -161,10 +179,6 @@ def _opt_str(value: str | None) -> str:
 
 def _opt_int(value: int | None) -> str:
     return "null" if value is None else str(value)
-
-
-def _opt_instant(value: datetime | None) -> str:
-    return "null" if value is None else f'"{value.isoformat()}"'
 
 
 def latest_profiles(tweets: Iterable[RawTweet]) -> dict[str, RawTweet]:

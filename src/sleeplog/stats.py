@@ -110,6 +110,9 @@ def _two_sided_from_tails(tail_le: float, tail_ge: float) -> float:
 
 
 def _exact_p(n1: int, n2: int, u: float) -> float:
+    if min(n1, n2) * n1 * n2 > EXACT_STEP_LIMIT:  # the inner-loop steps of exact_u_distribution
+        raise ValueError(f"the exact U distribution for n1={n1}, n2={n2} takes more than "
+                         f"{EXACT_STEP_LIMIT} steps and is infeasible; use mode='approx'")
     counts = exact_u_distribution(n1, n2)
     total = math.comb(n1 + n2, n1)
     le = sum(c for v, c in enumerate(counts) if v <= u)
@@ -162,6 +165,7 @@ def _sample_sd(values: Sequence[float]) -> float:
 
 
 EXACT_PRODUCT_LIMIT = 400
+EXACT_STEP_LIMIT = 10_000_000
 
 
 def mann_whitney_u(
@@ -172,7 +176,8 @@ def mann_whitney_u(
     mode 'auto' uses the exact distribution when the pooled sample is
     tie-free and n1*n2 <= 400, otherwise the tie-corrected normal
     approximation.  'exact' forces exact (enumeration when ties are present),
-    'approx' forces the approximation.
+    'approx' forces the approximation.  'exact' raises ValueError, before
+    counting, for a size it cannot finish in seconds (EXACT_STEP_LIMIT).
     """
     if mode not in ("auto", "exact", "approx"):
         raise ValueError(f"unknown mode: {mode!r}")

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import random
 from datetime import date, datetime, time, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from sleeplog.grammar import (
     parse_tweet,
     recomputed_duration,
 )
-from sleeplog.records import RejectReason
+from sleeplog.records import RawTweet, RejectReason
 
 PREFIX = "Sleep as Android: "
 
@@ -352,31 +353,127 @@ class TestDurationConsistency:
 # --- Date anchoring ---------------------------------------------------------------
 
 def oracle_anchor(start_civil, end_civil, tweet_local, slack_minutes):
-    """Brute-force: scan day by day for the latest candidates."""
+    """Brute-force: scan day by day for the latest candidates.
+
+    Raises OverflowError when the cutoff, or every candidate, leaves datetime's range.
+    """
     cutoff = tweet_local + timedelta(minutes=slack_minutes)
-    end = None
-    for back in range(-2, 4):
-        candidate = datetime.combine(cutoff.date() - timedelta(days=back), end_civil)
-        if candidate <= cutoff and (end is None or candidate > end):
-            end = candidate
-    start = None
-    for back in range(-2, 4):
-        candidate = datetime.combine(end.date() - timedelta(days=back), start_civil)
-        if candidate < end and (start is None or candidate > start):
-            start = candidate
+    end = _latest(end_civil, cutoff.date(), lambda candidate: candidate <= cutoff)
+    start = _latest(start_civil, end.date(), lambda candidate: candidate < end)
     return start, end
 
 
+def _latest(civil, day, fits):
+    best = None
+    for back in range(-2, 4):
+        try:
+            candidate = datetime.combine(day - timedelta(days=back), civil)
+        except OverflowError:
+            continue
+        if fits(candidate) and (best is None or candidate > best):
+            best = candidate
+    if best is None:
+        raise OverflowError("no candidate within datetime's range")
+    return best
+
+
+def oracle_instants(tweet, start_civil, end_civil, slack_minutes):
+    """The four instants by the conversion that whole-minute anchoring replaced:
+    `astimezone` to the tweet's local time, the brute-force anchor, then
+    `replace(tzinfo=tz).astimezone(utc)`.  All None when a date leaves datetime's
+    range, or when a spring-forward gap leaves the sleep no length in UTC.
+    """
+    offset = tweet.utc_offset_seconds
+    tz = ZoneInfo(tweet.time_zone) if offset is None else timezone(timedelta(seconds=offset))
+    try:
+        tweet_local = tweet.created_at.astimezone(tz).replace(tzinfo=None)
+        start_local, end_local = oracle_anchor(start_civil, end_civil, tweet_local, slack_minutes)
+        start_utc = start_local.replace(tzinfo=tz).astimezone(timezone.utc)
+        end_utc = end_local.replace(tzinfo=tz).astimezone(timezone.utc)
+    except OverflowError:
+        return None, None, None, None
+    if end_utc <= start_utc:
+        return None, None, None, None
+    return start_local, end_local, start_utc, end_utc
+
+
+SLACKS = [0, 15, 120, 1440, 2000]
+
+# UTC instants of the 2015 clock changes: Sydney's spring-forward and fall-back,
+# then the EU's and the US Mountain zone's, each pair in the same order.
+DST_2015 = {
+    "Australia/Sydney": [datetime(2015, 10, 3, 16), datetime(2015, 4, 4, 16)],
+    "Europe/Paris": [datetime(2015, 3, 29, 1), datetime(2015, 10, 25, 1)],
+    "America/Denver": [datetime(2015, 3, 8, 9), datetime(2015, 11, 1, 8)],
+}
+
+# Civil minutes from anywhere in the day, or from 01:00-02:59 local, where the
+# gaps and folds of DST_2015 lie.
+CIVIL_MINUTES = st.integers(0, 1439) | st.integers(60, 179)
+SUB_MINUTE = st.tuples(st.integers(0, 59), st.integers(0, 999_999)).map(
+    lambda sm: timedelta(seconds=sm[0], microseconds=sm[1])
+)
+
+
+@st.composite
+def anchoring_cases(draw, kind):
+    """(created_at, utc_offset_seconds, time_zone) for one kind of anchoring input."""
+    offset = zone = None
+    if kind == "fixed_offset":
+        offset = draw(st.sampled_from([3601, -12345, 0, 32400, -25200, 86399, -86399]))
+        created = draw(st.datetimes(datetime(2015, 1, 1), datetime(2016, 1, 1)))
+    elif kind == "dst_2015":
+        zone = draw(st.sampled_from(sorted(DST_2015)))
+        change = draw(st.sampled_from(DST_2015[zone]))
+        created = change + timedelta(minutes=draw(st.integers(-12 * 60, 36 * 60)))
+    elif kind == "amsterdam_before_1937":  # offsets of +00:19:32 and +01:19:32
+        zone = "Europe/Amsterdam"
+        created = draw(st.datetimes(datetime(1920, 1, 1), datetime(1937, 1, 1)))
+    else:  # range_edges
+        if draw(st.booleans()):
+            offset = draw(st.sampled_from([0, 3601, -12345, 50400, -43200]))
+        else:
+            zone = draw(st.sampled_from(sorted(DST_2015)))
+        day = draw(st.sampled_from([datetime(1, 1, 1), datetime(9999, 12, 31)]))
+        created = day + timedelta(minutes=draw(st.integers(0, 1438)))
+    created = (created + draw(SUB_MINUTE)).replace(tzinfo=timezone.utc)
+    return created, offset, zone
+
+
 class TestAnchoring:
-    @pytest.mark.parametrize("slack", [0, 15, 120])
+    @pytest.mark.parametrize("slack", SLACKS)
     def test_matches_brute_force_grid(self, slack):
         rng = random.Random(slack)
         for _ in range(400):
-            start = time(rng.randrange(24), rng.randrange(60))
-            end = time(rng.randrange(24), rng.randrange(60))
-            tweet_local = datetime(2015, 10, rng.randrange(1, 29), rng.randrange(24), rng.randrange(60))
+            tweet_local = datetime(
+                2015, 10, rng.randrange(1, 29), rng.randrange(24), rng.randrange(60),
+                rng.randrange(60), rng.choice([0, rng.randrange(1_000_000)]),
+            )
+            # Half the wake-ups fall in the cutoff's own minute or one either side of it,
+            # and a tenth of the starts equal the wake-up, a whole day before it.
+            near = tweet_local + timedelta(minutes=slack + rng.randrange(-1, 2))
+            end = rng.choice([time(near.hour, near.minute), time(rng.randrange(24), rng.randrange(60))])
+            start = end if rng.random() < 0.1 else time(rng.randrange(24), rng.randrange(60))
             got = anchor_dates(start, end, tweet_local, slack)
             assert got == oracle_anchor(start, end, tweet_local, slack)
+
+    @pytest.mark.parametrize("kind", ["fixed_offset", "dst_2015", "amsterdam_before_1937",
+                                      "range_edges"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_instants_match_the_astimezone_formula(self, kind, data):
+        created, offset, zone = data.draw(anchoring_cases(kind))
+        start, end = data.draw(CIVIL_MINUTES), data.draw(CIVIL_MINUTES)
+        slack = data.draw(st.sampled_from(SLACKS))
+        text = (f"{PREFIX}I was sleeping for 7:10 from {start // 60}:{start % 60:02d} "
+                f"to {end // 60}:{end % 60:02d} #sleep_as_android")
+        tweet = RawTweet("t1", text, created, "u1", "sleeper", time_zone=zone,
+                         utc_offset_seconds=offset)
+        log = parse_tweet(tweet, slack_minutes=slack)
+        expected = oracle_instants(tweet, log.start_civil, log.end_civil, slack)
+        assert (log.start_local, log.end_local, log.start_utc, log.end_utc) == expected
+        if expected[3] is not None:  # same instants, and tagged UTC
+            assert log.start_utc.tzinfo is timezone.utc and log.end_utc.tzinfo is timezone.utc
 
     def test_wake_just_after_tweet_uses_slack(self):
         # Stated end 06:12, tweet at 06:05: within 15 min slack, same morning.
@@ -453,6 +550,17 @@ class TestAnchoring:
         log = parse_tweet(tweet)
         assert log.anchored
         assert log.end_local.time() == time(6, 30)
+
+    def test_sleep_inside_a_dst_gap_leaves_unanchored(self, make_tweet):
+        # Denver skipped 02:00-03:00 on 2015-03-08: both ends map to 09:00 UTC.
+        tweet = make_tweet(
+            created_at=datetime(2015, 3, 8, 9, 5, tzinfo=timezone.utc),
+            time_zone="America/Denver",
+            text=f"{PREFIX}sleeping for 1:00 from 2:00 to 3:00",
+        )
+        log = parse_tweet(tweet)
+        assert isinstance(log, SleepLog) and not log.anchored
+        assert (log.start_local, log.end_local, log.end_utc) == (None, None, None)
 
 
 # --- Record codec ------------------------------------------------------------------

@@ -222,6 +222,11 @@ class TestMannWhitneyModes:
         with pytest.raises(ValueError, match="infeasible"):
             mann_whitney_u(a, b, mode="exact")
 
+    def test_exact_distribution_size_guard(self):
+        # Tie-free, so exact_u_distribution would take 2000 * 2000 * 2000 steps.
+        with pytest.raises(ValueError, match="n1=2000, n2=2000.*infeasible; use mode='approx'"):
+            mann_whitney_u(range(2000), range(2000, 4000), mode="exact")
+
 
 class TestNormalApproximation:
     def test_tie_corrected_variance_hand_case(self):
