@@ -6,7 +6,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .geo import CountryResolution, ResolutionMethod
 from .grammar import SleepLog
@@ -208,8 +208,8 @@ def sleep_clock(logs: Sequence[SleepLog]) -> SleepClockReport:
     """Normalized start/end hour-of-day distributions plus window shares."""
     starts = [l.start_civil for l in logs]
     ends = [l.end_civil for l in logs]
-    start_hist = hour_histogram(starts, normalize=True)
-    end_hist = hour_histogram(ends, normalize=True)
+    start_hist = hour_histogram(starts)
+    end_hist = hour_histogram(ends)
     return SleepClockReport(
         start_hist=start_hist,
         end_hist=end_hist,
@@ -331,8 +331,8 @@ WEEKEND_ROWS = (5, 6)
 class WakeHeatmap:
     counts: list[list[int]]          # 7 x 24, rows Monday..Sunday
     row_normalized: list[list[float]]
-    row_labels: tuple[str, ...] = DAY_LABELS
-    weekend_rows: tuple[int, ...] = WEEKEND_ROWS
+    row_labels: ClassVar[tuple[str, ...]] = DAY_LABELS
+    weekend_rows: ClassVar[tuple[int, ...]] = WEEKEND_ROWS
 
     def to_record(self) -> dict:
         return {

@@ -56,7 +56,7 @@ from .analytics import (
     sleep_clock,
     wake_heatmap,
 )
-from .geo import CountryResolution, GeocodeClient, GeocodeError, GeocoderConfig, resolve_users
+from .geo import CountryResolution, GeocodeClient, GeocodeError, resolve_users
 from .grammar import Rejection, SleepLog, parse_tweet
 from .pipeline import FilterConfig, filter_logs
 from .records import (
@@ -67,6 +67,7 @@ from .records import (
     ingest_file,
     latest_profiles,
     parse_timestamp,
+    utf8_line,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
 
@@ -74,6 +75,9 @@ from .svg import render_grouped_bars, render_heatmap, render_histogram
 # --- Small file helpers --------------------------------------------------------
 
 def _sha256(path: str) -> str:
+    """Digest of a file read from the start; a pipe would give the empty stream's."""
+    if not os.path.isfile(path):
+        raise ValueError(f"{path}: not a regular file, so the manifest cannot digest it")
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -128,9 +132,9 @@ def _read_csv(path: str, build=dict) -> list:
 
 def _read_jsonl(path: str, build) -> list:
     """`build(record)` for each non-blank line of a JSON Lines file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         numbered = ((n, line) for n, line in enumerate(handle, start=1) if line.strip())
-        return _build_each(path, numbered, lambda line: build(json.loads(line)))
+        return _build_each(path, numbered, lambda line: build(json.loads(utf8_line(line))))
 
 
 def _kept_lines(path: str, logs: list[SleepLog], kept: list[SleepLog]) -> Iterator[str]:
@@ -319,7 +323,7 @@ def do_geo(
     tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, dict[str, CountryResolution]]:
     client = GeocodeClient(
-        config=GeocoderConfig(base_url=settings["geo_base_url"]),
+        base_url=settings["geo_base_url"],
         cache_path=settings["geo_cache"],
         offline=settings["geo_offline"],
     )
@@ -492,7 +496,10 @@ def do_report(out_dir: str, settings: dict) -> str:
     inputs = [os.path.join(analysis_dir, source) for _, source, _ in _CHARTS]
     charts = {}
     for (chart, _, draw), path in zip(_CHARTS, inputs):
-        svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json(path))
+        try:
+            svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json(path))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _bad_input(path, exc) from None
         if svg is not None:
             charts[os.path.join("report", chart)] = svg
     _publish(out_dir, "report", inputs, stamp, charts)

@@ -9,6 +9,7 @@ do not touch the network at all.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import threading
@@ -40,14 +41,6 @@ class CountryResolution:
         if has_country == (self.method is ResolutionMethod.UNRESOLVED):
             raise ValueError("country must be present exactly when method resolves")
 
-    def to_record(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "country": self.country,
-            "method": self.method.value,
-            "query_text": self.query_text,
-        }
-
     @classmethod
     def from_record(cls, doc: dict) -> "CountryResolution":
         return cls(
@@ -58,6 +51,7 @@ class CountryResolution:
         )
 
 
+@functools.cache
 def _load_table(name: str) -> dict[str, str]:
     table: dict[str, str] = {}
     with resources.files("sleeplog.data").joinpath(name).open(
@@ -70,24 +64,14 @@ def _load_table(name: str) -> dict[str, str]:
     return table
 
 
-_zone_table: dict[str, str] | None = None
-_lang_table: dict[str, str] | None = None
-
-
 def zone_country_table() -> dict[str, str]:
     """Timezone name -> country, for zones lying in exactly one country."""
-    global _zone_table
-    if _zone_table is None:
-        _zone_table = _load_table("zone_country.csv")
-    return _zone_table
+    return _load_table("zone_country.csv")
 
 
 def language_country_table() -> dict[str, str]:
     """Interface language -> country, for languages dominant in one country."""
-    global _lang_table
-    if _lang_table is None:
-        _lang_table = _load_table("lang_country.csv")
-    return _lang_table
+    return _load_table("lang_country.csv")
 
 
 class GeocodeError(Exception):
@@ -102,16 +86,9 @@ _QUERY_PARAM = "q"
 _EXTRA_PARAMS = {"format": "jsonv2", "limit": "1", "addressdetails": "1"}
 _COUNTRY_PATH = "address.country_code"
 _TIMEOUT_SECONDS = 10.0
-
-
-@dataclass
-class GeocoderConfig:
-    """Where the geocoder lives and how politely it is asked."""
-
-    base_url: str = "https://nominatim.openstreetmap.org/search"
-    min_interval_seconds: float = 1.0
-    max_retries: int = 2
-    backoff_seconds: float = 0.5
+_MIN_INTERVAL_SECONDS = 1.0  # Nominatim's usage policy: at most one request a second
+_MAX_RETRIES = 2
+_BACKOFF_SECONDS = 0.5
 
 
 def _default_fetch(url: str, params: dict[str, str], timeout: float) -> tuple[int, str]:
@@ -164,14 +141,14 @@ class GeocodeClient:
 
     def __init__(
         self,
-        config: GeocoderConfig | None = None,
+        base_url: str,
         cache_path: str | None = None,
         offline: bool = False,
         fetch: Callable[[str, dict, float], tuple[int, str]] | None = None,
         sleep: Callable[[float], None] = _time.sleep,
         monotonic: Callable[[], float] = _time.monotonic,
     ) -> None:
-        self.config = config or GeocoderConfig()
+        self.base_url = base_url
         self.cache_path = cache_path
         self.offline = offline
         self._fetch = fetch or _default_fetch
@@ -196,7 +173,7 @@ class GeocodeClient:
         if self._last_request is None:
             return
         elapsed = self._monotonic() - self._last_request
-        remaining = self.config.min_interval_seconds - elapsed
+        remaining = _MIN_INTERVAL_SECONDS - elapsed
         if remaining > 0:
             self._sleep(remaining)
 
@@ -220,12 +197,12 @@ class GeocodeClient:
 
     def _lookup_remote(self, query: str):
         params = {**_EXTRA_PARAMS, _QUERY_PARAM: query}
-        delay = self.config.backoff_seconds
-        for attempt in range(self.config.max_retries + 1):
+        delay = _BACKOFF_SECONDS
+        for attempt in range(_MAX_RETRIES + 1):
             self._throttle()
             self._last_request = self._monotonic()
             try:
-                status, body = self._fetch(self.config.base_url, params, _TIMEOUT_SECONDS)
+                status, body = self._fetch(self.base_url, params, _TIMEOUT_SECONDS)
                 if 200 <= status < 300:
                     doc = json.loads(body)
                     value = _walk_path(doc, _COUNTRY_PATH)
@@ -234,7 +211,7 @@ class GeocodeClient:
                     return None  # definitive: service answered, no country
             except Exception:
                 pass
-            if attempt < self.config.max_retries:
+            if attempt < _MAX_RETRIES:
                 self._sleep(delay)
                 delay *= 2
         return _FAILED
@@ -245,22 +222,14 @@ def normalize_language(tag: str) -> str:
     return tag.strip().lower().split("-")[0]
 
 
-def resolve_country(
-    tweet: RawTweet,
-    client: GeocodeClient | None = None,
-    zone_table: dict[str, str] | None = None,
-    lang_table: dict[str, str] | None = None,
-) -> CountryResolution:
+def resolve_country(tweet: RawTweet, client: GeocodeClient | None = None) -> CountryResolution:
     """Resolve a user's country, trying the strongest signal first.
 
     Order: unambiguous timezone, then geocoded profile location, then an
     unambiguous interface language.  Anything else is UNRESOLVED.
     """
-    zones = zone_table if zone_table is not None else zone_country_table()
-    langs = lang_table if lang_table is not None else language_country_table()
-
     if tweet.time_zone:
-        country = zones.get(tweet.time_zone.strip())
+        country = zone_country_table().get(tweet.time_zone.strip())
         if country:
             return CountryResolution(
                 user_id=tweet.user_id,
@@ -283,7 +252,7 @@ def resolve_country(
             )
 
     if tweet.interface_lang:
-        country = langs.get(normalize_language(tweet.interface_lang))
+        country = language_country_table().get(normalize_language(tweet.interface_lang))
         if country:
             return CountryResolution(
                 user_id=tweet.user_id,
@@ -297,14 +266,11 @@ def resolve_country(
 
 
 def resolve_users(
-    tweets: Iterable[RawTweet],
-    client: GeocodeClient | None = None,
-    zone_table: dict[str, str] | None = None,
-    lang_table: dict[str, str] | None = None,
+    tweets: Iterable[RawTweet], client: GeocodeClient | None = None
 ) -> dict[str, CountryResolution]:
     """One resolution per user, from that user's most recent tweet."""
     profiles = latest_profiles(tweets)
     return {
-        user_id: resolve_country(profile, client, zone_table, lang_table)
+        user_id: resolve_country(profile, client)
         for user_id, profile in sorted(profiles.items())
     }

@@ -482,21 +482,15 @@ def _minute_of_day(hour: str, minute: str, meridiem: str | None) -> int | str:
     return hour * 60 + minute
 
 
-def format_sleeplog(
-    log: SleepLog,
-    notation: TimeNotation | None = None,
-    separator: Separator | None = None,
-) -> str:
+def format_sleeplog(log: SleepLog) -> str:
     """Render the canonical tweet text for a log (inverse of parse_tweet).
 
     The deep-sleep clause is elided when the log has no deep-sleep value.
     """
-    notation = notation if notation is not None else log.notation
-    separator = separator if separator is not None else log.separator
-    sep = _SEP_CHAR[separator]
+    sep = _SEP_CHAR[log.separator]
     dur = f"{log.duration_minutes // 60}{sep}{log.duration_minutes % 60:02d}"
-    start = _format_time(log.start_civil, notation, sep)
-    end = _format_time(log.end_civil, notation, sep)
+    start = _format_time(log.start_civil, log.notation, sep)
+    end = _format_time(log.end_civil, log.notation, sep)
     deep = ""
     if log.deep_sleep_pct is not None:
         deep = f" with {log.deep_sleep_pct}% deep sleep"

@@ -325,11 +325,23 @@ class RejectedLine:
     detail: str | None = None
 
 
+def utf8_line(line: str) -> str:
+    """`line`, read with `errors="surrogateescape"`; a byte that is not UTF-8 is a ValueError."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) & 0xFF  # surrogateescape maps byte b to U+DC00 + b
+            raise ValueError(f"not valid UTF-8: byte 0x{byte:02x} at char {exc.start}") from None
+    return line
+
+
 def ingest(lines: Iterable[str]) -> tuple[list[RawTweet], list[RejectedLine]]:
     """Parse JSON Lines into RawTweets, preserving input order.
 
-    A malformed line (bad JSON, missing required field, bad timestamp) is
-    counted under MALFORMED_JSON and skipped; it never aborts the run.
+    A malformed line (bytes that are not UTF-8, bad JSON, missing required
+    field, bad timestamp) is counted under MALFORMED_JSON and skipped; it
+    never aborts the run.
     """
     kept: list[RawTweet] = []
     rejected: list[RejectedLine] = []
@@ -338,7 +350,7 @@ def ingest(lines: Iterable[str]) -> tuple[list[RawTweet], list[RejectedLine]]:
             continue
         doc = None
         try:
-            doc = json.loads(line)
+            doc = json.loads(utf8_line(line))
             tweet = RawTweet.from_record(doc)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             tweet_id = None
@@ -356,7 +368,7 @@ def ingest(lines: Iterable[str]) -> tuple[list[RawTweet], list[RejectedLine]]:
 def ingest_file(path: str) -> tuple[list[RawTweet], list[RejectedLine]]:
     """Ingest from a file path; an unreadable file is fatal (IngestError)."""
     try:
-        handle: TextIO = open(path, "r", encoding="utf-8")
+        handle: TextIO = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     with handle:

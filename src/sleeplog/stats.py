@@ -339,16 +339,14 @@ def quartile_split(metric: dict[str, float]) -> dict[str, str]:
     return {key: QUARTILE_LABELS[bisect_left(thresholds, v)] for key, v in metric.items()}
 
 
-def hour_histogram(moments: Iterable, normalize: bool = False) -> list[float]:
-    """24 bins keyed by local hour; normalized bins sum to 1 (empty: zeros)."""
+def hour_histogram(moments: Iterable) -> list[float]:
+    """Share of moments per local hour, 24 bins summing to 1 (empty: zeros)."""
     bins = [0.0] * 24
     total = 0
     for moment in moments:
         bins[moment.hour] += 1
         total += 1
-    if normalize and total:
-        bins = [b / total for b in bins]
-    return bins
+    return [b / total for b in bins] if total else bins
 
 
 LOG2_BIN_LABELS = (

@@ -10,6 +10,8 @@ MARGIN_LEFT = 56
 MARGIN_TOP = 34
 MARGIN_BOTTOM = 42
 MARGIN_RIGHT = 16
+WIDTH = 720
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 
 BAR_FILL = "#4878a8"
 BAR_FILL_ALT = "#c46d4e"
@@ -31,12 +33,12 @@ def _fmt(x: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
-def _header(width: int, height: int, title: str) -> list[str]:
+def _header(height: int, title: str) -> list[str]:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{height}" fill="#ffffff"/>',
+        f'<text x="{_fmt(WIDTH / 2)}" y="20" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{_escape(title)}</text>',
     ]
 
@@ -45,23 +47,21 @@ def render_histogram(
     values: list[float],
     labels: list[str],
     title: str,
-    width: int = 720,
-    height: int = 320,
 ) -> str:
     """Vertical bar chart, one bar per label."""
     if len(values) != len(labels):
         raise ValueError("values and labels must align")
-    parts = _header(width, height, title)
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
+    height = 320
+    parts = _header(height, title)
     plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
     top = max(values) if values and max(values) > 0 else 1.0
     n = max(1, len(values))
-    slot = plot_w / n
+    slot = PLOT_W / n
     bar_w = slot * 0.8
 
     parts.append(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP + plot_h}" '
-        f'x2="{MARGIN_LEFT + plot_w}" y2="{MARGIN_TOP + plot_h}" stroke="{AXIS_COLOR}"/>'
+        f'x2="{MARGIN_LEFT + PLOT_W}" y2="{MARGIN_TOP + plot_h}" stroke="{AXIS_COLOR}"/>'
     )
     for i, (value, label) in enumerate(zip(values, labels)):
         h = plot_h * (value / top)
@@ -88,8 +88,6 @@ def render_heatmap(
     row_labels: list[str],
     col_labels: list[str],
     title: str,
-    width: int = 720,
-    height: int = 300,
 ) -> str:
     """Grid heatmap; cell shade scales linearly with value / global max."""
     if len(matrix) != len(row_labels):
@@ -97,12 +95,12 @@ def render_heatmap(
     for row in matrix:
         if len(row) != len(col_labels):
             raise ValueError("matrix columns and col_labels must align")
-    parts = _header(width, height, title)
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
+    height = 300
+    parts = _header(height, title)
     plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
     n_rows = max(1, len(matrix))
     n_cols = max(1, len(col_labels))
-    cell_w = plot_w / n_cols
+    cell_w = PLOT_W / n_cols
     cell_h = plot_h / n_rows
     top = max((v for row in matrix for v in row), default=0.0)
     if top <= 0:
@@ -136,27 +134,25 @@ def render_grouped_bars(
     groups: list[str],
     series: dict[str, list[float]],
     title: str,
-    width: int = 720,
-    height: int = 320,
 ) -> str:
     """Clustered bars: one cluster per group, one bar per series member."""
     for name, values in series.items():
         if len(values) != len(groups):
             raise ValueError(f"series {name!r} does not align with groups")
-    parts = _header(width, height, title)
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
+    height = 320
+    parts = _header(height, title)
     plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
     all_values = [v for values in series.values() for v in values]
     top = max(all_values) if all_values and max(all_values) > 0 else 1.0
     n_groups = max(1, len(groups))
     n_series = max(1, len(series))
-    slot = plot_w / n_groups
+    slot = PLOT_W / n_groups
     bar_w = slot * 0.8 / n_series
     palette = [BAR_FILL, BAR_FILL_ALT, "#5e9c76", "#8a6fae"]
 
     parts.append(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP + plot_h}" '
-        f'x2="{MARGIN_LEFT + plot_w}" y2="{MARGIN_TOP + plot_h}" stroke="{AXIS_COLOR}"/>'
+        f'x2="{MARGIN_LEFT + PLOT_W}" y2="{MARGIN_TOP + plot_h}" stroke="{AXIS_COLOR}"/>'
     )
     for s, (name, values) in enumerate(series.items()):
         color = palette[s % len(palette)]
@@ -168,7 +164,7 @@ def render_grouped_bars(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
                 f'height="{_fmt(h)}" fill="{color}"/>'
             )
-        legend_x = MARGIN_LEFT + plot_w - 120
+        legend_x = MARGIN_LEFT + PLOT_W - 120
         legend_y = MARGIN_TOP + 14 * s
         parts.append(
             f'<rect x="{legend_x}" y="{legend_y}" width="10" height="10" fill="{color}"/>'

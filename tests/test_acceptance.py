@@ -28,7 +28,6 @@ from sleeplog.analytics import (
 )
 from sleeplog.geo import (
     GeocodeClient,
-    GeocoderConfig,
     ResolutionMethod,
     resolve_country,
     resolve_users,
@@ -466,7 +465,7 @@ def profile_tweet(tweet_id: str, user_id: str, **fields) -> RawTweet:
     )
 
 
-def test_c8_geo_precedence_offline_and_cache_reuse(tmp_path, transport):
+def test_c8_geo_precedence_offline_and_cache_reuse(tmp_path, transport, fake_clock):
     assert resolve_country(profile_tweet("t1", "u1", time_zone="Asia/Tokyo")).country == "JP"
     new_york = resolve_country(profile_tweet("t2", "u2", time_zone="America/New_York"))
     assert new_york.country == "US"
@@ -476,14 +475,12 @@ def test_c8_geo_precedence_offline_and_cache_reuse(tmp_path, transport):
 
     def client_over(fetch, offline: bool = False) -> GeocodeClient:
         return GeocodeClient(
-            GeocoderConfig(
-                base_url="https://geo.test/search",
-                min_interval_seconds=0.0,
-                backoff_seconds=0.0,
-            ),
+            "https://geo.test/search",
             cache_path=cache,
             offline=offline,
             fetch=fetch,
+            sleep=fake_clock.sleep,
+            monotonic=fake_clock.monotonic,
         )
 
     # Timezone wins without touching the network; location outranks language.

@@ -384,6 +384,53 @@ def test_failed_report_keeps_the_earlier_charts(tmp_path, run_dir, capsys):
     assert tree_hashes(out / "report") == before
 
 
+def _summary_without_clock(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "summary.json"
+    doc = json.loads(path.read_text())
+    del doc["clock"]
+    path.write_text(json.dumps(doc))
+    return path, "missing field 'clock'"
+
+
+def _frequency_without_n_users(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "frequency.csv"
+    stamp, rows = read_stamped_csv(path)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(stamp + "\n")
+        writer = csv.DictWriter(handle, ["bin_label", "percent"], extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path, "missing field 'n_users'"
+
+
+def _start_bins_not_json(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "start_bins.json"
+    path.write_text("start bins\n")
+    return path, "Expecting value: line 1 column 1 (char 0)"
+
+
+def _wake_heatmap_a_list(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "wake_heatmap.json"
+    path.write_text('{"heatmap": []}\n')
+    return path, "list indices must be integers or slices, not str"
+
+
+@pytest.mark.parametrize("break_analysis", [
+    _summary_without_clock, _frequency_without_n_users, _start_bins_not_json, _wake_heatmap_a_list,
+])
+def test_report_on_a_malformed_analysis_file_is_a_located_error(
+    tmp_path, run_dir, capsys, break_analysis
+):
+    out = copy_of(run_dir, tmp_path)
+    before = tree_hashes(out / "report")
+    manifest = (out / "manifest_report.json").read_bytes()
+    path, detail = break_analysis(out / "analysis")
+    assert cli.main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {detail}\n"
+    assert tree_hashes(out / "report") == before
+    assert (out / "manifest_report.json").read_bytes() == manifest
+
+
 def _disk_full() -> OSError:
     return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -784,13 +831,22 @@ def _tweet_with_a_day_long_offset(tmp_path, run_dir, corpus_dir):
     return ["parse", str(bad)], f"{bad}:1: utc_offset_seconds must be in (-86400, 86400), got 86400"
 
 
+def _tweet_with_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "tweets.jsonl"
+    first, rest = (run_dir / "tweets.jsonl").read_bytes().split(b"\n", 1)
+    first = first.replace(b'"text": "', b'"text": "\xff', 1)
+    bad.write_bytes(first + b"\n" + rest)
+    return ["parse", str(bad)], f"{bad}:1: not valid UTF-8: byte 0xff at char {first.index(0xFF)}"
+
+
 @pytest.mark.parametrize(
     "make_bad_input",
     [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
      _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
      _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice,
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
-     _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset],
+     _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
+     _tweet_with_a_byte_that_is_not_utf8],
 )
 def test_malformed_stage_input_is_a_located_error(
     tmp_path, run_dir, corpus_dir, capsys, make_bad_input
@@ -907,6 +963,31 @@ def test_version_flag_exits_0(capsys):
         cli.main(["--version"])
     assert excinfo.value.code == 0
     assert "sleeplog" in capsys.readouterr().out
+
+
+def _sleeplog(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """`python -m sleeplog argv` in a fresh interpreter, on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sleeplog.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "sleeplog", *argv], env=env,
+                          capture_output=True, timeout=120, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_piped_stage_input_is_refused_and_a_redirected_file_is_digested(tmp_path, run_dir):
+    out = tmp_path / "out"
+    tweets = run_dir / "tweets.jsonl"
+    argv = ["parse", "/dev/stdin", "--out", str(out)]
+    piped = _sleeplog(argv, input=tweets.read_bytes())
+    assert piped.returncode == 1
+    assert piped.stderr.decode().startswith("error: /dev/stdin: not a regular file")
+    assert not out.exists() or not list(out.iterdir())
+
+    with open(tweets, "rb") as handle:
+        redirected = _sleeplog(argv, stdin=handle)
+    assert redirected.returncode == 0, redirected.stderr
+    manifest = json.loads((out / "manifest_parse.json").read_text())
+    assert manifest["inputs"] == {"stdin": hashlib.sha256(tweets.read_bytes()).hexdigest()}
 
 
 def test_importing_the_cli_loads_no_synth_or_http_modules():

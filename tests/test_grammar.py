@@ -203,7 +203,9 @@ class TestRoundTrip:
             duration_minutes=373, deep_sleep_pct=21,
             notation=TimeNotation.H24, separator=Separator.COLON,
         )
-        text = format_sleeplog(log, notation=TimeNotation.H12_DOTTED_AMPM, separator=Separator.DOT)
+        text = format_sleeplog(
+            dataclasses.replace(log, notation=TimeNotation.H12_DOTTED_AMPM, separator=Separator.DOT)
+        )
         assert "11.40 p.m." in text and "5.53 a.m." in text and "6.13" in text
 
 

@@ -213,6 +213,23 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest_file(str(tmp_path / "nope.jsonl"))
 
+    def test_line_that_is_not_utf8_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        bad = line(tweet_id="odd").encode().replace(b"hello", b"hel\xfflo")
+        path.write_bytes(b"\n".join([line(tweet_id="a").encode(), bad, line(tweet_id="b").encode()]))
+        kept, rejected = ingest_file(str(path))
+        assert [t.tweet_id for t in kept] == ["a", "b"]
+        assert [(r.line_number, r.reason) for r in rejected] == [(2, RejectReason.MALFORMED_JSON)]
+        at = bad.index(b"\xff")
+        assert rejected[0].detail == f"not valid UTF-8: byte 0xff at char {at}"
+
+    def test_non_ascii_utf8_line_is_kept(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(record(text="おやすみ"), ensure_ascii=False), encoding="utf-8")
+        kept, rejected = ingest_file(str(path))
+        assert [t.text for t in kept] == ["おやすみ"]
+        assert rejected == []
+
     @given(
         st.lists(
             st.one_of(

@@ -395,18 +395,17 @@ class TestHistograms:
         from datetime import datetime
         moments = [datetime(2015, 10, 24, h) for h in (23, 23, 6, 0)]
         bins = hour_histogram(moments)
-        assert bins[23] == 2 and bins[6] == 1 and bins[0] == 1
-        assert sum(bins) == 4
+        assert bins[23] == 2 / 4 and bins[6] == 1 / 4 and bins[0] == 1 / 4
+        assert bins.count(0.0) == 21
 
     def test_hour_histogram_normalized(self):
         from datetime import time
-        bins = hour_histogram([time(5), time(5), time(7), time(9)], normalize=True)
+        bins = hour_histogram([time(5), time(5), time(7), time(9)])
         assert bins[5] == pytest.approx(0.5)
         assert sum(bins) == pytest.approx(1.0)
 
     def test_hour_histogram_empty(self):
         assert hour_histogram([]) == [0.0] * 24
-        assert hour_histogram([], normalize=True) == [0.0] * 24
 
     @pytest.mark.parametrize("count, label", [
         (1, "1"), (2, "2-3"), (3, "2-3"), (4, "4-7"), (7, "4-7"),
