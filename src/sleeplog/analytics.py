@@ -16,6 +16,7 @@ from .stats import (
     DegenerateSampleError,
     TestResult,
     hour_histogram,
+    left_sum,
     log2_bin,
     LOG2_BIN_LABELS,
     mann_whitney_u,
@@ -82,7 +83,7 @@ class CohortReport:
 
     @property
     def group_means(self) -> dict[str, float | None]:
-        return {g: sum(vs) / len(vs) if vs else None for g, vs in self.group_values.items()}
+        return {g: left_sum(vs) / len(vs) if vs else None for g, vs in self.group_values.items()}
 
     @property
     def population(self) -> int:
@@ -171,11 +172,11 @@ def dataset_summary(logs: Sequence[SleepLog], users: Sequence[UserRecord]) -> Da
         n_users=len(users),
         overall_mean_duration=(sum(all_durations) / len(all_durations)) if logs else 0.0,
         mean_of_user_means_duration=(
-            sum(u.avg_duration_minutes for u in users) / len(users) if users else 0.0
+            left_sum(u.avg_duration_minutes for u in users) / len(users) if users else 0.0
         ),
         overall_mean_deep=(sum(all_deeps) / len(all_deeps)) if all_deeps else None,
         mean_of_user_means_deep=(
-            sum(user_deep_means) / len(user_deep_means) if user_deep_means else None
+            left_sum(user_deep_means) / len(user_deep_means) if user_deep_means else None
         ),
     )
 
@@ -213,9 +214,9 @@ def sleep_clock(logs: Sequence[SleepLog]) -> SleepClockReport:
     return SleepClockReport(
         start_hist=start_hist,
         end_hist=end_hist,
-        start_share_22_03=sum(start_hist[h] for h in START_WINDOW_HOURS),
-        end_share_05_10=sum(end_hist[h] for h in END_WINDOW_WIDE),
-        end_share_06_07=sum(end_hist[h] for h in END_WINDOW_PEAK),
+        start_share_22_03=left_sum(start_hist[h] for h in START_WINDOW_HOURS),
+        end_share_05_10=left_sum(end_hist[h] for h in END_WINDOW_WIDE),
+        end_share_06_07=left_sum(end_hist[h] for h in END_WINDOW_PEAK),
         n_logs=len(logs),
     )
 
@@ -294,7 +295,7 @@ def duration_by_start_bin(logs: Sequence[SleepLog]) -> CohortReport:
         row = [0.0] * _DURATION_HIST_HOURS
         for value in durations[label]:
             row[min(int(value // 60), _DURATION_HIST_HOURS - 1)] += 1
-        total = sum(row)
+        total = left_sum(row)
         matrix.append([v / total for v in row] if total else row)
 
     tests: dict[str, TestResult] = {}
@@ -529,7 +530,7 @@ def activity_cohorts(
         for user in members:
             for log in grouped_logs.get(user.user_id, []):
                 bin_counts[log.start_civil.hour // 3] += 1
-        total = sum(bin_counts)
+        total = left_sum(bin_counts)
         matrix.append([c / total for c in bin_counts] if total else bin_counts)
 
     tests: dict[str, TestResult] = {}

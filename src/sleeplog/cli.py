@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -99,9 +100,12 @@ def _prune(out_dir: str, sub_dir: str, written: Iterable[str]) -> None:
             os.rmdir(dirpath)
 
 
-def _read_json(path: str):
+def _read_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _bad_input(where: str, exc: Exception) -> ValueError:
@@ -120,13 +124,23 @@ def _build_each(path: str, numbered, build) -> list:
     return out
 
 
+def _utf8_lines(path: str, handle) -> Iterator[str]:
+    """The lines of `handle`, opened with `errors="surrogateescape"`; a byte that is
+    not UTF-8 is a ValueError that names its line."""
+    for lineno, line in enumerate(handle, start=1):
+        try:
+            yield utf8_line(line)
+        except ValueError as exc:
+            raise _bad_input(f"{path}:{lineno}", exc) from None
+
+
 def _read_csv(path: str, build=dict) -> list:
     """`build(row)` for each row after the header and the optional settings comment."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        skipped = handle.readline().startswith("#")
-        if not skipped:
-            handle.seek(0)
-        reader = csv.DictReader(handle)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        lines = _utf8_lines(path, handle)
+        first = next(lines, "")
+        skipped = first.startswith("#")
+        reader = csv.DictReader(lines if skipped else itertools.chain([first], lines))
         return _build_each(path, ((reader.line_num + skipped, row) for row in reader), build)
 
 
@@ -178,11 +192,10 @@ def _load_ledger(out_dir: str) -> PipelineLedger:
     path = os.path.join(out_dir, "ledger.json")
     if not os.path.exists(path):
         return PipelineLedger()
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return PipelineLedger.from_json(text)
-    except (KeyError, TypeError, ValueError, AssertionError) as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return PipelineLedger.from_json(handle.read())
+    except (KeyError, TypeError, ValueError, AssertionError) as exc:  # UnicodeDecodeError too
         raise _bad_input(path, exc) from None
 
 
@@ -497,7 +510,7 @@ def do_report(out_dir: str, settings: dict) -> str:
     charts = {}
     for (chart, _, draw), path in zip(_CHARTS, inputs):
         try:
-            svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json(path))
+            svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json_object(path))
         except (KeyError, TypeError, ValueError) as exc:
             raise _bad_input(path, exc) from None
         if svg is not None:

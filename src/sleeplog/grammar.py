@@ -16,7 +16,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from zoneinfo import ZoneInfo
 
-from .records import RawTweet, RejectReason
+from .records import _HHMM_TEXT, RawTweet, RejectReason, instant_text
 
 PREFIX = "Sleep as Android: "
 
@@ -26,9 +26,8 @@ _MINUTE = timedelta(minutes=1)
 _NAIVE_MIN = datetime.min
 _UTC_MIN = datetime.min.replace(tzinfo=timezone.utc)
 _LAST_DAY = datetime.max.toordinal()
-# One shared civil `time` and one "HH:MM" string per minute of the day.
+# One shared civil `time` per minute of the day.
 _CIVIL = [time(m // 60, m % 60) for m in range(1440)]
-_HHMM_TEXT = [f"{m // 60:02d}:{m % 60:02d}" for m in range(1440)]
 
 # Minutes of slack allowed between a stated wake-up time and the tweet's
 # local timestamp: the app can post a minute or two before the stated end
@@ -91,7 +90,7 @@ class Rejection:
     span: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SleepLog:
     """One parsed sleep record.
 
@@ -183,10 +182,10 @@ class SleepLog:
     def to_json(self) -> str:
         """`json.dumps(self.to_record(), ensure_ascii=True, sort_keys=True)`, without the dict."""
         pct, start, end = self.deep_sleep_pct, self.start_civil, self.end_civil
-        start_local = "null" if self.start_local is None else f'"{self.start_local.isoformat()}"'
-        end_local = "null" if self.end_local is None else f'"{self.end_local.isoformat()}"'
-        start_utc = "null" if self.start_utc is None else f'"{self.start_utc.isoformat()}"'
-        end_utc = "null" if self.end_utc is None else f'"{self.end_utc.isoformat()}"'
+        start_local = "null" if self.start_local is None else f'"{instant_text(self.start_local)}"'
+        end_local = "null" if self.end_local is None else f'"{instant_text(self.end_local)}"'
+        start_utc = "null" if self.start_utc is None else f'"{instant_text(self.start_utc)}"'
+        end_utc = "null" if self.end_utc is None else f'"{instant_text(self.end_utc)}"'
         # `_value_`, not the `value` property: this runs for every log written.
         return (
             f'{{"deep_sleep_pct": {"null" if pct is None else pct}, '

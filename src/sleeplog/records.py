@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quoted  # JSON string literal, ASCII only
 from typing import Iterable, TextIO
 
@@ -60,7 +61,43 @@ def parse_timestamp(raw: str) -> datetime:
         raise ValueError(f"timestamp out of range in UTC: {raw!r}") from None
 
 
-@dataclass(frozen=True)
+# Instants are written from tables: one "HH:MM" per minute of the day, one ":SS"
+# per second, and one "YYYY-MM-DDT" per day, cached by ordinal and cleared when full.
+_HHMM_TEXT = [f"{m // 60:02d}:{m % 60:02d}" for m in range(1440)]
+_SS_TEXT = [f":{s:02d}" for s in range(60)]
+_DAY_TEXT: dict[int, str] = {}
+_MEMO_SIZE = 65536
+
+
+def instant_text(moment: datetime) -> str:
+    """`moment.isoformat()`; whole-second instants, naive or in `timezone.utc`, come from tables."""
+    tz = moment.tzinfo
+    if moment.microsecond or not (tz is None or tz is timezone.utc) or type(moment) is not datetime:
+        return moment.isoformat()
+    ordinal = moment.toordinal()
+    day = _DAY_TEXT.get(ordinal)
+    if day is None:
+        if len(_DAY_TEXT) >= _MEMO_SIZE:
+            _DAY_TEXT.clear()
+        day = _DAY_TEXT[ordinal] = f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}T"
+    text = day + _HHMM_TEXT[moment.hour * 60 + moment.minute] + _SS_TEXT[moment.second]
+    return text if tz is None else text + "+00:00"
+
+
+# One object per distinct profile string and per distinct account-creation text:
+# a user's tweets repeat the same few values.  Bounded, unlike `sys.intern`,
+# whose strings are never freed.
+_shared_text = lru_cache(maxsize=_MEMO_SIZE)(lambda value: value)
+_account_instant = lru_cache(maxsize=_MEMO_SIZE)(parse_timestamp)
+
+
+def _shared(value):
+    """`value`, or the first equal string seen.  Only exact `str`s reach the memo,
+    so a mistyped value (a list, `True`) is refused with its own message."""
+    return _shared_text(value) if type(value) is str else value
+
+
+@dataclass(frozen=True, slots=True)
 class RawTweet:
     """One tweet as ingested, with the profile fields we rely on later."""
 
@@ -125,10 +162,10 @@ class RawTweet:
     def to_json(self) -> str:
         """One `tweets.jsonl` line: the fields in declaration order, instants in ISO 8601."""
         account = self.account_created_at
-        account = "null" if account is None else f'"{account.isoformat()}"'
+        account = "null" if account is None else f'"{instant_text(account)}"'
         return (
             f'{{"tweet_id": {_quoted(self.tweet_id)}, "text": {_quoted(self.text)}, '
-            f'"created_at": "{self.created_at.isoformat()}", '
+            f'"created_at": "{instant_text(self.created_at)}", '
             f'"user_id": {_quoted(self.user_id)}, "screen_name": {_quoted(self.screen_name)}, '
             f'"location_text": {_opt_str(self.location_text)}, '
             f'"time_zone": {_opt_str(self.time_zone)}, '
@@ -159,17 +196,17 @@ class RawTweet:
             get("tweet_id"),
             get("text"),
             parse_timestamp(created_raw),
-            get("user_id"),
-            get("screen_name"),
-            get("location_text"),
-            get("time_zone"),
+            _shared(get("user_id")),
+            _shared(get("screen_name")),
+            _shared(get("location_text")),
+            _shared(get("time_zone")),
             get("utc_offset_seconds"),
-            get("interface_lang"),
-            get("bio"),
+            _shared(get("interface_lang")),
+            _shared(get("bio")),
             get("friends_count"),
             get("followers_count"),
             get("statuses_count"),
-            None if account_raw is None else parse_timestamp(account_raw),
+            None if account_raw is None else _account_instant(account_raw),
         )
 
 

@@ -18,6 +18,7 @@ from sleeplog.analytics import (
     activity_cohorts,
     by_user,
     country_compare,
+    dataset_summary,
     duration_by_start_bin,
     filter_min_logs,
     frequency_table,
@@ -97,6 +98,10 @@ class TestPerUserAggregates:
         assert summary.mean_of_user_means_duration == pytest.approx(360.0)
         assert summary.overall_mean_deep == pytest.approx(40.0)
         assert summary.mean_of_user_means_deep == pytest.approx(40.0)
+
+    def test_mean_of_user_means_adds_left_to_right(self):
+        users = [mk_user("a", 1e16), mk_user("b", 1.0), mk_user("c", -1e16)]
+        assert dataset_summary([], users).mean_of_user_means_duration == 0.0
 
     def test_empty_corpus(self):
         users, summary = per_user_aggregates([])

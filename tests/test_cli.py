@@ -415,8 +415,15 @@ def _wake_heatmap_a_list(analysis: Path) -> tuple[Path, str]:
     return path, "list indices must be integers or slices, not str"
 
 
+def _wake_heatmap_not_an_object(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "wake_heatmap.json"
+    path.write_text("[]\n")
+    return path, "must hold a JSON object, got list"
+
+
 @pytest.mark.parametrize("break_analysis", [
     _summary_without_clock, _frequency_without_n_users, _start_bins_not_json, _wake_heatmap_a_list,
+    _wake_heatmap_not_an_object,
 ])
 def test_report_on_a_malformed_analysis_file_is_a_located_error(
     tmp_path, run_dir, capsys, break_analysis
@@ -839,6 +846,25 @@ def _tweet_with_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
     return ["parse", str(bad)], f"{bad}:1: not valid UTF-8: byte 0xff at char {first.index(0xFF)}"
 
 
+def _countries_with_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "countries.csv"
+    lines = (run_dir / "countries.csv").read_bytes().split(b"\n")
+    lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+    bad.write_bytes(b"\n".join(lines))
+    argv = ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
+            "--tweets", str(run_dir / "tweets.jsonl"), "--countries", str(bad)]
+    return argv, f"{bad}:4: not valid UTF-8: byte 0xff at char 2"
+
+
+def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "ledger.json"
+    text = (run_dir / "ledger.json").read_bytes()
+    bad.write_bytes(text + b"\xff")
+    return ["funnel"], (
+        f"{bad}: 'utf-8' codec can't decode byte 0xff in position {len(text)}: invalid start byte"
+    )
+
+
 @pytest.mark.parametrize(
     "make_bad_input",
     [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
@@ -846,7 +872,8 @@ def _tweet_with_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
      _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice,
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
      _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
-     _tweet_with_a_byte_that_is_not_utf8],
+     _tweet_with_a_byte_that_is_not_utf8, _countries_with_a_byte_that_is_not_utf8,
+     _ledger_ending_in_a_byte_that_is_not_utf8],
 )
 def test_malformed_stage_input_is_a_located_error(
     tmp_path, run_dir, corpus_dir, capsys, make_bad_input

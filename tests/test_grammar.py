@@ -609,6 +609,18 @@ def dict_based_json(log: SleepLog) -> str:
     return json.dumps(log.to_record(), ensure_ascii=True, sort_keys=True)
 
 
+class TestRecordTypes:
+    def test_frozen_slotted_replaceable_and_compared_by_value(self, make_tweet):
+        tweet = make_tweet(utc_offset_seconds=0)
+        for record in (tweet, parse_tweet(tweet)):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.tweet_id = "other"
+            copy = dataclasses.replace(record)
+            assert copy == record and copy is not record
+            assert dataclasses.replace(record, tweet_id="other") != record
+
+
 class TestRecordCodec:
     @settings(deadline=None)
     @given(

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sleeplog import records
 from sleeplog.records import (
     IngestError,
     PipelineLedger,
@@ -17,6 +19,7 @@ from sleeplog.records import (
     dedupe,
     ingest,
     ingest_file,
+    instant_text,
     parse_timestamp,
 )
 
@@ -159,6 +162,61 @@ class TestRawTweetEncoder:
         }
         tweet = dataclasses.replace(tweet, **utc)
         assert RawTweet.from_record(json.loads(tweet.to_json())) == tweet
+
+
+ZONES = [None, timezone.utc, timezone(timedelta(seconds=3601)), timezone(timedelta(hours=-5)),
+         ZoneInfo("UTC")]
+
+
+class TestInstantText:
+    @settings(deadline=None, max_examples=500)
+    @given(st.datetimes(timezones=st.sampled_from(ZONES)), st.booleans())
+    def test_same_text_as_isoformat(self, moment, whole_second):
+        if whole_second:
+            moment = moment.replace(microsecond=0)
+        assert instant_text(moment) == moment.isoformat()
+
+    @pytest.mark.parametrize("zone", ZONES)
+    @pytest.mark.parametrize(
+        "moment", [datetime.min, datetime.max, datetime.max.replace(microsecond=0)]
+    )
+    def test_same_text_as_isoformat_at_both_ends_of_the_range(self, moment, zone):
+        moment = moment.replace(tzinfo=zone)
+        assert instant_text(moment) == moment.isoformat()
+
+    def test_day_cache_is_bounded(self):
+        first = date(2000, 1, 1).toordinal()
+        for ordinal in range(first, first + records._MEMO_SIZE + 10):
+            assert instant_text(datetime.fromordinal(ordinal)).endswith("T00:00:00")
+        assert len(records._DAY_TEXT) <= records._MEMO_SIZE
+
+
+class TestSharedProfileValues:
+    def test_one_users_tweets_share_their_profile_values(self):
+        profile = {"bio": "sleeps a lot", "time_zone": "Berlin",
+                   "account_created_at": "2013-01-01T00:00:00+00:00"}
+        (first, second), _ = ingest([line(tweet_id="t1", text="a", **profile),
+                                     line(tweet_id="t2", text="b", **profile)])
+        assert first.user_id is second.user_id
+        assert first.screen_name is second.screen_name
+        assert first.bio is second.bio and first.time_zone is second.time_zone
+        assert first.account_created_at is second.account_created_at
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("user_id", 1, "missing or empty field: user_id"),
+        ("screen_name", ["someone"], "missing or empty field: screen_name"),
+        ("bio", True, "field bio must be a string"),
+        ("interface_lang", {"code": "en"}, "field interface_lang must be a string"),
+    ])
+    def test_a_mistyped_profile_value_keeps_its_message(self, field, value, message):
+        _, rejected = ingest([line(**{field: value})])
+        assert rejected[0].detail == message
+
+    def test_the_memo_is_bounded(self):
+        for n in range(records._MEMO_SIZE + 10):
+            records._shared(f"value {n}")
+        info = records._shared_text.cache_info()
+        assert info.currsize <= info.maxsize == records._MEMO_SIZE
 
 
 class TestIngest:

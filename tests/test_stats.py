@@ -24,6 +24,7 @@ from sleeplog.stats import (
     _midranks,
     exact_u_distribution,
     hour_histogram,
+    left_sum,
     log2_bin,
     mann_whitney_u,
     normal_sf,
@@ -417,3 +418,10 @@ class TestHistograms:
     def test_log2_bin_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             log2_bin(0)
+
+
+def test_left_sum_adds_left_to_right_on_every_python_version():
+    # Python 3.12's compensated `sum` gives 1.0 here.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert left_sum([]) == 0
