@@ -396,7 +396,10 @@ def presleep_probability(
 
     def has_presleep(log: SleepLog) -> bool:
         # first instant at or after the window's start; a hit if it precedes sleep
-        i = bisect_left(instants, log.start_utc - window)
+        try:
+            i = bisect_left(instants, log.start_utc - window)
+        except OverflowError:  # the window reaches before 0001-01-01: it starts at the first tweet
+            i = 0
         return i < len(instants) and instants[i] < log.start_utc
 
     if denominator == "night":

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from datetime import datetime, timedelta
 from typing import Mapping
+
+from .records import utf8_line
 
 ENV_PREFIX = "SLEEPLOG_"
 
@@ -47,12 +50,16 @@ SETTINGS: tuple[Setting, ...] = (
 )
 
 _BY_NAME = {s.name: s for s in SETTINGS}
+_BY_ENV = {ENV_PREFIX + s.name.upper(): s.name for s in SETTINGS}
 
 # Below these a setting has no meaning: an empty or negative window, a floor
 # that keeps users with no logs, a negative clock skew, a corpus of no users.
 _LOWER_BOUNDS = {
     "presleep_window_minutes": 1, "min_logs_per_user": 1, "slack_minutes": 0, "synth_users": 1,
 }
+# From any sleep start, a longer pre-sleep window would open before 0001-01-01,
+# so it would count the same tweets as this one does.
+_LONGEST_WINDOW_MINUTES = (datetime.max - datetime.min) // timedelta(minutes=1)
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -79,8 +86,12 @@ def load_file(path: str) -> dict[str, str]:
     """Raw key -> value strings from a config file."""
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
+                try:
+                    utf8_line(line)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:
                     continue
@@ -97,13 +108,13 @@ def load_file(path: str) -> dict[str, str]:
 
 
 def env_overrides(environ: Mapping[str, str] | None = None) -> dict[str, str]:
+    """Raw setting -> value strings from SLEEPLOG_<KEY> variables; any other
+    SLEEPLOG_ variable is an error."""
     environ = os.environ if environ is None else environ
-    values: dict[str, str] = {}
-    for setting in SETTINGS:
-        env_key = ENV_PREFIX + setting.name.upper()
-        if env_key in environ:
-            values[setting.name] = environ[env_key]
-    return values
+    unknown = sorted(key for key in environ if key.startswith(ENV_PREFIX) and key not in _BY_ENV)
+    if unknown:
+        raise ConfigError(f"unknown setting in environment: {', '.join(unknown)}")
+    return {name: environ[key] for key, name in _BY_ENV.items() if key in environ}
 
 
 def resolve(
@@ -129,6 +140,11 @@ def resolve(
     for name, floor in _LOWER_BOUNDS.items():
         if out[name] < floor:
             raise ConfigError(f"need {name} >= {floor}, got {out[name]}")
+    if out["presleep_window_minutes"] > _LONGEST_WINDOW_MINUTES:
+        raise ConfigError(
+            f"need presleep_window_minutes <= {_LONGEST_WINDOW_MINUTES} (datetime's whole span),"
+            f" got {out['presleep_window_minutes']}"
+        )
     return out
 
 

@@ -19,8 +19,10 @@ import math
 import os
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, time, timedelta, timezone
+from functools import partial
 from operator import attrgetter
 
 from .grammar import SleepLog, Separator, TimeNotation, format_sleeplog
@@ -230,15 +232,20 @@ def generate(config: SynthConfig) -> SynthResult:
             serial += 1
             return RawTweet(f"t{user.index:05d}x{serial:04d}", text, at, *profile)
 
+        def timeline(tweet_id: str, k: int, local: datetime) -> None:
+            """Add a timeline tweet of the user's, unrelated to sleep, posted at `local` time."""
+            text = _TIMELINE_TEMPLATES[k % len(_TIMELINE_TEMPLATES)].format(k=k)
+            at = _to_utc(local, user.offset_seconds)
+            timelines.append(RawTweet(tweet_id, text, at, *profile))
+
+        night = partial(_night, config, user)
         for _ in range(user.n_logs):
-            log, text, start_local, end_local = _draw_log(config, user, rng, emitted_texts)
-            created_utc = _posted(end_local, user, rng)
-            emitted_texts.add(text)
+            text, created_utc, log = _draw_log(config, user, rng, emitted_texts, night)
             emit(next_tweet(text, created_utc), "valid", None, {
                 "user_id": user.user_id,
                 "country": user.country,
-                "start_local": start_local.isoformat(),
-                "end_local": end_local.isoformat(),
+                "start_local": log.start_local.isoformat(),
+                "end_local": log.end_local.isoformat(),
                 "duration_minutes": log.duration_minutes,
                 "deep_sleep_pct": log.deep_sleep_pct,
                 "notation": log.notation.value,
@@ -247,30 +254,24 @@ def generate(config: SynthConfig) -> SynthResult:
 
             # Pre-sleep timeline tweet for this night.
             if rng.random() < user.presleep_pi:
-                before = rng.randint(10, 110)
-                timelines.append(RawTweet(
-                    f"m{user.index:05d}x{serial:04d}",
-                    _TIMELINE_TEMPLATES[serial % len(_TIMELINE_TEMPLATES)].format(k=serial),
-                    _to_utc(start_local - timedelta(minutes=before), user.offset_seconds),
-                    *profile,
-                ))
+                before = timedelta(minutes=rng.randint(10, 110))
+                timeline(f"m{user.index:05d}x{serial:04d}", serial, log.start_local - before)
 
             # Injections ride along with the valid stream at fixed rates.
             if rng.random() < rates.get("duplicate", 0.0):
                 dup_at = created_utc + timedelta(minutes=rng.randint(1, 2880))
                 emit(next_tweet(text, dup_at), "duplicate", RejectReason.DUPLICATE_CONTENT)
             if rng.random() < rates.get("non_english", 0.0):
-                _, ascii_text, _, n_end = _draw_log(config, user, rng, emitted_texts)
+                ascii_text, n_at, _ = _draw_log(config, user, rng, emitted_texts, night)
                 n_text = _fullwidth_digits(ascii_text)
-                emitted_texts.update((ascii_text, n_text))
-                emit(next_tweet(n_text, _posted(n_end, user, rng)), "non_english",
-                     RejectReason.NON_ENGLISH_NOTATION)
+                emitted_texts.add(n_text)
+                emit(next_tweet(n_text, n_at), "non_english", RejectReason.NON_ENGLISH_NOTATION)
             if rng.random() < rates.get("too_short", 0.0):
-                short = _extreme_log(config, user, rng, emitted_texts, (10, 119))
-                emit(next_tweet(*short), "too_short", RejectReason.TOO_SHORT)
+                short, short_at, _ = _draw_log(config, user, rng, emitted_texts, _extreme(10, 119))
+                emit(next_tweet(short, short_at), "too_short", RejectReason.TOO_SHORT)
             if rng.random() < rates.get("too_long", 0.0):
-                long = _extreme_log(config, user, rng, emitted_texts, (721, 1380))
-                emit(next_tweet(*long), "too_long", RejectReason.TOO_LONG)
+                long, long_at, _ = _draw_log(config, user, rng, emitted_texts, _extreme(721, 1380))
+                emit(next_tweet(long, long_at), "too_long", RejectReason.TOO_LONG)
             if rng.random() < rates.get("spam", 0.0):
                 spam_counter += 1
                 k = spam_counter % 5
@@ -292,12 +293,7 @@ def generate(config: SynthConfig) -> SynthResult:
         bg_rng = _substream(config.seed, "background", user.index)
         for b in range(_poisson(bg_rng, config.timeline_background_mean)):
             local = _local(bg_rng.randint(0, config.days - 1), bg_rng.randint(0, DAY_MINUTES - 1))
-            timelines.append(RawTweet(
-                f"b{user.index:05d}x{b:04d}",
-                _TIMELINE_TEMPLATES[b % len(_TIMELINE_TEMPLATES)].format(k=1000 + b),
-                _to_utc(local, user.offset_seconds),
-                *profile,
-            ))
+            timeline(f"b{user.index:05d}x{b:04d}", 1000 + b, local)
 
     by_time = attrgetter("created_at", "tweet_id")
     tweets.sort(key=by_time)
@@ -355,28 +351,19 @@ def _draw_log(
     user: _User,
     rng: random.Random,
     emitted_texts: set[str],
-) -> tuple[SleepLog, str, datetime, datetime]:
-    """One night's log and its formatted text, which is unique within the user."""
-    window = START_PROFILE.get(user.country, (WINDOW_LO, WINDOW_HI))
+    draw: Callable[[random.Random], tuple],
+) -> tuple[str, datetime, SleepLog]:
+    """A log whose text the user has not tweeted yet: its text, when it was posted, and the log.
+
+    Each try draws a day, then `draw(rng)` draws what the kind of log varies: start minute,
+    duration, deep sleep % (None when absent) and "NOTATION:SEPARATOR".  The text is added to
+    `emitted_texts`; the log carries its local start and end.
+    """
     for _ in range(200):
         day = rng.randint(0, config.days - 1)
-        if rng.random() < config.start_window_share:
-            minute = rng.randint(window[0], window[1] - 1)
-        else:
-            minute = rng.randint(3 * 60, WINDOW_LO - 1)
+        minute, duration, deep, notation_key = draw(rng)
         start_local = _local(day, minute)
-
-        duration = int(round(user.duration_mean + _gauss(rng) * DURATION_LOG_SD))
-        duration = max(125, min(715, duration))
         end_local = start_local + timedelta(minutes=duration)
-
-        if rng.random() < config.deep_absent_rate:
-            deep = None
-        else:
-            deep = int(round(user.deep_mean + _gauss(rng) * DEEP_LOG_SD))
-            deep = max(0, min(100, deep))
-
-        notation_key = _weighted(rng, NOTATION_MIX)
         notation_name, sep_name = notation_key.split(":")
         log = SleepLog(
             tweet_id="pending",
@@ -387,42 +374,40 @@ def _draw_log(
             deep_sleep_pct=deep,
             notation=TimeNotation(notation_name),
             separator=Separator(sep_name),
-        )
-        text = format_sleeplog(log)
-        if text not in emitted_texts:
-            return log, text, start_local, end_local
-    raise RuntimeError("could not draw a unique log fingerprint after 200 tries")
-
-
-def _extreme_log(
-    config: SynthConfig,
-    user: _User,
-    rng: random.Random,
-    emitted_texts: set[str],
-    duration_range: tuple[int, int],
-) -> tuple[str, datetime]:
-    """A grammatical log with an implausible duration (filtered later), and when it was posted."""
-    for _ in range(200):
-        day = rng.randint(0, config.days - 1)
-        minute = rng.randint(0, DAY_MINUTES - 1)
-        duration = rng.randint(*duration_range)
-        start_local = _local(day, minute)
-        end_local = start_local + timedelta(minutes=duration)
-        log = SleepLog(
-            tweet_id="pending",
-            user_id=user.user_id,
-            start_civil=start_local.time(),
-            end_civil=end_local.time(),
-            duration_minutes=duration,
-            deep_sleep_pct=rng.randint(20, 70),
-            notation=TimeNotation.H24,
-            separator=Separator.COLON,
+            start_local=start_local,
+            end_local=end_local,
         )
         text = format_sleeplog(log)
         if text not in emitted_texts:
             emitted_texts.add(text)
-            return text, _posted(end_local, user, rng)
-    raise RuntimeError("could not draw a unique extreme log after 200 tries")
+            return text, _posted(end_local, user, rng), log
+    raise RuntimeError("could not draw a unique log fingerprint after 200 tries")
+
+
+def _night(config: SynthConfig, user: _User, rng: random.Random) -> tuple:
+    """The draws of a valid night: the planted start window, duration and deep sleep."""
+    window = START_PROFILE.get(user.country, (WINDOW_LO, WINDOW_HI))
+    if rng.random() < config.start_window_share:
+        minute = rng.randint(window[0], window[1] - 1)
+    else:
+        minute = rng.randint(3 * 60, WINDOW_LO - 1)
+
+    duration = int(round(user.duration_mean + _gauss(rng) * DURATION_LOG_SD))
+    duration = max(125, min(715, duration))
+
+    if rng.random() < config.deep_absent_rate:
+        deep = None
+    else:
+        deep = int(round(user.deep_mean + _gauss(rng) * DEEP_LOG_SD))
+        deep = max(0, min(100, deep))
+    return minute, duration, deep, _weighted(rng, NOTATION_MIX)
+
+
+def _extreme(lo: int, hi: int) -> Callable[[random.Random], tuple]:
+    """The draws of a grammatical log lasting `lo` to `hi` minutes, a duration filter rejects."""
+    return lambda rng: (
+        rng.randint(0, DAY_MINUTES - 1), rng.randint(lo, hi), rng.randint(20, 70), "H24:COLON"
+    )
 
 
 def _fullwidth_digits(text: str) -> str:
@@ -520,29 +505,23 @@ def score(
     kept_logs: list[SleepLog],
     rejected: dict[str, str],
     planted: dict | None = None,
-    truth_run_id: str | None = None,
     pipeline_run_id: str | None = None,
 ) -> ScoreReport:
     """Compare pipeline decisions against ground truth.
 
     rejected maps tweet_id -> reason string across all stages.  Any pipeline
     id unknown to the truth set means the corpus and the run do not belong
-    together and is fatal, as are explicitly mismatched run ids.
+    together and is fatal, as is a pipeline_run_id other than the run id on
+    the truth's meta line.
     """
-    if truth_run_id is not None and pipeline_run_id is not None and truth_run_id != pipeline_run_id:
-        raise ValueError(f"run id mismatch: truth {truth_run_id} vs pipeline {pipeline_run_id}")
-
     truth_by_id: dict[str, dict] = {}
     for record in truth_records:
-        if record.get("record") == "meta":
-            if truth_run_id is None:
-                truth_run_id = record.get("run_id")
-                if pipeline_run_id is not None and truth_run_id != pipeline_run_id:
-                    raise ValueError(
-                        f"run id mismatch: truth {truth_run_id} vs pipeline {pipeline_run_id}"
-                    )
-            continue
-        truth_by_id[record["tweet_id"]] = record
+        if record.get("record") != "meta":
+            truth_by_id[record["tweet_id"]] = record
+        elif pipeline_run_id is not None and record.get("run_id") != pipeline_run_id:
+            raise ValueError(
+                f"run id mismatch: truth {record.get('run_id')} vs pipeline {pipeline_run_id}"
+            )
 
     kept_ids = {log.tweet_id for log in kept_logs}
     for tweet_id in list(kept_ids) + list(rejected):
@@ -561,23 +540,18 @@ def score(
     valid_truth = {tid for tid, r in truth_by_id.items() if r["label"] == "valid"}
     valid = _pr(kept_ids, valid_truth)
 
-    per_notation: dict[str, float] = {}
-    notation_totals: dict[str, int] = {}
-    notation_hits: dict[str, int] = {}
-    for tid in valid_truth:
-        fields_ = truth_by_id[tid]["true_fields"]
-        key = f"{fields_['notation']}:{fields_['separator']}"
-        notation_totals[key] = notation_totals.get(key, 0) + 1
-        if tid in kept_ids:
-            notation_hits[key] = notation_hits.get(key, 0) + 1
-    for key in sorted(notation_totals):
-        per_notation[key] = notation_hits.get(key, 0) / notation_totals[key]
+    notation = {
+        tid: "{notation}:{separator}".format(**truth_by_id[tid]["true_fields"])
+        for tid in valid_truth
+    }
+    totals = Counter(notation.values())
+    hits = Counter(notation[tid] for tid in valid_truth & kept_ids)
+    per_notation = {key: hits[key] / totals[key] for key in sorted(totals)}
 
     recovered: dict[str, dict] = {}
     if kept_logs:
-        in_window = sum(
-            1 for log in kept_logs if log.start_civil.hour in (22, 23, 0, 1, 2)
-        )
+        window_hours = {hour % 24 for hour in range(WINDOW_LO // 60, WINDOW_HI // 60)}
+        in_window = sum(log.start_civil.hour in window_hours for log in kept_logs)
         share = in_window / len(kept_logs)
         entry = {"recovered": share}
         if planted and "start_window_share" in planted:

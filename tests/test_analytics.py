@@ -326,6 +326,12 @@ class TestPresleepProbability:
         assert presleep_probability(logs, timeline, denominator="night") == pytest.approx(0.5)
         assert presleep_probability(logs, timeline, denominator="day") == pytest.approx(1.0)
 
+    def test_window_reaching_before_year_one_starts_at_the_first_tweet(self):
+        logs = [mk_log("u", datetime(1, 1, day, 0, 30), 420) for day in (1, 2)]
+        timeline = [self.instant(1, 1, 1, 0, 0), self.instant(1, 1, 1, 0, 30)]
+        assert presleep_probability(logs, timeline) == pytest.approx(0.5)
+        assert presleep_probability(logs, timeline, window_minutes=10**9) == pytest.approx(1.0)
+
     def test_unanchored_logs_do_not_count(self):
         logs = self.nights() + [mk_log("u", NIGHT, 400, anchored=False)]
         timeline = [self.instant(2015, 10, 23, 22, 30)]

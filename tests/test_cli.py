@@ -948,6 +948,32 @@ def test_negative_presleep_window_exits_2(tmp_path, run_dir, corpus_dir, capsys)
     assert not (tmp_path / "analysis").exists()
 
 
+def test_presleep_window_past_datetimes_span_exits_2(tmp_path, run_dir, corpus_dir, capsys):
+    rc = cli.main(
+        ["analyze", "--out", str(tmp_path), "--logs", str(run_dir / "filtered.jsonl"),
+         "--tweets", str(run_dir / "tweets.jsonl"),
+         "--timelines", str(corpus_dir / "timelines.jsonl"),
+         "--presleep-window-minutes", "100000000000000"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: need presleep_window_minutes <=")
+    assert not (tmp_path / "analysis").exists()
+
+
+def test_config_file_byte_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# r\xe9glages\nslack_minutes = 5\n")
+    assert cli.main(["funnel", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {cfg}:1: not valid UTF-8: byte 0xe9 at char 3\n"
+
+
+def test_misspelt_env_variable_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SLEEPLOG_SLAK_MINUTES", "3")
+    assert cli.main(["funnel", "--out", str(tmp_path)]) == 2
+    assert "SLEEPLOG_SLAK_MINUTES" in capsys.readouterr().err
+
+
 def test_bad_config_file_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("slack_minutes = zero\n")

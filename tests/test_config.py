@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from sleeplog.config import (
@@ -68,6 +70,13 @@ class TestLoadFile:
         path = self.write(tmp_path, "just some words\n")
         with pytest.raises(ConfigError, match="key=value"):
             load_file(path)
+
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sleeplog.conf"
+        path.write_bytes(b"seed = 9\n# caf\xe9 settings\n")
+        message = f"{path}:2: not valid UTF-8: byte 0xe9 at char 5"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_file(str(path))
 
     def test_unreadable_file_is_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -139,9 +148,21 @@ class TestResolve:
     def test_value_at_its_floor_is_accepted(self, name, value):
         assert resolve(environ={}, flag_values={name: value})[name] == value
 
+    def test_window_up_to_datetimes_whole_span_is_accepted(self):
+        span = 5_258_964_959  # whole minutes from datetime.min to datetime.max
+        flags = {"presleep_window_minutes": span}
+        assert resolve(environ={}, flag_values=flags)["presleep_window_minutes"] == span
+        with pytest.raises(ConfigError, match=f"presleep_window_minutes <= {span}"):
+            resolve(environ={}, flag_values={"presleep_window_minutes": span + 1})
+
     def test_env_overrides_only_reads_prefixed_keys(self):
         values = env_overrides({"SLEEPLOG_SEED": "1", "SEED": "2", "PATH": "/bin"})
         assert values == {"seed": "1"}
+
+    def test_prefixed_env_variable_of_no_setting_raises(self):
+        environ = {"SLEEPLOG_SLAK_MINUTES": "3", "SLEEPLOG_SEED": "1", "SLEEPLOG_seed": "2"}
+        with pytest.raises(ConfigError, match="SLEEPLOG_SLAK_MINUTES, SLEEPLOG_seed$"):
+            resolve(environ=environ)
 
 
 class TestStamp:

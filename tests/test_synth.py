@@ -216,8 +216,10 @@ class TestScoring:
 
     def test_run_id_mismatch_is_fatal(self, scored):
         result, _ = scored
-        with pytest.raises(ValueError, match="run id mismatch"):
-            score(result.truth, [], {}, truth_run_id="aaaa", pipeline_run_id="bbbb")
+        score(result.truth, [], {}, pipeline_run_id=small_config(n_users=40).run_id())
+        other_run = small_config(n_users=40, seed=1).run_id()
+        with pytest.raises(ValueError, match=f"run id mismatch: truth .* vs pipeline {other_run}"):
+            score(result.truth, [], {}, pipeline_run_id=other_run)
 
     def test_meta_run_id_checked_against_pipeline(self, scored):
         result, _ = scored
