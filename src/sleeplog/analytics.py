@@ -187,7 +187,10 @@ def filter_min_logs(users: Sequence[UserRecord], min_logs: int = 5) -> list[User
 
 # --- Clock-of-day structure -------------------------------------------------
 
-START_WINDOW_HOURS = (22, 23, 0, 1, 2)   # [22:00, 03:00)
+# The usual start of sleep, [22:00, 03:00), in minutes of the day; past 1440 wraps
+# into the next day.  `synth` plants starts in it and scores their recovery.
+START_WINDOW = (22 * 60, 27 * 60)
+START_WINDOW_HOURS = tuple(h % 24 for h in range(START_WINDOW[0] // 60, START_WINDOW[1] // 60))
 END_WINDOW_WIDE = (5, 6, 7, 8, 9)        # [05:00, 10:00)
 END_WINDOW_PEAK = (6,)                   # [06:00, 07:00)
 

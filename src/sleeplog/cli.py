@@ -64,10 +64,12 @@ from .records import (
     IngestError,
     PipelineLedger,
     RawTweet,
+    checked_tweet,
     dedupe,
     ingest_file,
     latest_profiles,
     parse_timestamp,
+    tweet_fields,
     utf8_line,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
@@ -113,15 +115,14 @@ def _bad_input(where: str, exc: Exception) -> ValueError:
     return ValueError(f"{where}: {detail}")
 
 
-def _build_each(path: str, numbered, build) -> list:
+def _build_each(path: str, numbered, build) -> Iterator:
     """`build(record)` for each `(line number, record)`; a bad record names its line."""
-    out = []
     for lineno, record in numbered:
         try:
-            out.append(build(record))
-        except (KeyError, TypeError, ValueError) as exc:
+            built = build(record)
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSON nested too deep
             raise _bad_input(f"{path}:{lineno}", exc) from None
-    return out
+        yield built
 
 
 def _utf8_lines(path: str, handle) -> Iterator[str]:
@@ -141,14 +142,32 @@ def _read_csv(path: str, build=dict) -> list:
         first = next(lines, "")
         skipped = first.startswith("#")
         reader = csv.DictReader(lines if skipped else itertools.chain([first], lines))
-        return _build_each(path, ((reader.line_num + skipped, row) for row in reader), build)
+        return list(_build_each(path, ((reader.line_num + skipped, row) for row in reader), build))
+
+
+def _each_jsonl(path: str, build) -> Iterator:
+    """`build(record)` for each non-blank line of a JSON Lines file, as the file is read."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        numbered = ((n, line) for n, line in enumerate(handle, start=1) if line.strip())
+        yield from _build_each(path, numbered, lambda line: build(json.loads(utf8_line(line))))
 
 
 def _read_jsonl(path: str, build) -> list:
-    """`build(record)` for each non-blank line of a JSON Lines file."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        numbered = ((n, line) for n, line in enumerate(handle, start=1) if line.strip())
-        return _build_each(path, numbered, lambda line: build(json.loads(utf8_line(line))))
+    return list(_each_jsonl(path, build))
+
+
+def _read_profiles(path: str) -> list[RawTweet]:
+    """`latest_profiles(_read_jsonl(path, RawTweet.from_record)).values()`, as a list.
+
+    Every line gets every check and error that `RawTweet.from_record` gives,
+    but only each user's newest fields are held, and only they become tweets.
+    """
+    latest: dict[str, tuple] = {}
+    for fields in _each_jsonl(path, lambda doc: checked_tweet(tweet_fields(doc))):
+        current = latest.get(fields[3])  # fields[3] is the user id, fields[2] the instant
+        if current is None or fields[2] > current[2]:
+            latest[fields[3]] = fields
+    return [RawTweet(*fields) for fields in latest.values()]
 
 
 def _kept_lines(path: str, logs: list[SleepLog], kept: list[SleepLog]) -> Iterator[str]:
@@ -180,10 +199,18 @@ def _read_countries(path: str) -> dict[str, CountryResolution]:
     return {r.user_id: r for r in _read_csv(path, build)}
 
 
+def _timeline_entry(doc: dict) -> tuple[str, datetime]:
+    user_id = doc["user_id"]
+    if not isinstance(user_id, str) or not user_id:
+        raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
+    return user_id, parse_timestamp(doc["created_at"])
+
+
 def _read_timelines(path: str) -> dict[str, list[datetime]]:
+    # Read whole before grouping: grouping as the lines stream in leaves each kept instant
+    # among freed per-line objects and raised run-all's peak RSS by ~1 MB on d400.
     timelines: dict[str, list[datetime]] = {}
-    instants = _read_jsonl(path, lambda doc: (doc["user_id"], parse_timestamp(doc["created_at"])))
-    for user_id, instant in instants:
+    for user_id, instant in _read_jsonl(path, _timeline_entry):
         timelines.setdefault(user_id, []).append(instant)
     return timelines
 
@@ -192,10 +219,10 @@ def _load_ledger(out_dir: str) -> PipelineLedger:
     path = os.path.join(out_dir, "ledger.json")
     if not os.path.exists(path):
         return PipelineLedger()
-    try:
+    try:  # UnicodeDecodeError is a ValueError, and JSON nested too deep a RecursionError
         with open(path, "r", encoding="utf-8") as handle:
             return PipelineLedger.from_json(handle.read())
-    except (KeyError, TypeError, ValueError, AssertionError) as exc:  # UnicodeDecodeError too
+    except (AssertionError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise _bad_input(path, exc) from None
 
 
@@ -335,6 +362,7 @@ def do_filter(
 def do_geo(
     tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, dict[str, CountryResolution]]:
+    """Each user's country, from their latest tweet; `tweets` may hold only those."""
     client = GeocodeClient(
         base_url=settings["geo_base_url"],
         cache_path=settings["geo_cache"],
@@ -511,7 +539,7 @@ def do_report(out_dir: str, settings: dict) -> str:
     for (chart, _, draw), path in zip(_CHARTS, inputs):
         try:
             svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json_object(path))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:
             raise _bad_input(path, exc) from None
         if svg is not None:
             charts[os.path.join("report", chart)] = svg
@@ -595,11 +623,11 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     return resolve(file_values, None, flags)
 
 
-def _on_file(stage, record_type, default_name: str):
-    """A subcommand that reads one stage's input records and runs the stage on them."""
+def _on_file(stage, read, default_name: str):
+    """A subcommand that reads one stage's input records with `read(path)` and runs the stage."""
     def run(args: argparse.Namespace, settings: dict) -> str:
         path = args.input or os.path.join(args.out, default_name)
-        return stage(_read_jsonl(path, record_type.from_record), path, args.out, settings)[0]
+        return stage(read(path), path, args.out, settings)[0]
     return run
 
 
@@ -608,7 +636,7 @@ def _analyze_files(args: argparse.Namespace, settings: dict) -> str:
     tweets_path = args.tweets or os.path.join(args.out, "tweets.jsonl")
     countries_path = args.countries or os.path.join(args.out, "countries.csv")
     logs = _read_jsonl(logs_path, SleepLog.from_record)
-    profiles = latest_profiles(_read_jsonl(tweets_path, RawTweet.from_record))
+    profiles = latest_profiles(_read_profiles(tweets_path))
     inputs = [logs_path, tweets_path]
     resolutions = {}
     if args.countries or os.path.exists(countries_path):  # only the default may be absent
@@ -641,15 +669,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage("parse", "extract sleep logs from tweets.jsonl")
     p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(func=_on_file(do_parse, RawTweet, "tweets.jsonl"))
+    p.set_defaults(func=_on_file(
+        do_parse, lambda path: _read_jsonl(path, RawTweet.from_record), "tweets.jsonl"
+    ))
 
     p = stage("filter", "drop implausible durations")
     p.add_argument("input", nargs="?", default=None, help="logs JSONL (default: <out>/logs.jsonl)")
-    p.set_defaults(func=_on_file(do_filter, SleepLog, "logs.jsonl"))
+    p.set_defaults(func=_on_file(
+        do_filter, lambda path: _read_jsonl(path, SleepLog.from_record), "logs.jsonl"
+    ))
 
     p = stage("geo", "resolve users to countries")
     p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(func=_on_file(do_geo, RawTweet, "tweets.jsonl"))
+    p.set_defaults(func=_on_file(do_geo, _read_profiles, "tweets.jsonl"))
 
     p = stage("analyze", "aggregate users, cohorts, and clocks")
     p.add_argument("--logs", default=None, help="filtered logs JSONL")

@@ -120,7 +120,7 @@ def _load_cache(path: str) -> dict[str, str | None]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             cache = json.load(handle)
-        except ValueError as exc:  # malformed JSON or undecodable bytes
+        except (RecursionError, ValueError) as exc:  # malformed, too deep or undecodable
             raise GeocodeError(f"{path}: {exc}") from None
     if not isinstance(cache, dict) or not all(
         v is None or isinstance(v, str) for v in cache.values()

@@ -221,8 +221,8 @@ class SleepLog:
             _civil(doc, "end_civil"),
             doc["duration_minutes"],
             doc["deep_sleep_pct"],
-            TimeNotation(doc["notation"]),
-            Separator(doc["separator"]),
+            _member(_NOTATIONS, doc["notation"], TimeNotation),
+            _member(_SEPARATORS, doc["separator"], Separator),
             _instant(doc, "start_local", False),
             _instant(doc, "end_local", False),
             _instant(doc, "start_utc", True),
@@ -245,8 +245,22 @@ _LOCAL = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", re.ASCII).fullmatch
 _UTC = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", re.ASCII).fullmatch
 
 
+# What `_civil` and `_member` look a written value up in before they decode it.
+_CIVIL_OF = dict(zip(_HHMM_TEXT, _CIVIL))
+_NOTATIONS = {member.value: member for member in TimeNotation}
+_SEPARATORS = {member.value: member for member in Separator}
+
+
+def _member(table: dict, raw, decode):
+    """`table[raw]` for a string key of `table`; any other value gets `decode(raw)`'s answer."""
+    value = table.get(raw) if type(raw) is str else None
+    return decode(raw) if value is None else value
+
+
 def _civil(doc: dict, name: str) -> time:
-    return _decode(doc[name], name, _HHMM, "HH:MM", time.fromisoformat)
+    raw = doc[name]
+    civil = _CIVIL_OF.get(raw) if type(raw) is str else None
+    return _decode(raw, name, _HHMM, "HH:MM", time.fromisoformat) if civil is None else civil
 
 
 def _instant(doc: dict, name: str, utc: bool) -> datetime | None:

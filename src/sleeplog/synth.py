@@ -25,6 +25,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from functools import partial
 from operator import attrgetter
 
+from .analytics import START_WINDOW, START_WINDOW_HOURS
 from .grammar import SleepLog, Separator, TimeNotation, format_sleeplog
 from .records import RawTweet, RejectReason
 
@@ -70,10 +71,8 @@ _TIMELINE_TEMPLATES = (
     "long day, finally home ({k})",
 )
 
-# Start-of-sleep window used for the planted clock share: [22:00, 03:00),
-# expressed in minutes where values past 1440 wrap into the next day.
-WINDOW_LO = 22 * 60
-WINDOW_HI = 27 * 60
+# Start-of-sleep window used for the planted clock share.
+WINDOW_LO, WINDOW_HI = START_WINDOW
 DAY_MINUTES = 1440
 
 # The population every corpus is drawn from.
@@ -550,8 +549,7 @@ def score(
 
     recovered: dict[str, dict] = {}
     if kept_logs:
-        window_hours = {hour % 24 for hour in range(WINDOW_LO // 60, WINDOW_HI // 60)}
-        in_window = sum(log.start_civil.hour in window_hours for log in kept_logs)
+        in_window = sum(log.start_civil.hour in START_WINDOW_HOURS for log in kept_logs)
         share = in_window / len(kept_logs)
         entry = {"recovered": share}
         if planted and "start_window_share" in planted:

@@ -15,16 +15,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sleeplog
 from sleeplog import analytics, cli
 from sleeplog.analytics import filter_min_logs, per_user_aggregates, presleep_activity
 from sleeplog.grammar import SleepLog
-from sleeplog.records import PipelineLedger, RawTweet
+from sleeplog.records import PipelineLedger, RawTweet, latest_profiles
 
 
 def tree_hashes(root: Path) -> dict[str, str]:
@@ -421,9 +424,15 @@ def _wake_heatmap_not_an_object(analysis: Path) -> tuple[Path, str]:
     return path, "must hold a JSON object, got list"
 
 
+def _start_bins_nested_too_deep(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "start_bins.json"
+    path.write_text(NESTED)
+    return path, _nested_json_detail()
+
+
 @pytest.mark.parametrize("break_analysis", [
     _summary_without_clock, _frequency_without_n_users, _start_bins_not_json, _wake_heatmap_a_list,
-    _wake_heatmap_not_an_object,
+    _wake_heatmap_not_an_object, _start_bins_nested_too_deep,
 ])
 def test_report_on_a_malformed_analysis_file_is_a_located_error(
     tmp_path, run_dir, capsys, break_analysis
@@ -683,6 +692,17 @@ def _timeline_without_user_id(tmp_path, run_dir, corpus_dir):
     return argv, f"{bad}:1: missing field 'user_id'"
 
 
+def _timeline_with(value):
+    """An `analyze --timelines` run whose first timeline tweet has `user_id` `value`."""
+    def make(tmp_path, run_dir, corpus_dir):
+        bad = tmp_path / "timelines.jsonl"
+        _edit_first(corpus_dir / "timelines.jsonl", bad, _set("user_id", value))
+        argv = ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
+                "--tweets", str(run_dir / "tweets.jsonl"), "--timelines", str(bad)]
+        return argv, f"{bad}:1: user_id must be a non-empty string, got {value!r}"
+    return make
+
+
 def _analyzed_log_without_notation(tmp_path, run_dir, corpus_dir):
     bad = tmp_path / "filtered.jsonl"
     _drop_field(run_dir / "filtered.jsonl", bad, "notation")
@@ -734,6 +754,12 @@ def _ledger_stage_with_non_integer_counts(tmp_path, run_dir, corpus_dir):
         "rejected_by_reason": {}, "distinct_users_kept": 1.5,
     }]}))
     return ["funnel"], f"{bad}: ledger stage 'ingest': input must be a non-negative integer, got true"
+
+
+def _ledger_nested_too_deep(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "ledger.json"
+    bad.write_text(NESTED)
+    return ["funnel"], f"{bad}: {_nested_json_detail()}"
 
 
 def _ledger_stage_listed_twice(tmp_path, run_dir, corpus_dir):
@@ -867,9 +893,11 @@ def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
 
 @pytest.mark.parametrize(
     "make_bad_input",
-    [_timeline_without_user_id, _analyzed_log_without_notation, _filtered_log_without_notation,
+    [_timeline_without_user_id, pytest.param(_timeline_with(["u1"]), id="list-timeline-user"),
+     pytest.param(_timeline_with(42), id="number-timeline-user"),
+     _analyzed_log_without_notation, _filtered_log_without_notation,
      _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
-     _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice,
+     _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice, _ledger_nested_too_deep,
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
      _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
      _tweet_with_a_byte_that_is_not_utf8, _countries_with_a_byte_that_is_not_utf8,
@@ -883,6 +911,120 @@ def test_malformed_stage_input_is_a_located_error(
     err = capsys.readouterr().err
     assert err == f"error: {located}\n"
     assert "Traceback" not in err
+
+
+def _no_users_latest_line(tweets: Path) -> int:
+    """The number of a line past the middle of `tweets` whose tweet is not its user's latest."""
+    lines = tweets.read_text().splitlines()
+    latest = latest_profiles(RawTweet.from_record(json.loads(line)) for line in lines)
+    winners = {tweet.tweet_id for tweet in latest.values()}
+    return 1 + next(n for n in range(len(lines) // 2, len(lines))
+                    if json.loads(lines[n])["tweet_id"] not in winners)
+
+
+def _with_line(src: Path, dst: Path, lineno: int, edit) -> None:
+    """Copy `src` with its line `lineno` replaced by `edit(line as bytes)`."""
+    lines = src.read_bytes().split(b"\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    dst.write_bytes(b"\n".join(lines))
+
+
+def _json_edit(field: str, value):
+    return lambda line: json.dumps({**json.loads(line), field: value}).encode()
+
+
+def _offline(tmp_path: Path) -> list[str]:
+    return ["--out", str(tmp_path / "out"), "--geo-offline", "--geo-cache", str(tmp_path / "gc.json")]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_json_edit("account_created_at", ""),
+     "account_created_at must be a timestamp string or null, got ''"),
+    (_json_edit("utc_offset_seconds", 86400),
+     "utc_offset_seconds must be in (-86400, 86400), got 86400"),
+    (lambda line: line.replace(b'"text": "', b'"text": "\xff', 1),
+     "not valid UTF-8: byte 0xff at char "),
+], ids=["empty-account-created-at", "day-long-offset", "byte-that-is-not-utf8"])
+def test_a_bad_tweet_that_is_no_users_latest_stops_geo_and_analyze(
+    tmp_path, run_dir, capsys, edit, message
+):
+    bad = tmp_path / "tweets.jsonl"
+    lineno = _no_users_latest_line(run_dir / "tweets.jsonl")
+    _with_line(run_dir / "tweets.jsonl", bad, lineno, edit)
+    errors = []
+    for argv in (["parse", str(bad)], ["geo", str(bad)],
+                 ["analyze", "--logs", str(run_dir / "filtered.jsonl"), "--tweets", str(bad)]):
+        assert cli.main(argv + _offline(tmp_path)) == 1, argv
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"error: {bad}:{lineno}: {message}")
+    assert errors == [errors[0]] * 3
+
+
+NESTED = "[" * 100_000 + "]" * 100_000  # a JSON value too deep for the decoder
+
+
+def _nested_json_detail() -> str:
+    with pytest.raises(RecursionError) as caught:
+        json.loads(NESTED)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("stage", ["parse", "geo", "analyze --timelines"])
+def test_json_nested_too_deep_is_a_located_error(tmp_path, run_dir, corpus_dir, capsys, stage):
+    src = corpus_dir / "timelines.jsonl" if stage == "analyze --timelines" else run_dir / "tweets.jsonl"
+    bad = tmp_path / src.name
+    _with_line(src, bad, 2, lambda line: NESTED.encode())
+    argv = {
+        "parse": ["parse", str(bad)],
+        "geo": ["geo", str(bad)],
+        "analyze --timelines": ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
+                                "--tweets", str(run_dir / "tweets.jsonl"), "--timelines", str(bad)],
+    }[stage]
+    assert cli.main(argv + _offline(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: {_nested_json_detail()}\n"
+
+
+def test_ingest_counts_json_nested_too_deep_as_malformed(tmp_path, corpus_dir):
+    bad = tmp_path / "corpus.jsonl"
+    _with_line(corpus_dir / "corpus.jsonl", bad, 2, lambda line: NESTED.encode())
+    assert cli.main(["ingest", str(bad)] + _offline(tmp_path)) == 0
+    _, rows = read_stamped_csv(tmp_path / "out" / "ingest_rejects.csv")
+    assert {"stage": "ingest", "position": "2", "reason": "MALFORMED_JSON", "tweet_id": "",
+            "detail": _nested_json_detail()} in rows
+
+
+# Three users, and instants few enough that created_at ties are common.  Each instant
+# is written as UTC ISO 8601, as ISO 8601 at +09:00, or in the classic tweet form.
+_INSTANTS = [datetime(2015, 10, d, h, tzinfo=timezone.utc) for d in (1, 2) for h in (0, 23)]
+_WRITTEN = (
+    lambda dt: dt.isoformat(),
+    lambda dt: dt.astimezone(timezone(timedelta(hours=9))).isoformat(),
+    lambda dt: dt.strftime("%a %b %d %H:%M:%S %z %Y"),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.sampled_from(_INSTANTS),
+                       st.sampled_from(_WRITTEN), st.booleans()), min_size=1, max_size=14),
+    st.randoms(use_true_random=False),
+)
+def test_profile_reader_keeps_what_latest_profiles_keeps(tweets, rng):
+    lines = []
+    for n, (user_id, instant, written, blank_after) in enumerate(tweets):
+        lines.append(json.dumps({
+            "tweet_id": f"t{n}", "text": f"tweet {n}", "created_at": written(instant),
+            "user_id": user_id, "screen_name": f"name{n}", "friends_count": n,
+        }))
+        if blank_after:
+            lines.append("  ")
+    rng.shuffle(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tweets.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        every_tweet = cli._read_jsonl(path, RawTweet.from_record)
+        assert cli._read_profiles(path) == list(latest_profiles(every_tweet).values())
 
 
 SLEEP_TEXT = (
@@ -921,8 +1063,8 @@ def test_missing_explicit_countries_file_exits_1(tmp_path, run_dir, capsys):
 
 @pytest.mark.parametrize(
     "cache_text",
-    ['{\n"Berlin": "DE",\n', '["x"]', '{"Berlin": 5}'],
-    ids=["truncated", "not-an-object", "non-string-code"],
+    ['{\n"Berlin": "DE",\n', '["x"]', '{"Berlin": 5}', "[" * 100_000 + "]" * 100_000],
+    ids=["truncated", "not-an-object", "non-string-code", "nested-too-deep"],
 )
 def test_corrupt_geo_cache_is_a_located_error(tmp_path, run_dir, capsys, cache_text):
     cache = tmp_path / "geo_cache.json"

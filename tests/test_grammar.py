@@ -16,6 +16,7 @@ from zoneinfo import ZoneInfo
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sleeplog import grammar
 from sleeplog.grammar import (
     Rejection,
     Separator,
@@ -656,3 +657,51 @@ class TestRecordCodec:
         assert log.anchored
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(log, **{name: value})
+
+
+def _decoded_by_parsing(doc: dict) -> SleepLog:
+    """`SleepLog.from_record` as it was before its table lookups: every civil time
+    shape-checked and parsed, every enum called."""
+    def civil(name: str) -> time:
+        return grammar._decode(doc[name], name, grammar._HHMM, "HH:MM", time.fromisoformat)
+
+    return SleepLog(
+        doc["tweet_id"], doc["user_id"], civil("start_civil"), civil("end_civil"),
+        doc["duration_minutes"], doc["deep_sleep_pct"],
+        TimeNotation(doc["notation"]), Separator(doc["separator"]),
+        grammar._instant(doc, "start_local", False), grammar._instant(doc, "end_local", False),
+        grammar._instant(doc, "start_utc", True), grammar._instant(doc, "end_utc", True),
+        doc["duration_inconsistent"],
+    )
+
+
+def _outcome(decode, doc: dict):
+    """What `decode(doc)` gives: the log, or its exception's type and message."""
+    try:
+        return decode(doc)
+    except Exception as exc:  # the type is compared too
+        return type(exc), str(exc)
+
+
+_EDGE_VALUES = ["24:00", "7:5", "07:05 ", "", "H24", "h24", "COLON", "23:60", "０７:０５",
+                None, 7, 7.5, True, ["07:05"], {"07:05": 1}]
+_ALL_HHMM = [f"{m // 60:02d}:{m % 60:02d}" for m in range(1440)]
+
+
+class TestTableDecode:
+    BASE = SleepLog("t1", "u1", time(23, 2), time(6, 12), 430, 21, TimeNotation.H24,
+                    Separator.COLON).to_record()
+
+    @pytest.mark.parametrize("name, values", [
+        ("start_civil", _ALL_HHMM + _EDGE_VALUES),
+        ("end_civil", _ALL_HHMM + _EDGE_VALUES),
+        ("notation", [m.value for m in TimeNotation] + _EDGE_VALUES),
+        ("separator", [m.value for m in Separator] + _EDGE_VALUES),
+    ])
+    def test_same_log_or_message_as_parsing(self, name, values):
+        for value in values:
+            doc = {**self.BASE, name: value}
+            expected = _outcome(_decoded_by_parsing, doc)
+            assert _outcome(SleepLog.from_record, doc) == expected, value
+            if isinstance(expected, SleepLog):
+                assert SleepLog.from_record(doc).to_json() == expected.to_json()

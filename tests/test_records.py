@@ -238,6 +238,11 @@ class TestIngest:
         assert rejected[0].reason is RejectReason.MALFORMED_JSON
         assert rejected[0].line_number == 1
 
+    def test_json_nested_too_deep_is_a_malformed_line(self):
+        kept, rejected = ingest(["[" * 100_000 + "]" * 100_000, line()])
+        assert len(kept) == 1
+        assert (rejected[0].line_number, rejected[0].reason) == (1, RejectReason.MALFORMED_JSON)
+
     def test_bad_timestamp_rejected_with_salvaged_id(self):
         kept, rejected = ingest([line(tweet_id="broken", created_at="not a time")])
         assert kept == []
