@@ -142,7 +142,11 @@ def _read_csv(path: str, build=dict) -> list:
         first = next(lines, "")
         skipped = first.startswith("#")
         reader = csv.DictReader(lines if skipped else itertools.chain([first], lines))
-        return list(_build_each(path, ((reader.line_num + skipped, row) for row in reader), build))
+        try:
+            return list(_build_each(path, ((reader.line_num + skipped, row) for row in reader), build))
+        except csv.Error as exc:  # a row the reader cannot split, such as an overlong field
+            # `reader.line_num` counts rows read whole; its own reader's counts the failing line too.
+            raise _bad_input(f"{path}:{reader.reader.line_num + skipped}", exc) from None
 
 
 def _each_jsonl(path: str, build) -> Iterator:

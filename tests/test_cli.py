@@ -882,6 +882,16 @@ def _countries_with_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
     return argv, f"{bad}:4: not valid UTF-8: byte 0xff at char 2"
 
 
+def _countries_with_an_overlong_field(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "countries.csv"
+    lines = (run_dir / "countries.csv").read_text().split("\n")
+    lines[3] += "x" * (csv.field_size_limit() + 1)
+    bad.write_text("\n".join(lines))
+    argv = ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
+            "--tweets", str(run_dir / "tweets.jsonl"), "--countries", str(bad)]
+    return argv, f"{bad}:4: field larger than field limit ({csv.field_size_limit()})"
+
+
 def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
     bad = tmp_path / "ledger.json"
     text = (run_dir / "ledger.json").read_bytes()
@@ -901,6 +911,7 @@ def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
      _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
      _tweet_with_a_byte_that_is_not_utf8, _countries_with_a_byte_that_is_not_utf8,
+     _countries_with_an_overlong_field,
      _ledger_ending_in_a_byte_that_is_not_utf8],
 )
 def test_malformed_stage_input_is_a_located_error(
