@@ -15,6 +15,9 @@ independently; run-all hands the records from stage to stage in memory:
     synth                     -> corpus.jsonl + timelines.jsonl + truth.jsonl
     run-all                   -> everything above in order
 
+run-all and parse let go of each tweet once it is parsed; geo and analyze
+get only each user's latest tweet, whose profile fields are all they use.
+
 Every stage writes a manifest holding sha256 digests of its inputs and
 outputs plus the effective settings; no timestamps, so byte-identical
 inputs always produce byte-identical outputs.
@@ -158,6 +161,14 @@ def _each_jsonl(path: str, build) -> Iterator:
 
 def _read_jsonl(path: str, build) -> list:
     return list(_each_jsonl(path, build))
+
+
+def _drained(tweets: list[RawTweet]) -> Iterator[RawTweet]:
+    """The tweets of `tweets` in order, each slot cleared as its tweet is handed
+    out, so the list keeps no tweet its consumer has finished with."""
+    for i, tweet in enumerate(tweets):
+        tweets[i] = None
+        yield tweet
 
 
 def _read_profiles(path: str) -> list[RawTweet]:
@@ -315,8 +326,9 @@ def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[
 
 
 def do_parse(
-    tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
+    tweets: Iterable[RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, list[SleepLog]]:
+    """Sleep logs from `tweets`, read once; only each rejected tweet's id is kept."""
     kept: list[SleepLog] = []
     rejected: list[tuple[str, Rejection]] = []
     for tweet in tweets:
@@ -366,7 +378,7 @@ def do_filter(
 def do_geo(
     tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, dict[str, CountryResolution]]:
-    """Each user's country, from their latest tweet; `tweets` may hold only those."""
+    """Each user's country, from their latest tweet; `run-all` and `geo` pass only those."""
     client = GeocodeClient(
         base_url=settings["geo_base_url"],
         cache_path=settings["geo_cache"],
@@ -586,18 +598,19 @@ def do_synth(out_dir: str, settings: dict) -> str:
 
 
 def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: str | None) -> str:
-    """Every stage in order, each handing its records to the next in memory."""
+    """Every stage in order, each handing its records to the next in memory; only
+    each user's latest tweet, all that `geo` and `analyze` use, outlives `parse`."""
     tweets_path = os.path.join(out_dir, "tweets.jsonl")
     ingested, tweets = do_ingest(input_path, out_dir, settings)
-    parsed, logs = do_parse(tweets, tweets_path, out_dir, settings)
+    profiles = latest_profiles(tweets)
+    parsed, logs = do_parse(_drained(tweets), tweets_path, out_dir, settings)
     filtered, logs = do_filter(logs, os.path.join(out_dir, "logs.jsonl"), out_dir, settings)
-    located, resolutions = do_geo(tweets, tweets_path, out_dir, settings)
+    located, resolutions = do_geo(list(profiles.values()), tweets_path, out_dir, settings)
     inputs = [os.path.join(out_dir, n) for n in ("filtered.jsonl", "tweets.jsonl", "countries.csv")]
     timelines = None
     if timelines_path:
         timelines = _read_timelines(timelines_path)
         inputs.append(timelines_path)
-    profiles = latest_profiles(tweets)
     analyzed = do_analyze(logs, profiles, resolutions, timelines, inputs, out_dir, settings)
     reported, funnel = do_report(out_dir, settings), do_funnel(out_dir, settings)
     return "\n".join([ingested, parsed, filtered, located, analyzed, reported, funnel])
@@ -674,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = stage("parse", "extract sleep logs from tweets.jsonl")
     p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
     p.set_defaults(func=_on_file(
-        do_parse, lambda path: _read_jsonl(path, RawTweet.from_record), "tweets.jsonl"
+        do_parse, lambda path: _drained(_read_jsonl(path, RawTweet.from_record)), "tweets.jsonl"
     ))
 
     p = stage("filter", "drop implausible durations")

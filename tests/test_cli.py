@@ -7,9 +7,12 @@ tracebacks.  Only the import check starts a fresh interpreter.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
+import gc
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -588,6 +591,46 @@ def test_stage_by_stage_matches_run_all(tmp_path, corpus_dir, run_dir):
     assert tree_hashes(tmp_path / "s") == tree_hashes(run_dir)
 
 
+def live_tweets() -> int:
+    """How many `RawTweet`s are still reachable."""
+    gc.collect()
+    return sum(type(o) is RawTweet for o in gc.get_objects())
+
+
+def counting_live_tweets(monkeypatch, name: str) -> list[int]:
+    """Patch `cli.<name>` to note `live_tweets()` on each call; the notes, as made."""
+    counts, real = [], getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        counts.append(live_tweets())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return counts
+
+
+def test_run_all_holds_only_the_latest_profiles_after_parse(tmp_path, corpus_dir, monkeypatch):
+    counts = counting_live_tweets(monkeypatch, "do_filter")
+    before = live_tweets()
+    assert run_all_into(tmp_path / "out", corpus_dir, tmp_path / "cache.json") == 0
+    with open(tmp_path / "out" / "tweets.jsonl", encoding="utf-8") as handle:
+        users = {json.loads(line)["user_id"] for line in handle}
+    assert len(counts) == 1
+    assert counts[0] - before <= len(users)
+
+
+def test_parse_lets_go_of_each_tweet_once_it_is_parsed(tmp_path, run_dir, monkeypatch):
+    counts = counting_live_tweets(monkeypatch, "_load_ledger")  # do_parse's, after its loop
+    out = copy_of(run_dir, tmp_path)
+    before = live_tweets()
+    # --geo-offline, as run_dir was made, so that the settings stamps match.
+    assert cli.main(["parse", "--out", str(out), "--geo-offline"]) == 0
+    assert len(counts) == 1
+    assert counts[0] - before <= 1
+    for name in ("logs.jsonl", "parse_rejects.csv"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
 def test_rerun_stage_keeps_the_ledger_chain(tmp_path, corpus_dir):
     funnels = []
     for name, parses in (("once", 1), ("twice", 2)):
@@ -969,6 +1012,82 @@ def test_a_bad_tweet_that_is_no_users_latest_stops_geo_and_analyze(
         errors.append(capsys.readouterr().err)
     assert errors[0].startswith(f"error: {bad}:{lineno}: {message}")
     assert errors == [errors[0]] * 3
+
+
+# The JSON types each tweet field may hold; the first five fields are required.
+_TWEET_FIELD_TYPES = {
+    **dict.fromkeys(("tweet_id", "text", "created_at", "user_id", "screen_name"), {"string"}),
+    **dict.fromkeys(("location_text", "time_zone", "interface_lang", "bio",
+                     "account_created_at"), {"string", "null"}),
+    **dict.fromkeys(("utc_offset_seconds", "friends_count", "followers_count",
+                     "statuses_count"), {"integer", "null"}),
+}
+_JSON_OF_TYPE = {"null": "null", "boolean": "true", "integer": "7", "float": "1.5",
+                 "string": '"x"', "array": "[1]", "object": '{"a": 1}'}
+_MARK = "\0value\0"
+
+
+def _with_value(line: bytes, field: str, text: str) -> bytes:
+    """`line` with `field`'s value written as the JSON text `text`."""
+    return json.dumps({**json.loads(line), field: _MARK}).replace(json.dumps(_MARK), text).encode()
+
+
+def _mutated(line: bytes, data) -> bytes:
+    """`line` of `tweets.jsonl`, broken in one way that no reader may accept."""
+    kind = data.draw(st.sampled_from(["drop", "retype", "byte", "truncate", "nest", "digits",
+                                      "array"]), label="kind")
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(line)), label="at")
+        return line[:at] + b"\xff" + line[at:]
+    if kind == "truncate":
+        return line[:data.draw(st.integers(1, len(line) - 1), label="keep")]
+    if kind == "array":
+        return json.dumps(list(json.loads(line).values())).encode()
+    if kind == "drop":
+        required = [f for f, types in _TWEET_FIELD_TYPES.items() if "null" not in types]
+        field = data.draw(st.sampled_from(required), label="field")
+        return json.dumps({k: v for k, v in json.loads(line).items() if k != field}).encode()
+    if kind == "retype":
+        field, wrong = data.draw(st.sampled_from([
+            (field, json_type) for field, types in _TWEET_FIELD_TYPES.items()
+            for json_type in _JSON_OF_TYPE if json_type not in types
+        ]), label="field, type")
+        return _with_value(line, field, _JSON_OF_TYPE[wrong])
+    if kind == "nest":
+        field = data.draw(st.sampled_from(sorted(_TWEET_FIELD_TYPES)), label="field")
+        return _with_value(line, field, "[" * 10_000 + "]" * 10_000)
+    # An integer too long to decode, where an integer is the wrong type anyway.
+    field = data.draw(st.sampled_from(
+        [f for f, types in _TWEET_FIELD_TYPES.items() if "integer" not in types]), label="field")
+    return _with_value(line, field, "9" * 5_000)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_broken_tweets_line_is_one_located_error_from_every_reader(run_dir, data):
+    lines = (run_dir / "tweets.jsonl").read_bytes().split(b"\n")
+    lineno = data.draw(st.integers(1, len(lines) - 1), label="lineno")  # the last is empty
+    lines[lineno - 1] = _mutated(lines[lineno - 1], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(run_dir, out)
+        tweets = out / "tweets.jsonl"
+        tweets.write_bytes(b"\n".join(lines))
+        before = tree_hashes(out)
+        errors = []
+        for stage in ("parse", "geo", "analyze"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([stage, "--out", str(out), "--geo-offline",
+                                 "--geo-cache", os.path.join(tmp, "gc.json")])
+            assert code == 1, stage
+            errors.append(err.getvalue())
+        assert errors == [errors[0]] * 3
+        assert errors[0].startswith(f"error: {tweets}:{lineno}: ")
+        assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
+        assert "Traceback" not in errors[0]
+        assert tree_hashes(out) == before
+        assert not list(out.rglob("*.tmp"))
 
 
 NESTED = "[" * 100_000 + "]" * 100_000  # a JSON value too deep for the decoder
