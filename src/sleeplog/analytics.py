@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -339,12 +339,7 @@ class WakeHeatmap:
     weekend_rows: ClassVar[tuple[int, ...]] = WEEKEND_ROWS
 
     def to_record(self) -> dict:
-        return {
-            "counts": self.counts,
-            "row_normalized": self.row_normalized,
-            "row_labels": list(self.row_labels),
-            "weekend_rows": list(self.weekend_rows),
-        }
+        return {**asdict(self), "row_labels": list(DAY_LABELS), "weekend_rows": list(WEEKEND_ROWS)}
 
 
 def wake_heatmap(logs: Sequence[SleepLog]) -> WakeHeatmap:

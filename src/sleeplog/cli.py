@@ -64,7 +64,6 @@ from .geo import CountryResolution, GeocodeClient, GeocodeError, resolve_users
 from .grammar import Rejection, SleepLog, parse_tweet
 from .pipeline import FilterConfig, filter_logs
 from .records import (
-    IngestError,
     PipelineLedger,
     RawTweet,
     checked_tweet,
@@ -153,10 +152,15 @@ def _read_csv(path: str, build=dict) -> list:
 
 
 def _each_jsonl(path: str, build) -> Iterator:
-    """`build(record)` for each non-blank line of a JSON Lines file, as the file is read."""
+    """`build(record)` for each non-blank line of a JSON Lines file, as the file is read;
+    a bad record names its line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        numbered = ((n, line) for n, line in enumerate(handle, start=1) if line.strip())
-        yield from _build_each(path, numbered, lambda line: build(json.loads(utf8_line(line))))
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if line.strip():
+                    yield build(json.loads(utf8_line(line)))
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSON nested too deep
+            raise _bad_input(f"{path}:{lineno}", exc) from None
 
 
 def _read_jsonl(path: str, build) -> list:
@@ -171,8 +175,8 @@ def _drained(tweets: list[RawTweet]) -> Iterator[RawTweet]:
         yield tweet
 
 
-def _read_profiles(path: str) -> list[RawTweet]:
-    """`latest_profiles(_read_jsonl(path, RawTweet.from_record)).values()`, as a list.
+def _read_profiles(path: str) -> dict[str, RawTweet]:
+    """`latest_profiles(_read_jsonl(path, RawTweet.from_record))`.
 
     Every line gets every check and error that `RawTweet.from_record` gives,
     but only each user's newest fields are held, and only they become tweets.
@@ -182,7 +186,7 @@ def _read_profiles(path: str) -> list[RawTweet]:
         current = latest.get(fields[3])  # fields[3] is the user id, fields[2] the instant
         if current is None or fields[2] > current[2]:
             latest[fields[3]] = fields
-    return [RawTweet(*fields) for fields in latest.values()]
+    return {user_id: RawTweet(*fields) for user_id, fields in latest.items()}
 
 
 def _kept_lines(path: str, logs: list[SleepLog], kept: list[SleepLog]) -> Iterator[str]:
@@ -376,21 +380,18 @@ def do_filter(
 
 
 def do_geo(
-    tweets: list[RawTweet], tweets_path: str, out_dir: str, settings: dict
+    profiles: dict[str, RawTweet], tweets_path: str, out_dir: str, settings: dict
 ) -> tuple[str, dict[str, CountryResolution]]:
-    """Each user's country, from their latest tweet; `run-all` and `geo` pass only those."""
+    """Each user's country, from `profiles`, their latest tweets by user id."""
     client = GeocodeClient(
         base_url=settings["geo_base_url"],
         cache_path=settings["geo_cache"],
         offline=settings["geo_offline"],
     )
-    resolutions = resolve_users(tweets, client)
+    resolutions = resolve_users(profiles.values(), client)  # sorted by user id
 
     stamp = config_stamp(settings)
-    rows = [
-        [r.user_id, r.country, r.method.value, r.query_text]
-        for r in (resolutions[u] for u in sorted(resolutions))
-    ]
+    rows = [[r.user_id, r.country, r.method.value, r.query_text] for r in resolutions.values()]
     header = ["user_id", "country", "method", "query_text"]
     _publish(out_dir, "geo", [tweets_path], stamp, {"countries.csv": _csv(stamp, header, rows)})
 
@@ -555,7 +556,8 @@ def do_report(out_dir: str, settings: dict) -> str:
     for (chart, _, draw), path in zip(_CHARTS, inputs):
         try:
             svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json_object(path))
-        except (KeyError, RecursionError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+            # AttributeError: a label that is not a string; OverflowError: a value too large to draw
             raise _bad_input(path, exc) from None
         if svg is not None:
             charts[os.path.join("report", chart)] = svg
@@ -605,7 +607,7 @@ def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: st
     profiles = latest_profiles(tweets)
     parsed, logs = do_parse(_drained(tweets), tweets_path, out_dir, settings)
     filtered, logs = do_filter(logs, os.path.join(out_dir, "logs.jsonl"), out_dir, settings)
-    located, resolutions = do_geo(list(profiles.values()), tweets_path, out_dir, settings)
+    located, resolutions = do_geo(profiles, tweets_path, out_dir, settings)
     inputs = [os.path.join(out_dir, n) for n in ("filtered.jsonl", "tweets.jsonl", "countries.csv")]
     timelines = None
     if timelines_path:
@@ -653,7 +655,7 @@ def _analyze_files(args: argparse.Namespace, settings: dict) -> str:
     tweets_path = args.tweets or os.path.join(args.out, "tweets.jsonl")
     countries_path = args.countries or os.path.join(args.out, "countries.csv")
     logs = _read_jsonl(logs_path, SleepLog.from_record)
-    profiles = latest_profiles(_read_profiles(tweets_path))
+    profiles = _read_profiles(tweets_path)
     inputs = [logs_path, tweets_path]
     resolutions = {}
     if args.countries or os.path.exists(countries_path):  # only the default may be absent
@@ -736,7 +738,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IngestError, GeocodeError, OSError, ValueError, AssertionError, RuntimeError) as exc:
+    except (GeocodeError, OSError, ValueError, AssertionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if message:

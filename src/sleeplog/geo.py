@@ -84,7 +84,6 @@ _FAILED = object()  # transient failure after retries; not a cacheable answer
 # The request and answer shape of a Nominatim-style search API.
 _QUERY_PARAM = "q"
 _EXTRA_PARAMS = {"format": "jsonv2", "limit": "1", "addressdetails": "1"}
-_COUNTRY_PATH = "address.country_code"
 _TIMEOUT_SECONDS = 10.0
 _MIN_INTERVAL_SECONDS = 1.0  # Nominatim's usage policy: at most one request a second
 _MAX_RETRIES = 2
@@ -98,21 +97,6 @@ def _default_fetch(url: str, params: dict[str, str], timeout: float) -> tuple[in
         url, params=params, timeout=timeout, headers={"User-Agent": "sleeplog/0.1"}
     )
     return response.status_code, response.text
-
-
-def _walk_path(doc, path: str):
-    node = doc
-    for part in path.split("."):
-        if isinstance(node, list):
-            if not node:
-                return None
-            node = node[0]
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    if isinstance(node, list):
-        node = node[0] if node else None
-    return node
 
 
 def _load_cache(path: str) -> dict[str, str | None]:
@@ -204,8 +188,10 @@ class GeocodeClient:
             try:
                 status, body = self._fetch(self.base_url, params, _TIMEOUT_SECONDS)
                 if 200 <= status < 300:
-                    doc = json.loads(body)
-                    value = _walk_path(doc, _COUNTRY_PATH)
+                    doc = json.loads(body)  # the first place's address.country_code
+                    place = doc[0] if isinstance(doc, list) and doc else None
+                    address = place.get("address") if isinstance(place, dict) else None
+                    value = address.get("country_code") if isinstance(address, dict) else None
                     if isinstance(value, str) and value.strip():
                         return value.strip().upper()
                     return None  # definitive: service answered, no country

@@ -122,6 +122,8 @@ class SleepLog:
         duration, pct = self.duration_minutes, self.deep_sleep_pct
         if type(duration) is not int or duration <= 0:
             raise ValueError(f"duration_minutes must be a positive integer, got {duration!r}")
+        if duration > 1439:  # 23:59, the longest duration a log can state
+            raise ValueError(f"duration_minutes must be at most 1439, got {duration}")
         if pct is not None and (type(pct) is not int or not 0 <= pct <= 100):
             raise ValueError(f"deep_sleep_pct must be an integer in [0, 100] or null, got {pct!r}")
         if type(self.duration_inconsistent) is not bool:

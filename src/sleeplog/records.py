@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quoted  # JSON string literal, ASCII only
-from typing import Iterable, TextIO
+from typing import Iterable
 
 
 class RejectReason(Enum):
@@ -30,10 +30,6 @@ class RejectReason(Enum):
     TOO_LONG = "TOO_LONG"
     MISSING_DEEP_SLEEP = "MISSING_DEEP_SLEEP"
     ANCHOR_UNRESOLVED = "ANCHOR_UNRESOLVED"
-
-
-class IngestError(Exception):
-    """Fatal ingestion problem (unreadable file, not a bad line)."""
 
 
 # Timestamps arrive either as ISO 8601 or in the classic tweet form
@@ -149,6 +145,11 @@ class RawTweet:
         return cls(*tweet_fields(doc))
 
 
+def _count_error(name: str, value: int) -> str:
+    """Why `value` is no count: Twitter stores its counts as signed 64-bit integers."""
+    return f"{name} must be {'non-negative' if value < 0 else 'below 2**63'}, got {value}"
+
+
 def checked_tweet(fields: tuple) -> tuple:
     """`fields`, once they pass `RawTweet(*fields)`'s checks; raises ValueError for the first
     that fails, in field order."""
@@ -180,12 +181,12 @@ def checked_tweet(fields: tuple) -> tuple:
         raise ValueError("field followers_count must be an integer")
     if statuses is not None and type(statuses) is not int:
         raise ValueError("field statuses_count must be an integer")
-    if friends is not None and friends < 0:
-        raise ValueError(f"friends_count must be non-negative, got {friends}")
-    if followers is not None and followers < 0:
-        raise ValueError(f"followers_count must be non-negative, got {followers}")
-    if statuses is not None and statuses < 0:
-        raise ValueError(f"statuses_count must be non-negative, got {statuses}")
+    if friends is not None and not 0 <= friends < 2**63:
+        raise ValueError(_count_error("friends_count", friends))
+    if followers is not None and not 0 <= followers < 2**63:
+        raise ValueError(_count_error("followers_count", followers))
+    if statuses is not None and not 0 <= statuses < 2**63:
+        raise ValueError(_count_error("statuses_count", statuses))
     if offset is not None and not -86400 < offset < 86400:  # what `datetime.timezone` takes
         raise ValueError(f"utc_offset_seconds must be in (-86400, 86400), got {offset}")
     if not isinstance(created_at, datetime) or not (
@@ -313,19 +314,7 @@ class PipelineLedger:
                 )
 
     def to_json(self) -> str:
-        doc = {
-            "stages": [
-                {
-                    "name": s.name,
-                    "input": s.input,
-                    "kept": s.kept,
-                    "rejected_by_reason": dict(sorted(s.rejected_by_reason.items())),
-                    "distinct_users_kept": s.distinct_users_kept,
-                }
-                for s in self.stages
-            ]
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps({"stages": [asdict(s) for s in self.stages]}, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineLedger":
@@ -411,12 +400,8 @@ def ingest(lines: Iterable[str]) -> tuple[list[RawTweet], list[RejectedLine]]:
 
 
 def ingest_file(path: str) -> tuple[list[RawTweet], list[RejectedLine]]:
-    """Ingest from a file path; an unreadable file is fatal (IngestError)."""
-    try:
-        handle: TextIO = open(path, "r", encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    """Ingest from a file path; an unreadable file is fatal (OSError)."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return ingest(handle)
 
 

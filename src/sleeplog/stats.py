@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -57,16 +58,7 @@ class TestResult:
             raise ValueError("p_two_sided out of [0, 1]")
 
     def to_record(self) -> dict:
-        return {
-            "u_statistic": self.u_statistic,
-            "p_two_sided": self.p_two_sided,
-            "n1": self.n1,
-            "n2": self.n2,
-            "method": self.method.value,
-            "mean_diff": self.mean_diff,
-            "cohens_d": self.cohens_d,
-            "degenerate_d": self.degenerate_d,
-        }
+        return {**asdict(self), "method": self.method.value}
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,7 @@ class CorrelationResult:
     n: int
 
     def to_record(self) -> dict:
-        return {"r": self.r, "p_two_sided": self.p_two_sided, "n": self.n}
+        return asdict(self)
 
 
 def _midranks(values: Sequence[float]) -> list[float]:
@@ -96,10 +88,7 @@ def _midranks(values: Sequence[float]) -> list[float]:
 
 
 def _tie_sizes(values: Sequence[float]) -> list[int]:
-    sizes: dict[float, int] = {}
-    for v in values:
-        sizes[v] = sizes.get(v, 0) + 1
-    return [c for c in sizes.values() if c > 1]
+    return [c for c in Counter(values).values() if c > 1]
 
 
 def exact_u_distribution(n1: int, n2: int) -> list[int]:

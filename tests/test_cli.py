@@ -30,7 +30,7 @@ import sleeplog
 from sleeplog import analytics, cli
 from sleeplog.analytics import filter_min_logs, per_user_aggregates, presleep_activity
 from sleeplog.grammar import SleepLog
-from sleeplog.records import PipelineLedger, RawTweet, latest_profiles
+from sleeplog.records import PipelineLedger, RawTweet, dedupe, ingest, latest_profiles
 
 
 def tree_hashes(root: Path) -> dict[str, str]:
@@ -433,9 +433,26 @@ def _start_bins_nested_too_deep(analysis: Path) -> tuple[Path, str]:
     return path, _nested_json_detail()
 
 
+def _start_bins_with_an_integer_row_label(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "start_bins.json"
+    doc = json.loads(path.read_text())
+    doc["matrix_row_labels"][0] = 0
+    path.write_text(json.dumps(doc))
+    return path, "'int' object has no attribute 'replace'"
+
+
+def _summary_with_a_huge_clock_value(analysis: Path) -> tuple[Path, str]:
+    path = analysis / "summary.json"
+    doc = json.loads(path.read_text())
+    doc["clock"]["start_hist"][0] = int("9" * 400)
+    path.write_text(json.dumps(doc))
+    return path, "int too large to convert to float"
+
+
 @pytest.mark.parametrize("break_analysis", [
     _summary_without_clock, _frequency_without_n_users, _start_bins_not_json, _wake_heatmap_a_list,
-    _wake_heatmap_not_an_object, _start_bins_nested_too_deep,
+    _wake_heatmap_not_an_object, _start_bins_nested_too_deep, _start_bins_with_an_integer_row_label,
+    _summary_with_a_huge_clock_value,
 ])
 def test_report_on_a_malformed_analysis_file_is_a_located_error(
     tmp_path, run_dir, capsys, break_analysis
@@ -746,6 +763,13 @@ def _timeline_with(value):
     return make
 
 
+def _analyzed_log_with_a_huge_duration(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "filtered.jsonl"
+    _edit_first(run_dir / "filtered.jsonl", bad, _set("duration_minutes", 10**400))
+    argv = ["analyze", "--logs", str(bad), "--tweets", str(run_dir / "tweets.jsonl")]
+    return argv, f"{bad}:1: duration_minutes must be at most 1439, got {10**400}"
+
+
 def _analyzed_log_without_notation(tmp_path, run_dir, corpus_dir):
     bad = tmp_path / "filtered.jsonl"
     _drop_field(run_dir / "filtered.jsonl", bad, "notation")
@@ -841,6 +865,9 @@ _MISTYPED_LOGS = [
     pytest.param(_log_with(_set("duration_minutes", 420.5),
                            "duration_minutes must be a positive integer, got 420.5"),
                  id="fractional-duration"),
+    pytest.param(_log_with(_set("duration_minutes", 1440),
+                           "duration_minutes must be at most 1439, got 1440"),
+                 id="day-long-duration"),
     pytest.param(_log_with(_set("deep_sleep_pct", 33.3),
                            "deep_sleep_pct must be an integer in [0, 100] or null, got 33.3"),
                  id="fractional-deep-sleep"),
@@ -907,6 +934,12 @@ def _tweet_with_a_day_long_offset(tmp_path, run_dir, corpus_dir):
     return ["parse", str(bad)], f"{bad}:1: utc_offset_seconds must be in (-86400, 86400), got 86400"
 
 
+def _tweet_with_a_huge_statuses_count(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "tweets.jsonl"
+    _edit_first(run_dir / "tweets.jsonl", bad, _set("statuses_count", int("9" * 400)))
+    return ["geo", str(bad)], f"{bad}:1: statuses_count must be below 2**63, got {'9' * 400}"
+
+
 def _tweet_with_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
     bad = tmp_path / "tweets.jsonl"
     first, rest = (run_dir / "tweets.jsonl").read_bytes().split(b"\n", 1)
@@ -948,13 +981,14 @@ def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
     "make_bad_input",
     [_timeline_without_user_id, pytest.param(_timeline_with(["u1"]), id="list-timeline-user"),
      pytest.param(_timeline_with(42), id="number-timeline-user"),
-     _analyzed_log_without_notation, _filtered_log_without_notation,
+     _analyzed_log_with_a_huge_duration, _analyzed_log_without_notation,
+     _filtered_log_without_notation,
      _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
      _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice, _ledger_nested_too_deep,
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
      _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
-     _tweet_with_a_byte_that_is_not_utf8, _countries_with_a_byte_that_is_not_utf8,
-     _countries_with_an_overlong_field,
+     _tweet_with_a_huge_statuses_count, _tweet_with_a_byte_that_is_not_utf8,
+     _countries_with_a_byte_that_is_not_utf8, _countries_with_an_overlong_field,
      _ledger_ending_in_a_byte_that_is_not_utf8],
 )
 def test_malformed_stage_input_is_a_located_error(
@@ -965,6 +999,22 @@ def test_malformed_stage_input_is_a_located_error(
     err = capsys.readouterr().err
     assert err == f"error: {located}\n"
     assert "Traceback" not in err
+
+
+def test_a_huge_count_on_a_users_latest_tweet_is_a_malformed_corpus_line(tmp_path, corpus_dir):
+    lines = (corpus_dir / "corpus.jsonl").read_text().splitlines()
+    tweets, _ = dedupe(ingest(lines)[0])
+    latest = next(t for t in latest_profiles(tweets).values() if t.account_created_at is not None)
+    lineno = 1 + next(n for n, line in enumerate(lines)
+                      if json.loads(line).get("tweet_id") == latest.tweet_id)
+    bad = tmp_path / "corpus.jsonl"
+    _with_line(corpus_dir / "corpus.jsonl", bad, lineno,
+               _json_edit("statuses_count", int("9" * 400)))
+    assert cli.main(["run-all", str(bad)] + _offline(tmp_path)) == 0
+    _, rows = read_stamped_csv(tmp_path / "out" / "ingest_rejects.csv")
+    assert {"stage": "ingest", "position": str(lineno), "reason": "MALFORMED_JSON",
+            "tweet_id": latest.tweet_id,
+            "detail": f"statuses_count must be below 2**63, got {'9' * 400}"} in rows
 
 
 def _no_users_latest_line(tweets: Path) -> int:
@@ -1022,68 +1072,133 @@ _TWEET_FIELD_TYPES = {
     **dict.fromkeys(("utc_offset_seconds", "friends_count", "followers_count",
                      "statuses_count"), {"integer", "null"}),
 }
+# The JSON types each field of a log line may hold; every field is required.
+_LOG_FIELD_TYPES = {
+    **dict.fromkeys(("tweet_id", "user_id", "start_civil", "end_civil", "notation", "separator"),
+                    {"string"}),
+    **dict.fromkeys(("start_local", "end_local", "start_utc", "end_utc"), {"string", "null"}),
+    "duration_minutes": {"integer"},
+    "deep_sleep_pct": {"integer", "null"},
+    "duration_inconsistent": {"boolean"},
+}
+_NUMBER = {"integer", "float", "boolean"}  # a chart draws JSON true and false as 1 and 0
 _JSON_OF_TYPE = {"null": "null", "boolean": "true", "integer": "7", "float": "1.5",
                  "string": '"x"', "array": "[1]", "object": '{"a": 1}'}
 _MARK = "\0value\0"
 
 
-def _with_value(line: bytes, field: str, text: str) -> bytes:
-    """`line` with `field`'s value written as the JSON text `text`."""
-    return json.dumps({**json.loads(line), field: _MARK}).replace(json.dumps(_MARK), text).encode()
+def _fields(types: dict) -> dict:
+    return {(field,): json_types for field, json_types in types.items()}
 
 
-def _mutated(line: bytes, data) -> bytes:
-    """`line` of `tweets.jsonl`, broken in one way that no reader may accept."""
-    kind = data.draw(st.sampled_from(["drop", "retype", "byte", "truncate", "nest", "digits",
-                                      "array"]), label="kind")
+# Each stage input the fuzz test breaks: the stages that read it, the JSON types of the values
+# they read (by path; "*" is every index of a list), and the paths that must be present.
+_BROKEN_INPUTS = {
+    "tweets.jsonl": (("parse", "geo", "analyze"), _fields(_TWEET_FIELD_TYPES),
+                     [(f,) for f, types in _TWEET_FIELD_TYPES.items() if "null" not in types]),
+    "logs.jsonl": (("filter",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
+    "filtered.jsonl": (("analyze",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
+    "analysis/summary.json": (
+        ("report",), {("clock", "start_hist", "*"): _NUMBER, ("clock", "end_hist", "*"): _NUMBER},
+        [("clock",), ("clock", "start_hist"), ("clock", "end_hist")]),
+    "analysis/start_bins.json": (
+        ("report",), {("matrix", "*", "*"): _NUMBER, ("matrix_row_labels", "*"): {"string"},
+                      ("matrix_col_labels", "*"): {"string"}},
+        [("matrix",), ("matrix_row_labels",), ("matrix_col_labels",)]),
+    "analysis/wake_heatmap.json": (
+        ("report",), {("heatmap", "row_normalized", "*", "*"): _NUMBER,
+                      ("heatmap", "row_labels", "*"): {"string"}},
+        [("heatmap", "row_normalized"), ("heatmap", "row_labels")]),
+}
+
+
+def _at(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _paths(doc, pattern: tuple) -> list[tuple]:
+    """The paths into `doc` that `pattern` names; "*" stands for every index of a list."""
+    paths = [()]
+    for key in pattern:
+        paths = [path + (k,) for path in paths
+                 for k in (range(len(_at(doc, path))) if key == "*" else [key])]
+    return paths
+
+
+def _with_value(doc, path: tuple, text: str) -> bytes:
+    """`doc` as JSON, with the value at `path` written as the JSON text `text`."""
+    _at(doc, path[:-1])[path[-1]] = _MARK
+    return json.dumps(doc).replace(json.dumps(_MARK), text).encode()
+
+
+def _mutated(text: bytes, data, types: dict, required: list) -> bytes:
+    """`text`, one JSON object, broken in one way that no reader may accept."""
+    doc = json.loads(text)
+    values = [(path, json_types) for pattern, json_types in types.items()
+              for path in _paths(doc, pattern)]
+    choices = {  # the values each kind of break may change
+        "retype": [(path, wrong) for path, json_types in values
+                   for wrong in _JSON_OF_TYPE if wrong not in json_types],
+        "label": [(path, wrong) for path, json_types in values if json_types == {"string"}
+                  for wrong in _JSON_OF_TYPE if wrong != "string"],
+        "nest": [path for path, _ in values],
+        "digits": [path for path, json_types in values if "integer" not in json_types],
+        "huge": [path for path, json_types in values if "integer" in json_types],
+    }
+    kind = data.draw(st.sampled_from(["drop", "byte", "truncate", "array"]
+                                     + [k for k, paths in choices.items() if paths]), label="kind")
     if kind == "byte":
-        at = data.draw(st.integers(0, len(line)), label="at")
-        return line[:at] + b"\xff" + line[at:]
+        at = data.draw(st.integers(0, len(text)), label="at")
+        return text[:at] + b"\xff" + text[at:]
     if kind == "truncate":
-        return line[:data.draw(st.integers(1, len(line) - 1), label="keep")]
+        return text[:data.draw(st.integers(1, len(text) - 1), label="keep")]
     if kind == "array":
-        return json.dumps(list(json.loads(line).values())).encode()
+        return json.dumps(list(doc.values())).encode()
     if kind == "drop":
-        required = [f for f, types in _TWEET_FIELD_TYPES.items() if "null" not in types]
-        field = data.draw(st.sampled_from(required), label="field")
-        return json.dumps({k: v for k, v in json.loads(line).items() if k != field}).encode()
-    if kind == "retype":
-        field, wrong = data.draw(st.sampled_from([
-            (field, json_type) for field, types in _TWEET_FIELD_TYPES.items()
-            for json_type in _JSON_OF_TYPE if json_type not in types
-        ]), label="field, type")
-        return _with_value(line, field, _JSON_OF_TYPE[wrong])
+        path = data.draw(st.sampled_from(required), label="path")
+        del _at(doc, path[:-1])[path[-1]]
+        return json.dumps(doc).encode()
+    path = data.draw(st.sampled_from(choices[kind]), label="path")
+    if kind in ("retype", "label"):
+        path, wrong = path
+        return _with_value(doc, path, _JSON_OF_TYPE[wrong])
     if kind == "nest":
-        field = data.draw(st.sampled_from(sorted(_TWEET_FIELD_TYPES)), label="field")
-        return _with_value(line, field, "[" * 10_000 + "]" * 10_000)
-    # An integer too long to decode, where an integer is the wrong type anyway.
-    field = data.draw(st.sampled_from(
-        [f for f, types in _TWEET_FIELD_TYPES.items() if "integer" not in types]), label="field")
-    return _with_value(line, field, "9" * 5_000)
+        return _with_value(doc, path, "[" * 10_000 + "]" * 10_000)
+    if kind == "digits":  # an integer too long to decode, where an integer is the wrong type anyway
+        return _with_value(doc, path, "9" * 5_000)
+    sign = data.draw(st.sampled_from(["", "-"]), label="sign")  # a 400-digit integer either way
+    return _with_value(doc, path, sign + "9" * 400)
 
 
-@settings(deadline=None, max_examples=40)
-@given(data=st.data())
-def test_a_broken_tweets_line_is_one_located_error_from_every_reader(run_dir, data):
-    lines = (run_dir / "tweets.jsonl").read_bytes().split(b"\n")
-    lineno = data.draw(st.integers(1, len(lines) - 1), label="lineno")  # the last is empty
-    lines[lineno - 1] = _mutated(lines[lineno - 1], data)
+@settings(deadline=None, max_examples=100)
+@given(name=st.sampled_from(sorted(_BROKEN_INPUTS)), data=st.data())
+def test_a_broken_stage_input_is_one_located_error_from_every_reader(run_dir, name, data):
+    stages, types, required = _BROKEN_INPUTS[name]
+    text = (run_dir / name).read_bytes()
+    if name.endswith(".jsonl"):  # break one line
+        lines = text.split(b"\n")
+        lineno = data.draw(st.integers(1, len(lines) - 1), label="lineno")  # the last is empty
+        lines[lineno - 1] = _mutated(lines[lineno - 1], data, types, required)
+        text, where = b"\n".join(lines), f":{lineno}"
+    else:
+        text, where = _mutated(text.rstrip(b"\n"), data, types, required) + b"\n", ""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         shutil.copytree(run_dir, out)
-        tweets = out / "tweets.jsonl"
-        tweets.write_bytes(b"\n".join(lines))
+        (out / name).write_bytes(text)
         before = tree_hashes(out)
         errors = []
-        for stage in ("parse", "geo", "analyze"):
+        for stage in stages:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = cli.main([stage, "--out", str(out), "--geo-offline",
                                  "--geo-cache", os.path.join(tmp, "gc.json")])
             assert code == 1, stage
             errors.append(err.getvalue())
-        assert errors == [errors[0]] * 3
-        assert errors[0].startswith(f"error: {tweets}:{lineno}: ")
+        assert errors == [errors[0]] * len(stages)
+        assert errors[0].startswith(f"error: {out / name}{where}: ")
         assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
         assert "Traceback" not in errors[0]
         assert tree_hashes(out) == before
@@ -1154,7 +1269,7 @@ def test_profile_reader_keeps_what_latest_profiles_keeps(tweets, rng):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
         every_tweet = cli._read_jsonl(path, RawTweet.from_record)
-        assert cli._read_profiles(path) == list(latest_profiles(every_tweet).values())
+        assert list(cli._read_profiles(path).items()) == list(latest_profiles(every_tweet).items())
 
 
 SLEEP_TEXT = (

@@ -594,7 +594,7 @@ def sleep_logs(draw, local=STAGE_LOCAL, utc=STAGE_UTC,
         user_id=draw(IDS),
         start_civil=draw(st.times()),
         end_civil=draw(st.times()),
-        duration_minutes=draw(st.integers(min_value=1)),
+        duration_minutes=draw(st.integers(min_value=1, max_value=1439)),
         deep_sleep_pct=draw(st.none() | st.integers(0, 100)),
         notation=draw(st.sampled_from(list(TimeNotation))),
         separator=draw(st.sampled_from(list(Separator))),
@@ -657,6 +657,15 @@ class TestRecordCodec:
         assert log.anchored
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(log, **{name: value})
+
+    def test_durations_stop_at_the_longest_a_log_can_state(self, make_tweet):
+        log = parse_tweet(make_tweet(text="Sleep as Android: I was sleeping for 23:59 from 0:00 "
+                                          "to 23:59 with 21% deep sleep #sleep_as_android"))
+        assert log.duration_minutes == 1439
+        for duration in (1440, 10**400):
+            message = f"^duration_minutes must be at most 1439, got {duration}$"
+            with pytest.raises(ValueError, match=message):
+                SleepLog.from_record({**log.to_record(), "duration_minutes": duration})
 
 
 def _decoded_by_parsing(doc: dict) -> SleepLog:

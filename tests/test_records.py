@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from sleeplog import records
 from sleeplog.records import (
-    IngestError,
     PipelineLedger,
     RawTweet,
     RejectReason,
@@ -74,6 +73,13 @@ class TestRawTweet:
         with pytest.raises(ValueError):
             RawTweet.from_record(record(friends_count=True))
 
+    @pytest.mark.parametrize("name", ["friends_count", "followers_count", "statuses_count"])
+    def test_counts_stop_below_2_to_the_63(self, name):
+        assert getattr(RawTweet.from_record(record(**{name: 2**63 - 1})), name) == 2**63 - 1
+        for count in (2**63, int("9" * 400)):
+            with pytest.raises(ValueError, match=rf"^{name} must be below 2\*\*63, got {count}$"):
+                RawTweet.from_record(record(**{name: count}))
+
     def test_json_round_trip(self):
         tweet = RawTweet.from_record(record(utc_offset_seconds=32400))
         again = RawTweet.from_record(json.loads(tweet.to_json()))
@@ -101,7 +107,7 @@ ANY_VALUE = st.one_of(
 
 @st.composite
 def raw_tweets(draw) -> RawTweet:
-    counts = st.one_of(st.none(), st.integers(min_value=0))
+    counts = st.one_of(st.none(), st.integers(min_value=0, max_value=2**63 - 1))
     return RawTweet(
         tweet_id=draw(TEXT.filter(bool)),
         text=draw(TEXT.filter(bool)),
@@ -273,7 +279,7 @@ class TestIngest:
         assert stage.rejected_by_reason == {"MALFORMED_JSON": 2}
 
     def test_unreadable_file_is_fatal(self, tmp_path):
-        with pytest.raises(IngestError):
+        with pytest.raises(OSError):
             ingest_file(str(tmp_path / "nope.jsonl"))
 
     def test_line_that_is_not_utf8_is_a_malformed_line(self, tmp_path):
