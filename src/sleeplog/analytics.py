@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -84,10 +85,6 @@ class CohortReport:
     @property
     def group_means(self) -> dict[str, float | None]:
         return {g: left_sum(vs) / len(vs) if vs else None for g, vs in self.group_values.items()}
-
-    @property
-    def population(self) -> int:
-        return sum(self.group_sizes.values())
 
     def to_record(self) -> dict:
         return {
@@ -210,10 +207,8 @@ class SleepClockReport:
 
 def sleep_clock(logs: Sequence[SleepLog]) -> SleepClockReport:
     """Normalized start/end hour-of-day distributions plus window shares."""
-    starts = [l.start_civil for l in logs]
-    ends = [l.end_civil for l in logs]
-    start_hist = hour_histogram(starts)
-    end_hist = hour_histogram(ends)
+    start_hist = hour_histogram(l.start_civil for l in logs)
+    end_hist = hour_histogram(l.end_civil for l in logs)
     return SleepClockReport(
         start_hist=start_hist,
         end_hist=end_hist,
@@ -592,15 +587,9 @@ class FrequencyRow:
 
 def frequency_table(users: Sequence[UserRecord]) -> list[FrequencyRow]:
     """Users per power-of-two bucket of log count, with integer percentages."""
-    if not users:
-        return []
-    counts: dict[str, int] = {}
-    for user in users:
-        label = log2_bin(user.n_logs)
-        counts[label] = counts.get(label, 0) + 1
-    total = len(users)
+    counts = Counter(log2_bin(user.n_logs) for user in users)
     return [
-        FrequencyRow(label, counts[label], round(100 * counts[label] / total))
+        FrequencyRow(label, counts[label], round(100 * counts[label] / len(users)))
         for label in LOG2_BIN_LABELS
         if label in counts
     ]

@@ -60,7 +60,7 @@ from .analytics import (
     sleep_clock,
     wake_heatmap,
 )
-from .geo import CountryResolution, GeocodeClient, GeocodeError, resolve_users
+from .geo import CountryResolution, GeocodeClient, resolve_users
 from .grammar import Rejection, SleepLog, parse_tweet
 from .pipeline import FilterConfig, filter_logs
 from .records import (
@@ -122,7 +122,7 @@ def _build_each(path: str, numbered, build) -> Iterator:
     for lineno, record in numbered:
         try:
             built = build(record)
-        except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSON nested too deep
+        except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise _bad_input(f"{path}:{lineno}", exc) from None
         yield built
 
@@ -137,14 +137,17 @@ def _utf8_lines(path: str, handle) -> Iterator[str]:
             raise _bad_input(f"{path}:{lineno}", exc) from None
 
 
-def _read_csv(path: str, build=dict) -> list:
-    """`build(row)` for each row after the header and the optional settings comment."""
+def _read_csv(path: str, header: list[str], build=dict) -> list:
+    """`build(row)` for each row after the optional settings comment and a header that
+    holds every column of `header`, the header its stage writes."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         lines = _utf8_lines(path, handle)
         first = next(lines, "")
         skipped = first.startswith("#")
         reader = csv.DictReader(lines if skipped else itertools.chain([first], lines))
         try:
+            if missing := [c for c in header if c not in (reader.fieldnames or ())]:
+                raise _bad_input(f"{path}:{skipped + 1}", KeyError(missing[0]))
             return list(_build_each(path, ((reader.line_num + skipped, row) for row in reader), build))
         except csv.Error as exc:  # a row the reader cannot split, such as an overlong field
             # `reader.line_num` counts rows read whole; its own reader's counts the failing line too.
@@ -215,7 +218,7 @@ def _read_countries(path: str) -> dict[str, CountryResolution]:
     def build(row: dict) -> CountryResolution:
         blanks = {"country": row["country"] or None, "query_text": row["query_text"] or None}
         return CountryResolution.from_record({**row, **blanks})
-    return {r.user_id: r for r in _read_csv(path, build)}
+    return {r.user_id: r for r in _read_csv(path, _COUNTRY_HEADER, build)}
 
 
 def _timeline_entry(doc: dict) -> tuple[str, datetime]:
@@ -392,8 +395,8 @@ def do_geo(
 
     stamp = config_stamp(settings)
     rows = [[r.user_id, r.country, r.method.value, r.query_text] for r in resolutions.values()]
-    header = ["user_id", "country", "method", "query_text"]
-    _publish(out_dir, "geo", [tweets_path], stamp, {"countries.csv": _csv(stamp, header, rows)})
+    countries = _csv(stamp, _COUNTRY_HEADER, rows)
+    _publish(out_dir, "geo", [tweets_path], stamp, {"countries.csv": countries})
 
     resolved = sum(1 for r in resolutions.values() if r.country is not None)
     mode = "offline" if settings["geo_offline"] else "online"
@@ -405,6 +408,8 @@ _USER_HEADER = [
     "country", "country_method", "tweets_per_day", "friends_count",
     "presleep_tweet_prob",
 ]
+_COUNTRY_HEADER = ["user_id", "country", "method", "query_text"]
+_FREQUENCY_HEADER = ["bin_label", "n_users", "percent"]
 
 
 def _cohort_or_note(fn, *args, **kwargs) -> dict:
@@ -437,7 +442,7 @@ def _analysis_bundle(
     bundle = {
         "users.csv": _csv(stamp, _USER_HEADER, users_rows),
         "frequency.csv": _csv(
-            stamp, ["bin_label", "n_users", "percent"],
+            stamp, _FREQUENCY_HEADER,
             [[row.bin_label, row.n_users, row.percent] for row in frequency_table(users)],
         ),
         "summary.json": _json({
@@ -526,9 +531,9 @@ _CHARTS = (
         {"fall asleep": doc["clock"]["start_hist"], "wake up": doc["clock"]["end_hist"]},
         "Sleep clock: share of logs per hour",
     )),
-    ("frequency.svg", "frequency.csv", lambda rows: render_histogram(
-        [float(r["n_users"]) for r in rows],
-        [r["bin_label"] for r in rows],
+    ("frequency.svg", "frequency.csv", lambda bars: render_histogram(
+        [n_users for _, n_users in bars],
+        [label for label, _ in bars],
         "Users per log-count bucket",
     )),
     ("start_bins.svg", "start_bins.json", lambda doc: render_heatmap(
@@ -546,16 +551,26 @@ _CHARTS = (
 )
 
 
+def _frequency_bar(row: dict) -> tuple[str, float]:
+    """A frequency.csv row's bin label and `n_users`, which must be a non-negative integer."""
+    if not (row["n_users"].isascii() and row["n_users"].isdigit()):
+        raise ValueError(f"n_users must be a non-negative integer, got {row['n_users']!r}")
+    return row["bin_label"], float(int(row["n_users"]))
+
+
 def do_report(out_dir: str, settings: dict) -> str:
     """Charts drawn from `<out_dir>/analysis/`; `<out_dir>/report/` is replaced whole."""
     analysis_dir = os.path.join(out_dir, "analysis")
     report_dir = os.path.join(out_dir, "report")
     stamp = config_stamp(settings)
     inputs = [os.path.join(analysis_dir, source) for _, source, _ in _CHARTS]
+    # Outside the handler below, which would name the file twice: _read_csv names its own lines.
+    bars = _read_csv(
+        os.path.join(analysis_dir, "frequency.csv"), _FREQUENCY_HEADER, _frequency_bar)
     charts = {}
     for (chart, _, draw), path in zip(_CHARTS, inputs):
         try:
-            svg = draw(_read_csv(path) if path.endswith(".csv") else _read_json_object(path))
+            svg = draw(bars if path.endswith(".csv") else _read_json_object(path))
         except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             # AttributeError: a label that is not a string; OverflowError: a value too large to draw
             raise _bad_input(path, exc) from None
@@ -738,7 +753,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (GeocodeError, OSError, ValueError, AssertionError, RuntimeError) as exc:
+    except (OSError, ValueError, AssertionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if message:

@@ -74,10 +74,6 @@ def language_country_table() -> dict[str, str]:
     return _load_table("lang_country.csv")
 
 
-class GeocodeError(Exception):
-    pass
-
-
 _FAILED = object()  # transient failure after retries; not a cacheable answer
 
 
@@ -105,11 +101,11 @@ def _load_cache(path: str) -> dict[str, str | None]:
         try:
             cache = json.load(handle)
         except (RecursionError, ValueError) as exc:  # malformed, too deep or undecodable
-            raise GeocodeError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cache, dict) or not all(
         v is None or isinstance(v, str) for v in cache.values()
     ):
-        raise GeocodeError(f"{path}: geo cache must be a JSON object of country codes or null")
+        raise ValueError(f"{path}: geo cache must be a JSON object of country codes or null")
     return cache
 
 

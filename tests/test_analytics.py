@@ -203,7 +203,7 @@ class TestCountryCompare:
 
     def test_population_property(self):
         report = country_compare(self.users(), "JP", "US")
-        assert report.population == 24
+        assert sum(report.group_sizes.values()) == 24
 
 
 class TestDurationByStartBin:
@@ -496,14 +496,14 @@ class TestActivityCohorts:
         for u in users[:8]:
             u.country = "JP"
         report = activity_cohorts(users, logs, country="JP")
-        assert report.population == 8
+        assert sum(report.group_sizes.values()) == 8
         assert report.grouping.endswith(":JP")
 
     def test_users_without_rate_excluded(self):
         users, logs = self.planted()
         users.append(mk_user("norate", tweets_per_day=None))
         report = activity_cohorts(users, logs)
-        assert report.population == 16
+        assert sum(report.group_sizes.values()) == 16
 
     def test_too_few_users_raises(self):
         users = [mk_user(f"u{i}", tweets_per_day=float(i)) for i in range(3)]
@@ -541,7 +541,7 @@ class TestFriendsSplit:
     def test_missing_counts_excluded(self):
         users = [mk_user(f"u{i}", friends_count=i + 1) for i in range(4)]
         users.append(mk_user("nofriends", friends_count=None))
-        assert friends_split(users).population == 4
+        assert sum(friends_split(users).group_sizes.values()) == 4
 
     def test_too_few_raises(self):
         with pytest.raises(CohortError):

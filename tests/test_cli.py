@@ -398,7 +398,7 @@ def _summary_without_clock(analysis: Path) -> tuple[Path, str]:
     return path, "missing field 'clock'"
 
 
-def _frequency_without_n_users(analysis: Path) -> tuple[Path, str]:
+def _frequency_without_n_users(analysis: Path) -> tuple[str, str]:
     path = analysis / "frequency.csv"
     stamp, rows = read_stamped_csv(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -406,7 +406,28 @@ def _frequency_without_n_users(analysis: Path) -> tuple[Path, str]:
         writer = csv.DictWriter(handle, ["bin_label", "percent"], extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    return path, "missing field 'n_users'"
+    return f"{path}:2", "missing field 'n_users'"  # located at the header, after the comment
+
+
+def _frequency_with_n_users(value: str, detail: str):
+    """A frequency.csv whose first row (line 3) has `n_users` `value`."""
+    def make(analysis: Path) -> tuple[str, str]:
+        path = analysis / "frequency.csv"
+        stamp, rows = read_stamped_csv(path)
+        rows[0]["n_users"] = value
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(stamp + "\n")
+            writer = csv.DictWriter(handle, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        return f"{path}:3", detail
+    return make
+
+
+def _frequency_empty(analysis: Path) -> tuple[str, str]:
+    path = analysis / "frequency.csv"
+    path.write_bytes(b"")
+    return f"{path}:1", "missing field 'bin_label'"
 
 
 def _start_bins_not_json(analysis: Path) -> tuple[Path, str]:
@@ -452,7 +473,14 @@ def _summary_with_a_huge_clock_value(analysis: Path) -> tuple[Path, str]:
 @pytest.mark.parametrize("break_analysis", [
     _summary_without_clock, _frequency_without_n_users, _start_bins_not_json, _wake_heatmap_a_list,
     _wake_heatmap_not_an_object, _start_bins_nested_too_deep, _start_bins_with_an_integer_row_label,
-    _summary_with_a_huge_clock_value,
+    _summary_with_a_huge_clock_value, _frequency_empty,
+    *(pytest.param(_frequency_with_n_users(value, detail), id=f"n_users-{case}")
+      for case, value, detail in [
+          ("inf", "inf", "n_users must be a non-negative integer, got 'inf'"),
+          ("negative", "-5", "n_users must be a non-negative integer, got '-5'"),
+          ("exponent", "1e3", "n_users must be a non-negative integer, got '1e3'"),
+          ("400-digits", "9" * 400, "int too large to convert to float"),
+      ]),
 ])
 def test_report_on_a_malformed_analysis_file_is_a_located_error(
     tmp_path, run_dir, capsys, break_analysis
@@ -791,7 +819,29 @@ def _countries_without_method(tmp_path, run_dir, corpus_dir):
             writer.writerow(row if row[0].startswith("#") else row[:2] + row[3:])
     argv = ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
             "--tweets", str(run_dir / "tweets.jsonl"), "--countries", str(bad)]
-    return argv, f"{bad}:3: missing field 'method'"
+    return argv, f"{bad}:2: missing field 'method'"
+
+
+def _countries_cut(cut, located: str):
+    """An `analyze` run on `countries.csv` cut by `cut`; `located` follows its path."""
+    def make(tmp_path, run_dir, corpus_dir):
+        bad = tmp_path / "countries.csv"
+        bad.write_bytes(cut((run_dir / "countries.csv").read_bytes()))
+        argv = ["analyze", "--logs", str(run_dir / "filtered.jsonl"),
+                "--tweets", str(run_dir / "tweets.jsonl"), "--countries", str(bad)]
+        return argv, f"{bad}:{located}"
+    return make
+
+
+_CUT_COUNTRIES = [
+    pytest.param(_countries_cut(lambda text: b"", "1: missing field 'user_id'"),
+                 id="zero-byte-countries"),
+    pytest.param(_countries_cut(lambda text: text[:text.index(b"country")],
+                                "2: missing field 'country'"), id="countries-cut-before-country"),
+    pytest.param(_countries_cut(lambda text: text[:text.index(b",query_text")],
+                                "2: missing field 'query_text'"),
+                 id="countries-cut-before-query-text"),
+]
 
 
 def _ledger_stage_without_input(tmp_path, run_dir, corpus_dir):
@@ -989,7 +1039,7 @@ def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
      _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
      _tweet_with_a_huge_statuses_count, _tweet_with_a_byte_that_is_not_utf8,
      _countries_with_a_byte_that_is_not_utf8, _countries_with_an_overlong_field,
-     _ledger_ending_in_a_byte_that_is_not_utf8],
+     _ledger_ending_in_a_byte_that_is_not_utf8, *_CUT_COUNTRIES],
 )
 def test_malformed_stage_input_is_a_located_error(
     tmp_path, run_dir, corpus_dir, capsys, make_bad_input
@@ -1091,11 +1141,32 @@ def _fields(types: dict) -> dict:
     return {(field,): json_types for field, json_types in types.items()}
 
 
-# Each stage input the fuzz test breaks: the stages that read it, the JSON types of the values
-# they read (by path; "*" is every index of a list), and the paths that must be present.
+_LEDGER_COUNT = {"integer"}
+_TIMELINE_FIELD_TYPES = {"user_id": {"string"}, "created_at": {"string"}}
+
+
+# Each stage input the fuzz test breaks: the stages that read it (one ending in an option
+# takes the broken file there), the JSON types of the values they read (by path; "*" is every
+# index of a list or key of an object), and the paths that must be present.  A CSV file's
+# types are by column, and every column its stage writes must be present.
 _BROKEN_INPUTS = {
     "tweets.jsonl": (("parse", "geo", "analyze"), _fields(_TWEET_FIELD_TYPES),
                      [(f,) for f, types in _TWEET_FIELD_TYPES.items() if "null" not in types]),
+    "timelines.jsonl": (("analyze --timelines",), _fields(_TIMELINE_FIELD_TYPES),
+                        list(_fields(_TIMELINE_FIELD_TYPES))),
+    "ledger.json": (
+        ("parse", "filter", "funnel"),
+        {("stages",): {"array"}, ("stages", "*", "name"): {"string"},
+         ("stages", "*", "input"): _LEDGER_COUNT, ("stages", "*", "kept"): _LEDGER_COUNT,
+         ("stages", "*", "distinct_users_kept"): _LEDGER_COUNT,
+         ("stages", "*", "rejected_by_reason"): {"object"},
+         ("stages", "*", "rejected_by_reason", "*"): _LEDGER_COUNT},
+        [("stages",)] + [("stages", "*", f) for f in
+                         ("name", "input", "kept", "distinct_users_kept", "rejected_by_reason")]),
+    "countries.csv": (("analyze",), {"method": {"string"}},
+                      ["user_id", "country", "method", "query_text"]),
+    "analysis/frequency.csv": (("report",), {"n_users": {"integer"}},
+                               ["bin_label", "n_users", "percent"]),
     "logs.jsonl": (("filter",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
     "filtered.jsonl": (("analyze",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
     "analysis/summary.json": (
@@ -1118,12 +1189,18 @@ def _at(doc, path: tuple):
     return doc
 
 
+def _every(value) -> list:
+    """The keys of an object, or the indexes of a list."""
+    return list(value) if isinstance(value, dict) else list(range(len(value)))
+
+
 def _paths(doc, pattern: tuple) -> list[tuple]:
-    """The paths into `doc` that `pattern` names; "*" stands for every index of a list."""
+    """The paths into `doc` that `pattern` names; "*" stands for every index of a list
+    and every key of an object."""
     paths = [()]
     for key in pattern:
         paths = [path + (k,) for path in paths
-                 for k in (range(len(_at(doc, path))) if key == "*" else [key])]
+                 for k in (_every(_at(doc, path)) if key == "*" else [key])]
     return paths
 
 
@@ -1157,7 +1234,8 @@ def _mutated(text: bytes, data, types: dict, required: list) -> bytes:
     if kind == "array":
         return json.dumps(list(doc.values())).encode()
     if kind == "drop":
-        path = data.draw(st.sampled_from(required), label="path")
+        present = [path for pattern in required for path in _paths(doc, pattern)]
+        path = data.draw(st.sampled_from(present), label="path")
         del _at(doc, path[:-1])[path[-1]]
         return json.dumps(doc).encode()
     path = data.draw(st.sampled_from(choices[kind]), label="path")
@@ -1172,12 +1250,60 @@ def _mutated(text: bytes, data, types: dict, required: list) -> bytes:
     return _with_value(doc, path, sign + "9" * 400)
 
 
+def _csv_text(comment: str, rows: list[list[str]]) -> bytes:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return (comment + "\n" + out.getvalue()).encode()
+
+
+def _mutated_csv(text: bytes, data, types: dict, columns: list) -> tuple[bytes, int]:
+    """`text`, a settings comment and a CSV table, broken in one way that no reader may
+    accept, and the line its reader must name: a value by its row, a header by line 2."""
+    comment, table = text.decode().split("\n", 1)
+    header, *rows = csv.reader(io.StringIO(table))
+    kinds = ["byte", "truncate", "drop", "retype", "nest"]
+    kinds += ["huge"] if any("integer" in t for t in types.values()) else ["digits"]
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "byte":
+        lines = text.split(b"\n")
+        lineno = data.draw(st.integers(1, len(lines) - 1), label="lineno")  # the last is empty
+        line = lines[lineno - 1]
+        at = data.draw(st.integers(0, len(line)), label="at")
+        lines[lineno - 1] = line[:at] + b"\xff" + line[at:]
+        return b"\n".join(lines), lineno
+    if kind == "truncate":  # inside the header, so the table ends there
+        line = ",".join(header)
+        keep = data.draw(st.integers(0, len(line) - 1), label="keep")
+        return (comment + "\n" + line[:keep]).encode(), 2
+    if kind == "drop":
+        i = header.index(data.draw(st.sampled_from(columns), label="column"))
+        return _csv_text(comment, [r[:i] + r[i + 1:] for r in [header, *rows]]), 2
+    column = data.draw(st.sampled_from(sorted(types)), label="column")
+    if kind == "retype":
+        value = data.draw(st.sampled_from(
+            [_JSON_OF_TYPE[t] for t in _JSON_OF_TYPE if t not in types[column]]), label="value")
+    elif kind == "nest":
+        value = "[" * 10_000 + "]" * 10_000
+    elif kind == "digits":
+        value = "9" * 5_000
+    else:
+        value = data.draw(st.sampled_from(["", "-"]), label="sign") + "9" * 400
+    row = data.draw(st.integers(0, len(rows) - 1), label="row")
+    rows[row][header.index(column)] = value
+    return _csv_text(comment, [header, *rows]), row + 3
+
+
 @settings(deadline=None, max_examples=100)
 @given(name=st.sampled_from(sorted(_BROKEN_INPUTS)), data=st.data())
-def test_a_broken_stage_input_is_one_located_error_from_every_reader(run_dir, name, data):
+def test_a_broken_stage_input_is_one_located_error_from_every_reader(
+    run_dir, corpus_dir, name, data
+):
     stages, types, required = _BROKEN_INPUTS[name]
-    text = (run_dir / name).read_bytes()
-    if name.endswith(".jsonl"):  # break one line
+    text = (run_dir / name if (run_dir / name).exists() else corpus_dir / name).read_bytes()
+    if name.endswith(".csv"):
+        text, lineno = _mutated_csv(text, data, types, required)
+        where = f":{lineno}"
+    elif name.endswith(".jsonl"):  # break one line
         lines = text.split(b"\n")
         lineno = data.draw(st.integers(1, len(lines) - 1), label="lineno")  # the last is empty
         lines[lineno - 1] = _mutated(lines[lineno - 1], data, types, required)
@@ -1191,10 +1317,12 @@ def test_a_broken_stage_input_is_one_located_error_from_every_reader(run_dir, na
         before = tree_hashes(out)
         errors = []
         for stage in stages:
+            argv = stage.split()
+            argv += [str(out / name)] if argv[-1].startswith("--") else []
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = cli.main([stage, "--out", str(out), "--geo-offline",
-                                 "--geo-cache", os.path.join(tmp, "gc.json")])
+                code = cli.main(argv + ["--out", str(out), "--geo-offline",
+                                        "--geo-cache", os.path.join(tmp, "gc.json")])
             assert code == 1, stage
             errors.append(err.getvalue())
         assert errors == [errors[0]] * len(stages)

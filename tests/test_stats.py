@@ -311,6 +311,38 @@ class TestStudentT:
         for x in (0.1, 0.5, 0.9):
             assert regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(x, abs=1e-14)
 
+    # Exact bits, so any reordering of the continued fraction's float operations
+    # shows.  The comment gives the side of the x < (a+1)/(a+b+2) switch and the
+    # number of Lentz steps the fraction takes there.
+    @pytest.mark.parametrize("a, b, x, expected", [
+        (2.0, 5.0, 0.1, "0.11426500000000024"),  # direct, 5
+        (2.0, 5.0, 0.6, "0.9590399999999999"),  # swapped, 2
+        (0.5, 0.5, 0.3, "0.36901011956554497"),  # direct, 7
+        (0.5, 0.5, 0.7, "0.6309898804344553"),  # swapped, 7
+        (10.0, 1.5, 0.12, "2.1624215525123284e-09"),  # direct, 4
+        (1.5, 10.0, 0.95, "0.999999999999647"),  # swapped, 3
+        (480.0, 470.0, 0.49, "0.1733693009310249"),  # direct, 34
+        (480.0, 470.0, 0.52, "0.8181689134027593"),  # swapped, 34
+        (500.0, 500.0, 0.5, "0.5000000000001927"),  # on the switch, so swapped, 43
+        (3.5, 400.0, 0.01, "0.6731332850452469"),  # direct, 10
+        (400.0, 3.5, 0.99, "0.32686671495468544"),  # swapped, 10
+        (250.0, 0.5, 0.995, "0.1135743483406203"),  # swapped, 8
+        (123.5, 321.0, 0.27, "0.3611866828138526"),  # direct, 26
+    ])
+    def test_beta_bits_are_pinned(self, a, b, x, expected):
+        assert repr(regularized_incomplete_beta(a, b, x)) == expected
+
+    @pytest.mark.parametrize("t, df, expected", [
+        (0.3, 5, "0.3881245211316374"),
+        (2.1, 30, "0.02212123563116163"),
+        (1.0, 998, "0.1587764513766084"),
+        (4.5, 200, "5.759390631437699e-06"),
+        (0.05, 1000, "0.4800661865359735"),
+        (12.0, 3, "0.0006225079003946676"),
+    ])
+    def test_t_sf_bits_are_pinned(self, t, df, expected):
+        assert repr(t_sf(t, df)) == expected
+
 
 class TestPearson:
     def test_perfect_positive(self):
@@ -342,6 +374,14 @@ class TestPearson:
         t = abs(result.r) * math.sqrt((n - 2) / (1.0 - result.r**2))
         assert result.p_two_sided == pytest.approx(
             2.0 * t_sf_by_quadrature(t, n - 2), abs=1e-6
+        )
+
+    def test_p_bits_are_pinned(self):
+        x = [float(i) for i in range(60)]
+        y = [float((i * 37) % 23) + 0.25 * i for i in range(60)]
+        result = pearson(x, y)
+        assert (repr(result.r), repr(result.p_two_sided)) == (
+            "0.5730986280281283", "1.7053044119610908e-06"
         )
 
     def test_constant_sample_raises(self):
