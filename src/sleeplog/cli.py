@@ -117,16 +117,6 @@ def _bad_input(where: str, exc: Exception) -> ValueError:
     return ValueError(f"{where}: {detail}")
 
 
-def _build_each(path: str, numbered, build) -> Iterator:
-    """`build(record)` for each `(line number, record)`; a bad record names its line."""
-    for lineno, record in numbered:
-        try:
-            built = build(record)
-        except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
-            raise _bad_input(f"{path}:{lineno}", exc) from None
-        yield built
-
-
 def _utf8_lines(path: str, handle) -> Iterator[str]:
     """The lines of `handle`, opened with `errors="surrogateescape"`; a byte that is
     not UTF-8 is a ValueError that names its line."""
@@ -137,18 +127,28 @@ def _utf8_lines(path: str, handle) -> Iterator[str]:
             raise _bad_input(f"{path}:{lineno}", exc) from None
 
 
-def _read_csv(path: str, header: list[str], build=dict) -> list:
+def _read_csv(path: str, columns: list[str], build) -> list:
     """`build(row)` for each row after the optional settings comment and a header that
-    holds every column of `header`, the header its stage writes."""
+    holds every one of `columns`; a row with more or fewer fields than the header, or
+    one `build` refuses, names its line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         lines = _utf8_lines(path, handle)
         first = next(lines, "")
         skipped = first.startswith("#")
         reader = csv.DictReader(lines if skipped else itertools.chain([first], lines))
+        built = []
         try:
-            if missing := [c for c in header if c not in (reader.fieldnames or ())]:
+            if missing := [c for c in columns if c not in (reader.fieldnames or ())]:
                 raise _bad_input(f"{path}:{skipped + 1}", KeyError(missing[0]))
-            return list(_build_each(path, ((reader.line_num + skipped, row) for row in reader), build))
+            for row in reader:
+                try:  # DictReader files a missing field as None, and extra ones under None
+                    if None in row or None in row.values():
+                        raise ValueError(
+                            f"row does not have its header's {len(reader.fieldnames)} fields")
+                    built.append(build(row))
+                except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+                    raise _bad_input(f"{path}:{reader.line_num + skipped}", exc) from None
+            return built
         except csv.Error as exc:  # a row the reader cannot split, such as an overlong field
             # `reader.line_num` counts rows read whole; its own reader's counts the failing line too.
             raise _bad_input(f"{path}:{reader.reader.line_num + skipped}", exc) from None
@@ -409,7 +409,6 @@ _USER_HEADER = [
     "presleep_tweet_prob",
 ]
 _COUNTRY_HEADER = ["user_id", "country", "method", "query_text"]
-_FREQUENCY_HEADER = ["bin_label", "n_users", "percent"]
 
 
 def _cohort_or_note(fn, *args, **kwargs) -> dict:
@@ -442,7 +441,7 @@ def _analysis_bundle(
     bundle = {
         "users.csv": _csv(stamp, _USER_HEADER, users_rows),
         "frequency.csv": _csv(
-            stamp, _FREQUENCY_HEADER,
+            stamp, ["bin_label", "n_users", "percent"],
             [[row.bin_label, row.n_users, row.percent] for row in frequency_table(users)],
         ),
         "summary.json": _json({
@@ -566,7 +565,7 @@ def do_report(out_dir: str, settings: dict) -> str:
     inputs = [os.path.join(analysis_dir, source) for _, source, _ in _CHARTS]
     # Outside the handler below, which would name the file twice: _read_csv names its own lines.
     bars = _read_csv(
-        os.path.join(analysis_dir, "frequency.csv"), _FREQUENCY_HEADER, _frequency_bar)
+        os.path.join(analysis_dir, "frequency.csv"), ["bin_label", "n_users"], _frequency_bar)
     charts = {}
     for (chart, _, draw), path in zip(_CHARTS, inputs):
         try:

@@ -424,6 +424,17 @@ def _frequency_with_n_users(value: str, detail: str):
     return make
 
 
+def _frequency_with_its_last_row_cut(fields: int):
+    """A frequency.csv that ends after the first `fields` fields of its last row."""
+    def make(analysis: Path) -> tuple[str, str]:
+        path = analysis / "frequency.csv"
+        lines = path.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:fields])
+        path.write_text("\n".join(lines))
+        return f"{path}:{len(lines)}", "row does not have its header's 3 fields"
+    return make
+
+
 def _frequency_empty(analysis: Path) -> tuple[str, str]:
     path = analysis / "frequency.csv"
     path.write_bytes(b"")
@@ -481,6 +492,8 @@ def _summary_with_a_huge_clock_value(analysis: Path) -> tuple[Path, str]:
           ("exponent", "1e3", "n_users must be a non-negative integer, got '1e3'"),
           ("400-digits", "9" * 400, "int too large to convert to float"),
       ]),
+    pytest.param(_frequency_with_its_last_row_cut(1), id="n_users-row-cut-to-one-field"),
+    pytest.param(_frequency_with_its_last_row_cut(2), id="percent-row-cut-to-two-fields"),
 ])
 def test_report_on_a_malformed_analysis_file_is_a_located_error(
     tmp_path, run_dir, capsys, break_analysis
@@ -833,6 +846,15 @@ def _countries_cut(cut, located: str):
     return make
 
 
+def _on_the_first_row(edit):
+    """`edit` applied to the first row of a countries.csv, its line 3."""
+    def cut(text: bytes) -> bytes:
+        lines = text.split(b"\n")
+        lines[2] = edit(lines[2])
+        return b"\n".join(lines)
+    return cut
+
+
 _CUT_COUNTRIES = [
     pytest.param(_countries_cut(lambda text: b"", "1: missing field 'user_id'"),
                  id="zero-byte-countries"),
@@ -841,6 +863,12 @@ _CUT_COUNTRIES = [
     pytest.param(_countries_cut(lambda text: text[:text.index(b",query_text")],
                                 "2: missing field 'query_text'"),
                  id="countries-cut-before-query-text"),
+    pytest.param(_countries_cut(_on_the_first_row(lambda row: row.rsplit(b",", 1)[0]),
+                                "3: row does not have its header's 4 fields"),
+                 id="countries-row-cut-short"),
+    pytest.param(_countries_cut(_on_the_first_row(lambda row: row + b",extra"),
+                                "3: row does not have its header's 4 fields"),
+                 id="countries-row-with-an-extra-field"),
 ]
 
 
@@ -1148,7 +1176,7 @@ _TIMELINE_FIELD_TYPES = {"user_id": {"string"}, "created_at": {"string"}}
 # Each stage input the fuzz test breaks: the stages that read it (one ending in an option
 # takes the broken file there), the JSON types of the values they read (by path; "*" is every
 # index of a list or key of an object), and the paths that must be present.  A CSV file's
-# types are by column, and every column its stage writes must be present.
+# types are by column, and the columns its readers use must be present.
 _BROKEN_INPUTS = {
     "tweets.jsonl": (("parse", "geo", "analyze"), _fields(_TWEET_FIELD_TYPES),
                      [(f,) for f, types in _TWEET_FIELD_TYPES.items() if "null" not in types]),
@@ -1165,8 +1193,7 @@ _BROKEN_INPUTS = {
                          ("name", "input", "kept", "distinct_users_kept", "rejected_by_reason")]),
     "countries.csv": (("analyze",), {"method": {"string"}},
                       ["user_id", "country", "method", "query_text"]),
-    "analysis/frequency.csv": (("report",), {"n_users": {"integer"}},
-                               ["bin_label", "n_users", "percent"]),
+    "analysis/frequency.csv": (("report",), {"n_users": {"integer"}}, ["bin_label", "n_users"]),
     "logs.jsonl": (("filter",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
     "filtered.jsonl": (("analyze",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
     "analysis/summary.json": (
@@ -1261,7 +1288,7 @@ def _mutated_csv(text: bytes, data, types: dict, columns: list) -> tuple[bytes, 
     accept, and the line its reader must name: a value by its row, a header by line 2."""
     comment, table = text.decode().split("\n", 1)
     header, *rows = csv.reader(io.StringIO(table))
-    kinds = ["byte", "truncate", "drop", "retype", "nest"]
+    kinds = ["byte", "truncate", "drop", "width", "retype", "nest"]
     kinds += ["huge"] if any("integer" in t for t in types.values()) else ["digits"]
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "byte":
@@ -1271,13 +1298,20 @@ def _mutated_csv(text: bytes, data, types: dict, columns: list) -> tuple[bytes, 
         at = data.draw(st.integers(0, len(line)), label="at")
         lines[lineno - 1] = line[:at] + b"\xff" + line[at:]
         return b"\n".join(lines), lineno
-    if kind == "truncate":  # inside the header, so the table ends there
+    if kind == "truncate":  # inside the header, before the end of a column its readers use
         line = ",".join(header)
-        keep = data.draw(st.integers(0, len(line) - 1), label="keep")
+        last = max(len(",".join(header[:header.index(c) + 1])) for c in columns)
+        keep = data.draw(st.integers(0, last - 1), label="keep")
         return (comment + "\n" + line[:keep]).encode(), 2
     if kind == "drop":
         i = header.index(data.draw(st.sampled_from(columns), label="column"))
         return _csv_text(comment, [r[:i] + r[i + 1:] for r in [header, *rows]]), 2
+    row = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if kind == "width":  # a row with fewer fields than the header, or more
+        width = data.draw(st.sampled_from(
+            [n for n in range(1, len(header) + 2) if n != len(header)]), label="width")
+        rows[row] = (rows[row] + ["x"])[:width]
+        return _csv_text(comment, [header, *rows]), row + 3
     column = data.draw(st.sampled_from(sorted(types)), label="column")
     if kind == "retype":
         value = data.draw(st.sampled_from(
@@ -1288,7 +1322,6 @@ def _mutated_csv(text: bytes, data, types: dict, columns: list) -> tuple[bytes, 
         value = "9" * 5_000
     else:
         value = data.draw(st.sampled_from(["", "-"]), label="sign") + "9" * 400
-    row = data.draw(st.integers(0, len(rows) - 1), label="row")
     rows[row][header.index(column)] = value
     return _csv_text(comment, [header, *rows]), row + 3
 
