@@ -25,6 +25,22 @@ def small_config(**overrides) -> SynthConfig:
     return SynthConfig(**base)
 
 
+# Every injection kind on, often enough to show up in a small corpus.
+ALL_KINDS = {k: 0.04 for k in ("spam", "non_english", "too_short", "too_long", "duplicate")}
+
+
+def _pinned_digests(config: SynthConfig, tmp_path) -> dict[str, str]:
+    """sha256 of the written corpus, timelines and truth; truth after its meta line."""
+    paths = write_corpus(generate(config), str(tmp_path))
+    digests = {}
+    for key in ("corpus", "timelines", "truth"):
+        data = Path(paths[key]).read_bytes()
+        if key == "truth":
+            data = data.split(b"\n", 1)[1]
+        digests[key] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
 def run_pipeline(result):
     """Library-level ingest -> dedupe -> parse -> filter over a SynthResult."""
     lines = [tweet.to_json() for tweet in result.tweets]
@@ -73,26 +89,33 @@ class TestDeterminism:
         # The benchmark's corpora come from this generator, so a change that
         # moves its bytes must show here.  truth.jsonl is pinned after its
         # meta line, which carries the config hash.  Every injection kind is on.
-        rates = {k: 0.04 for k in ("spam", "non_english", "too_short", "too_long", "duplicate")}
-        paths = write_corpus(generate(small_config(injection_rates=rates)), str(tmp_path))
-        digests = {}
-        for key in ("corpus", "timelines", "truth"):
-            data = Path(paths[key]).read_bytes()
-            if key == "truth":
-                data = data.split(b"\n", 1)[1]
-            digests[key] = hashlib.sha256(data).hexdigest()
-        assert digests == {
+        assert _pinned_digests(small_config(injection_rates=ALL_KINDS), tmp_path) == {
             "corpus": "3100852c614ff68dc090ebe324da5a686237e3d3fd43de9fec00399ba7fb1a2e",
             "timelines": "48ee5b383002822508afeeced2298881e81b956ee3b0ac2cd8b72b428e470b7a",
             "truth": "e50ce9ccf3e03dbea4532203075cf0cd35458ee09c1177b8a43cc7ea4ce5e153",
         }
 
+    def test_heavy_corpus_bytes_are_pinned(self, tmp_path):
+        # Shaped like the heavy10x benchmark: few users, hundreds of nights
+        # each over 600 days (the calendar crosses two year ends), and a busy
+        # timeline.
+        config = SynthConfig(
+            n_users=6,
+            logs_per_user_range=(10, 400),
+            days=600,
+            timeline_background_mean=20.0,
+            injection_rates=ALL_KINDS,
+        )
+        assert _pinned_digests(config, tmp_path) == {
+            "corpus": "6be95ae730a86c38144335e6164428ea131eb60340d13568c1b58d18a889f8f1",
+            "timelines": "75c3eded4b40ab711de3d19e91f9e5367ee5279800e5e204b4d2317e714b23df",
+            "truth": "4fc9d8a0cb81713ee356b5d1c06f6d314a6c8db4361403ef0f57dc1ef6296593",
+        }
+
 
 @pytest.fixture(scope="module")
 def result():
-    # Injection rates high enough that every kind shows up in a small corpus.
-    rates = {k: 0.04 for k in ("spam", "non_english", "too_short", "too_long", "duplicate")}
-    return generate(small_config(injection_rates=rates))
+    return generate(small_config(injection_rates=ALL_KINDS))
 
 
 class TestCorpusShape:
