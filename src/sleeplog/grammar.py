@@ -13,6 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 from enum import Enum
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from zoneinfo import ZoneInfo
 
@@ -46,7 +47,9 @@ class Separator(Enum):
     DOT = "DOT"
 
 
-_SEP_CHAR = {Separator.COLON: ":", Separator.DOT: "."}
+# How the text writes each `Separator` and each 12-hour notation's morning and afternoon.
+_SEP_CHAR = {"COLON": ":", "DOT": "."}
+_MERIDIEM_TEXT = {"H12_AMPM": (" AM", " PM"), "H12_DOTTED_AMPM": (" a.m.", " p.m.")}
 
 _PM_MERIDIEMS = {"PM", "pm", "p.m."}
 _DOTTED_MERIDIEMS = {"a.m.", "p.m."}
@@ -498,29 +501,37 @@ def _minute_of_day(hour: str, minute: str, meridiem: str | None) -> int | str:
 
 
 def format_sleeplog(log: SleepLog) -> str:
-    """Render the canonical tweet text for a log (inverse of parse_tweet).
+    """Render the canonical tweet text for a log (inverse of parse_tweet)."""
+    start, end = log.start_civil, log.end_civil
+    return sleeplog_text(
+        log.notation.value, log.separator.value, start.hour * 60 + start.minute,
+        end.hour * 60 + end.minute, log.duration_minutes, log.deep_sleep_pct,
+    )
 
-    The deep-sleep clause is elided when the log has no deep-sleep value.
+
+def sleeplog_text(
+    notation: str, separator: str, start: int, end: int, duration: int, deep: int | None
+) -> str:
+    """The canonical tweet text of a log given by `TimeNotation` and `Separator` values,
+    minutes of the day and duration minutes; the deep-sleep clause is elided when `deep` is None.
     """
-    sep = _SEP_CHAR[log.separator]
-    dur = f"{log.duration_minutes // 60}{sep}{log.duration_minutes % 60:02d}"
-    start = _format_time(log.start_civil, log.notation, sep)
-    end = _format_time(log.end_civil, log.notation, sep)
-    deep = ""
-    if log.deep_sleep_pct is not None:
-        deep = f" with {log.deep_sleep_pct}% deep sleep"
+    clock = _clock_texts(notation, separator)
+    # A duration under a day reads like a 24-hour clock time: "7:05" is 425 minutes.
+    dur = _clock_texts("H24", separator)[duration]
+    deep_clause = "" if deep is None else f" with {deep}% deep sleep"
     return (
-        f"{PREFIX}I was sleeping for {dur} from {start} to {end}{deep}"
+        f"{PREFIX}I was sleeping for {dur} from {clock[start]} to {clock[end]}{deep_clause}"
         " #sleep_as_android"
     )
 
 
-def _format_time(value: time, notation: TimeNotation, sep: str) -> str:
-    if notation is TimeNotation.H24:
-        return f"{value.hour}{sep}{value.minute:02d}"
-    hour12 = value.hour % 12 or 12
-    if notation is TimeNotation.H12_AMPM:
-        meridiem = "AM" if value.hour < 12 else "PM"
-    else:
-        meridiem = "a.m." if value.hour < 12 else "p.m."
-    return f"{hour12}{sep}{value.minute:02d} {meridiem}"
+@cache
+def _clock_texts(notation: str, separator: str) -> tuple[str, ...]:
+    """How one notation and separator write each minute of the day."""
+    sep = _SEP_CHAR[separator]
+    if notation == "H24":
+        return tuple(f"{m // 60}{sep}{m % 60:02d}" for m in range(1440))
+    am, pm = _MERIDIEM_TEXT[notation]
+    return tuple(
+        f"{m // 60 % 12 or 12}{sep}{m % 60:02d}{am if m < 720 else pm}" for m in range(1440)
+    )

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, time, timedelta, timezone
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from .analytics import START_WINDOW, START_WINDOW_HOURS
-from .grammar import SleepLog, Separator, TimeNotation, format_sleeplog
-from .records import RawTweet, RejectReason
+from .grammar import SleepLog, sleeplog_text
+from .records import RawTweet, RejectReason, _opt_int, _opt_str, _quoted, instant_text
 
 # Countries with their timezone pool (name, fixed UTC offset seconds) and
 # the interface language the profile claims.
@@ -78,6 +79,7 @@ DAY_MINUTES = 1440
 # The population every corpus is drawn from.
 # Day 0 of the corpus, in each user's local time.
 CORPUS_START = date(2015, 10, 1)
+_EPOCH = datetime.combine(CORPUS_START, time())
 # Country shares; "other" draws uniformly from OTHER_POOL.
 COUNTRY_MIX = {"JP": 0.44, "US": 0.14, "RU": 0.07, "GB": 0.04, "other": 0.31}
 # Within-window start sub-range per country (minutes; wraps past 1440).
@@ -239,16 +241,16 @@ def generate(config: SynthConfig) -> SynthResult:
 
         night = partial(_night, config, user)
         for _ in range(user.n_logs):
-            text, created_utc, log = _draw_log(config, user, rng, emitted_texts, night)
-            emit(next_tweet(text, created_utc), "valid", None, {
+            log = _draw_log(config, user, rng, emitted_texts, night)
+            emit(next_tweet(log.text, log.posted), "valid", None, {
                 "user_id": user.user_id,
                 "country": user.country,
-                "start_local": log.start_local.isoformat(),
-                "end_local": log.end_local.isoformat(),
-                "duration_minutes": log.duration_minutes,
-                "deep_sleep_pct": log.deep_sleep_pct,
-                "notation": log.notation.value,
-                "separator": log.separator.value,
+                "start_local": instant_text(log.start_local),
+                "end_local": instant_text(log.end_local),
+                "duration_minutes": log.duration,
+                "deep_sleep_pct": log.deep,
+                "notation": log.notation,
+                "separator": log.separator,
             })
 
             # Pre-sleep timeline tweet for this night.
@@ -258,26 +260,27 @@ def generate(config: SynthConfig) -> SynthResult:
 
             # Injections ride along with the valid stream at fixed rates.
             if rng.random() < rates.get("duplicate", 0.0):
-                dup_at = created_utc + timedelta(minutes=rng.randint(1, 2880))
-                emit(next_tweet(text, dup_at), "duplicate", RejectReason.DUPLICATE_CONTENT)
+                dup_at = log.posted + timedelta(minutes=rng.randint(1, 2880))
+                emit(next_tweet(log.text, dup_at), "duplicate", RejectReason.DUPLICATE_CONTENT)
             if rng.random() < rates.get("non_english", 0.0):
-                ascii_text, n_at, _ = _draw_log(config, user, rng, emitted_texts, night)
-                n_text = _fullwidth_digits(ascii_text)
+                plain = _draw_log(config, user, rng, emitted_texts, night)
+                n_text = _fullwidth_digits(plain.text)
                 emitted_texts.add(n_text)
-                emit(next_tweet(n_text, n_at), "non_english", RejectReason.NON_ENGLISH_NOTATION)
+                emit(next_tweet(n_text, plain.posted), "non_english",
+                     RejectReason.NON_ENGLISH_NOTATION)
             if rng.random() < rates.get("too_short", 0.0):
-                short, short_at, _ = _draw_log(config, user, rng, emitted_texts, _extreme(10, 119))
-                emit(next_tweet(short, short_at), "too_short", RejectReason.TOO_SHORT)
+                short = _draw_log(config, user, rng, emitted_texts, _extreme(10, 119))
+                emit(next_tweet(short.text, short.posted), "too_short", RejectReason.TOO_SHORT)
             if rng.random() < rates.get("too_long", 0.0):
-                long, long_at, _ = _draw_log(config, user, rng, emitted_texts, _extreme(721, 1380))
-                emit(next_tweet(long, long_at), "too_long", RejectReason.TOO_LONG)
+                long = _draw_log(config, user, rng, emitted_texts, _extreme(721, 1380))
+                emit(next_tweet(long.text, long.posted), "too_long", RejectReason.TOO_LONG)
             if rng.random() < rates.get("spam", 0.0):
                 spam_counter += 1
                 k = spam_counter % 5
                 spam = RawTweet(
                     tweet_id=f"sp{spam_counter:06d}",
                     text=_SPAM_TEMPLATES[spam_counter % len(_SPAM_TEMPLATES)].format(k=spam_counter),
-                    created_at=created_utc + timedelta(minutes=rng.randint(-600, 600)),
+                    created_at=log.posted + timedelta(minutes=rng.randint(-600, 600)),
                     user_id=f"s{k:03d}",
                     screen_name=f"deals{k:03d}",
                     interface_lang="en",
@@ -291,7 +294,8 @@ def generate(config: SynthConfig) -> SynthResult:
         # Background timeline chatter, unrelated to sleep.
         bg_rng = _substream(config.seed, "background", user.index)
         for b in range(_poisson(bg_rng, config.timeline_background_mean)):
-            local = _local(bg_rng.randint(0, config.days - 1), bg_rng.randint(0, DAY_MINUTES - 1))
+            day = bg_rng.randint(0, config.days - 1)
+            local = _local(day * DAY_MINUTES + bg_rng.randint(0, DAY_MINUTES - 1))
             timeline(f"b{user.index:05d}x{b:04d}", 1000 + b, local)
 
     by_time = attrgetter("created_at", "tweet_id")
@@ -345,41 +349,47 @@ def _build_users(config: SynthConfig) -> list[_User]:
     return users
 
 
+class _Log(NamedTuple):
+    """A drawn log: its text, when it was posted (UTC), its local start and end, and its draws."""
+
+    text: str
+    posted: datetime
+    start_local: datetime
+    end_local: datetime
+    duration: int
+    deep: int | None
+    notation: str
+    separator: str
+
+
 def _draw_log(
     config: SynthConfig,
     user: _User,
     rng: random.Random,
     emitted_texts: set[str],
     draw: Callable[[random.Random], tuple],
-) -> tuple[str, datetime, SleepLog]:
-    """A log whose text the user has not tweeted yet: its text, when it was posted, and the log.
+) -> _Log:
+    """A log whose text the user has not tweeted yet; its text is added to `emitted_texts`.
 
     Each try draws a day, then `draw(rng)` draws what the kind of log varies: start minute,
-    duration, deep sleep % (None when absent) and "NOTATION:SEPARATOR".  The text is added to
-    `emitted_texts`; the log carries its local start and end.
+    duration, deep sleep % (None when absent) and "NOTATION:SEPARATOR".
     """
     for _ in range(200):
         day = rng.randint(0, config.days - 1)
         minute, duration, deep, notation_key = draw(rng)
-        start_local = _local(day, minute)
-        end_local = start_local + timedelta(minutes=duration)
-        notation_name, sep_name = notation_key.split(":")
-        log = SleepLog(
-            tweet_id="pending",
-            user_id=user.user_id,
-            start_civil=start_local.time(),
-            end_civil=end_local.time(),
-            duration_minutes=duration,
-            deep_sleep_pct=deep,
-            notation=TimeNotation(notation_name),
-            separator=Separator(sep_name),
-            start_local=start_local,
-            end_local=end_local,
+        notation, separator = notation_key.split(":")
+        start = day * DAY_MINUTES + minute
+        end = start + duration
+        text = sleeplog_text(
+            notation, separator, start % DAY_MINUTES, end % DAY_MINUTES, duration, deep
         )
-        text = format_sleeplog(log)
         if text not in emitted_texts:
             emitted_texts.add(text)
-            return text, _posted(end_local, user, rng), log
+            # The app tweets a log 0 to 10 minutes after the wake-up.
+            posted = _to_utc(_local(end + rng.randint(0, 10)), user.offset_seconds)
+            return _Log(
+                text, posted, _local(start), _local(end), duration, deep, notation, separator
+            )
     raise RuntimeError("could not draw a unique log fingerprint after 200 tries")
 
 
@@ -413,19 +423,14 @@ def _fullwidth_digits(text: str) -> str:
     return "".join(chr(ord(c) + 0xFEE0) if "0" <= c <= "9" else c for c in text)
 
 
-def _local(day: int, minute: int) -> datetime:
-    """Naive local time: `minute` minutes into day `day` of the corpus."""
-    return datetime.combine(CORPUS_START, time()) + timedelta(days=day, minutes=minute)
+def _local(minute: int) -> datetime:
+    """Naive local time `minute` minutes after the corpus's first midnight."""
+    return _EPOCH + timedelta(minutes=minute)
 
 
 def _to_utc(local: datetime, offset_seconds: int) -> datetime:
-    tz = timezone(timedelta(seconds=offset_seconds))
-    return local.replace(tzinfo=tz).astimezone(timezone.utc)
-
-
-def _posted(end_local: datetime, user: _User, rng: random.Random) -> datetime:
-    """When the app tweets a log: 0 to 10 minutes after the wake-up, in UTC."""
-    return _to_utc(end_local + timedelta(minutes=rng.randint(0, 10)), user.offset_seconds)
+    """The instant naive `local` names at a fixed UTC offset."""
+    return (local - timedelta(seconds=offset_seconds)).replace(tzinfo=timezone.utc)
 
 
 def _profile(user: _User) -> tuple:
@@ -460,7 +465,7 @@ def write_corpus(result: SynthResult, out_dir: str) -> dict[str, str]:
     for key, lines in (
         ("corpus", (tweet.to_json() for tweet in result.tweets)),
         ("timelines", (tweet.to_json() for tweet in result.timelines)),
-        ("truth", (json.dumps(doc, ensure_ascii=True) for doc in result.truth)),
+        ("truth", map(_truth_line, result.truth)),
     ):
         with open(paths[key], "w", encoding="utf-8") as handle:
             for line in lines:
@@ -469,6 +474,26 @@ def write_corpus(result: SynthResult, out_dir: str) -> dict[str, str]:
         json.dump(result.manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return paths
+
+
+def _truth_line(doc: dict) -> str:
+    """`json.dumps(doc, ensure_ascii=True)` for the meta line or a tweet's record of `generate`."""
+    if "record" in doc:
+        return f'{{"record": {_quoted(doc["record"])}, "run_id": {_quoted(doc["run_id"])}}}'
+    true = doc["true_fields"]
+    if true is not None:
+        true = (
+            f'{{"user_id": {_quoted(true["user_id"])}, "country": {_quoted(true["country"])}, '
+            f'"start_local": {_quoted(true["start_local"])}, '
+            f'"end_local": {_quoted(true["end_local"])}, '
+            f'"duration_minutes": {true["duration_minutes"]}, '
+            f'"deep_sleep_pct": {_opt_int(true["deep_sleep_pct"])}, '
+            f'"notation": {_quoted(true["notation"])}, "separator": {_quoted(true["separator"])}}}'
+        )
+    return (
+        f'{{"tweet_id": {_quoted(doc["tweet_id"])}, "label": {_quoted(doc["label"])}, '
+        f'"reason": {_opt_str(doc["reason"])}, "true_fields": {"null" if true is None else true}}}'
+    )
 
 
 # --- Scoring ------------------------------------------------------------------

@@ -7,7 +7,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sleeplog import synth
 from sleeplog.grammar import parse_tweet, Rejection, SleepLog
 from sleeplog.pipeline import FilterConfig, filter_logs
 from sleeplog.records import RawTweet, dedupe, ingest
@@ -274,3 +276,46 @@ class TestWrittenCorpus:
         kept, rejected = run_pipeline(result)
         assert rejected == {}
         assert len(kept) == result.manifest["counts"]["valid"]
+
+
+# Text that JSON must escape: quotes, backslashes, control and non-BMP
+# characters, lone surrogates, next to anything else Unicode holds.
+TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\U0001f634'),
+    st.characters(exclude_categories=()),
+))
+
+
+@st.composite
+def truth_records(draw) -> dict:
+    """A record shaped like one `generate` puts in `truth`, or its meta line, holding any
+    strings and integers, and None wherever `generate` may write null."""
+    if draw(st.booleans()):
+        return {"record": "meta", "run_id": draw(TEXT)}
+    true_fields = None if draw(st.booleans()) else {
+        "user_id": draw(TEXT),
+        "country": draw(TEXT),
+        "start_local": draw(TEXT),
+        "end_local": draw(TEXT),
+        "duration_minutes": draw(st.integers()),
+        "deep_sleep_pct": draw(st.none() | st.integers()),
+        "notation": draw(TEXT),
+        "separator": draw(TEXT),
+    }
+    return {
+        "tweet_id": draw(TEXT),
+        "label": draw(st.sampled_from(["valid", "invalid"]) | TEXT),
+        "reason": draw(st.none() | TEXT),
+        "true_fields": true_fields,
+    }
+
+
+class TestTruthEncoder:
+    def test_same_bytes_as_json_dumps_for_every_generated_record(self, result):
+        for doc in result.truth:
+            assert synth._truth_line(doc) == json.dumps(doc, ensure_ascii=True)
+
+    @settings(deadline=None)
+    @given(truth_records())
+    def test_same_bytes_as_json_dumps_for_any_values(self, doc):
+        assert synth._truth_line(doc) == json.dumps(doc, ensure_ascii=True)
