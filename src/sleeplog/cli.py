@@ -522,12 +522,26 @@ def do_analyze(
 
 _HOURS = [f"{h:02d}" for h in range(24)]
 
+
+def _numbers(values, name: str):
+    """`values`, a chart's numbers or rows of them, named `name` in an error.
+
+    JSON true and false are refused: arithmetic would draw them as 1 and 0.
+    """
+    for i, value in enumerate(values):
+        if type(value) is list:
+            _numbers(value, f"{name}[{i}]")
+        elif type(value) is bool:
+            raise ValueError(f"{name}[{i}] must be a number, got {json.dumps(value)}")
+    return values
+
 # (chart, analysis file, draw).  A lambda looks its renderer up by name when the
 # chart is drawn, so a patched renderer is honoured; None means nothing to plot.
 _CHARTS = (
     ("clock.svg", "summary.json", lambda doc: render_grouped_bars(
         _HOURS,
-        {"fall asleep": doc["clock"]["start_hist"], "wake up": doc["clock"]["end_hist"]},
+        {"fall asleep": _numbers(doc["clock"]["start_hist"], "clock.start_hist"),
+         "wake up": _numbers(doc["clock"]["end_hist"], "clock.end_hist")},
         "Sleep clock: share of logs per hour",
     )),
     ("frequency.svg", "frequency.csv", lambda bars: render_histogram(
@@ -536,13 +550,13 @@ _CHARTS = (
         "Users per log-count bucket",
     )),
     ("start_bins.svg", "start_bins.json", lambda doc: render_heatmap(
-        doc["matrix"],
+        _numbers(doc["matrix"], "matrix"),
         doc["matrix_row_labels"],
         doc["matrix_col_labels"],
         "Duration distribution by start-of-sleep bin",
     )),
     ("wake_heatmap.svg", "wake_heatmap.json", lambda doc: render_heatmap(
-        doc["heatmap"]["row_normalized"],
+        _numbers(doc["heatmap"]["row_normalized"], "heatmap.row_normalized"),
         doc["heatmap"]["row_labels"],
         _HOURS,
         "Wake-up time by day of week",
@@ -756,7 +770,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if message:
-        print(message)
+        try:
+            print(message, flush=True)
+        except BrokenPipeError:
+            # Nobody reads stdout any more (`| head -1`), but the stage is complete.  Point
+            # stdout at os.devnull so that the flush at exit cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Everything runs through main() with an argv list instead of a subprocess,
 so monkeypatching and tmp_path behave normally and failures show real
-tracebacks.  Only the import check starts a fresh interpreter.
+tracebacks.  Only the checks of what a process does at its edges (its imports,
+its stdin and stdout) start a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from collections.abc import Callable
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -481,6 +483,17 @@ def _summary_with_a_huge_clock_value(analysis: Path) -> tuple[Path, str]:
     return path, "int too large to convert to float"
 
 
+def _with_booleans(name: str, values: Callable[[dict], list], detail: str):
+    """Set the first two values `values(doc)` of `name` draws to JSON true and false."""
+    def break_analysis(analysis: Path) -> tuple[Path, str]:
+        path = analysis / name
+        doc = json.loads(path.read_text())
+        values(doc)[:2] = [True, False]
+        path.write_text(json.dumps(doc))
+        return path, detail
+    return break_analysis
+
+
 @pytest.mark.parametrize("break_analysis", [
     _summary_without_clock, _frequency_without_n_users, _start_bins_not_json, _wake_heatmap_a_list,
     _wake_heatmap_not_an_object, _start_bins_nested_too_deep, _start_bins_with_an_integer_row_label,
@@ -494,6 +507,15 @@ def _summary_with_a_huge_clock_value(analysis: Path) -> tuple[Path, str]:
       ]),
     pytest.param(_frequency_with_its_last_row_cut(1), id="n_users-row-cut-to-one-field"),
     pytest.param(_frequency_with_its_last_row_cut(2), id="percent-row-cut-to-two-fields"),
+    *(pytest.param(_with_booleans(name, values, detail), id=f"booleans-in-{name}")
+      for name, values, detail in [
+          ("summary.json", lambda doc: doc["clock"]["start_hist"],
+           "clock.start_hist[0] must be a number, got true"),
+          ("start_bins.json", lambda doc: doc["matrix"][1],
+           "matrix[1][0] must be a number, got true"),
+          ("wake_heatmap.json", lambda doc: doc["heatmap"]["row_normalized"][6],
+           "heatmap.row_normalized[6][0] must be a number, got true"),
+      ]),
 ])
 def test_report_on_a_malformed_analysis_file_is_a_located_error(
     tmp_path, run_dir, capsys, break_analysis
@@ -1159,7 +1181,7 @@ _LOG_FIELD_TYPES = {
     "deep_sleep_pct": {"integer", "null"},
     "duration_inconsistent": {"boolean"},
 }
-_NUMBER = {"integer", "float", "boolean"}  # a chart draws JSON true and false as 1 and 0
+_NUMBER = {"integer", "float"}
 _JSON_OF_TYPE = {"null": "null", "boolean": "true", "integer": "7", "float": "1.5",
                  "string": '"x"', "array": "[1]", "object": '{"a": 1}'}
 _MARK = "\0value\0"
@@ -1566,12 +1588,30 @@ def test_version_flag_exits_0(capsys):
     assert "sleeplog" in capsys.readouterr().out
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sleeplog.__file__)))
+    return {**os.environ, "PYTHONPATH": src}
+
+
 def _sleeplog(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
     """`python -m sleeplog argv` in a fresh interpreter, on this checkout's package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sleeplog.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-m", "sleeplog", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "sleeplog", *argv], env=_child_env(),
                           capture_output=True, timeout=120, **kwargs)
+
+
+def test_a_closed_stdout_ends_a_finished_stage_quietly(tmp_path, run_dir, corpus_dir):
+    # As in `sleeplog run-all ... | head -1`: the reader is gone before the stage prints.
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "sleeplog", "run-all", str(corpus_dir / "corpus.jsonl"),
+            "--timelines", str(corpus_dir / "timelines.jsonl"), *_offline(tmp_path)]
+    with subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 0, err
+    assert err == b""
+    assert tree_hashes(out) == tree_hashes(run_dir)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -1595,8 +1635,6 @@ def test_importing_the_cli_loads_no_synth_or_http_modules():
     # A fresh interpreter: this test process has imported everything already.
     probe = ("import sys, sleeplog.cli; "
              "print(sorted({'urllib.request', 'http.client', 'sleeplog.synth'} & set(sys.modules)))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sleeplog.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
