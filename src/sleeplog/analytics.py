@@ -11,7 +11,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .geo import CountryResolution, ResolutionMethod
 from .grammar import SleepLog
-from .records import RawTweet, latest_profiles  # noqa: F401 (re-exported)
+from .records import RawTweet
 from .stats import (
     CorrelationResult,
     DegenerateSampleError,

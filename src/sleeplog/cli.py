@@ -9,11 +9,14 @@ independently; run-all hands the records from stage to stage in memory:
     parse   tweets.jsonl      -> logs.jsonl
     filter  logs.jsonl        -> filtered.jsonl
     geo     tweets.jsonl      -> countries.csv
-    analyze (standard files)  -> analysis/
+    analyze filtered.jsonl + tweets.jsonl + countries.csv (+ timelines)
+                              -> analysis/
     report  analysis/         -> report/*.svg
     funnel  ledger.json       -> funnel.csv
     synth                     -> corpus.jsonl + timelines.jsonl + truth.jsonl
     run-all                   -> everything above in order
+
+A file argument left out is its file above, under --out (`_COMMANDS` says which).
 
 run-all and parse let go of each tweet once it is parsed; geo and analyze
 get only each user's latest tweet, whose profile fields are all they use.
@@ -112,6 +115,17 @@ def _read_json_object(path: str) -> dict:
     return doc
 
 
+_BAD_INPUT = (  # what a stage input raises that its reader cannot use; one located error
+    AssertionError,  # a ledger whose counts do not chain
+    AttributeError,  # a JSON value of the wrong type where a string is used, such as a label
+    KeyError,  # a missing field
+    OverflowError,  # a number too large to convert or to draw
+    RecursionError,  # JSON nested too deep to decode
+    TypeError,  # a field of the wrong JSON type
+    ValueError,  # a value out of range, bad JSON, or a byte that is not UTF-8
+)
+
+
 def _bad_input(where: str, exc: Exception) -> ValueError:
     detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
     return ValueError(f"{where}: {detail}")
@@ -123,7 +137,7 @@ def _utf8_lines(path: str, handle) -> Iterator[str]:
     for lineno, line in enumerate(handle, start=1):
         try:
             yield utf8_line(line)
-        except ValueError as exc:
+        except _BAD_INPUT as exc:
             raise _bad_input(f"{path}:{lineno}", exc) from None
 
 
@@ -146,7 +160,7 @@ def _read_csv(path: str, columns: list[str], build) -> list:
                         raise ValueError(
                             f"row does not have its header's {len(reader.fieldnames)} fields")
                     built.append(build(row))
-                except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+                except _BAD_INPUT as exc:
                     raise _bad_input(f"{path}:{reader.line_num + skipped}", exc) from None
             return built
         except csv.Error as exc:  # a row the reader cannot split, such as an overlong field
@@ -162,7 +176,7 @@ def _each_jsonl(path: str, build) -> Iterator:
             for lineno, line in enumerate(handle, start=1):
                 if line.strip():
                     yield build(json.loads(utf8_line(line)))
-        except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSON nested too deep
+        except _BAD_INPUT as exc:
             raise _bad_input(f"{path}:{lineno}", exc) from None
 
 
@@ -241,10 +255,10 @@ def _load_ledger(out_dir: str) -> PipelineLedger:
     path = os.path.join(out_dir, "ledger.json")
     if not os.path.exists(path):
         return PipelineLedger()
-    try:  # UnicodeDecodeError is a ValueError, and JSON nested too deep a RecursionError
+    try:
         with open(path, "r", encoding="utf-8") as handle:
             return PipelineLedger.from_json(handle.read())
-    except (AssertionError, KeyError, RecursionError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise _bad_input(path, exc) from None
 
 
@@ -584,8 +598,7 @@ def do_report(out_dir: str, settings: dict) -> str:
     for (chart, _, draw), path in zip(_CHARTS, inputs):
         try:
             svg = draw(bars if path.endswith(".csv") else _read_json_object(path))
-        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
-            # AttributeError: a label that is not a string; OverflowError: a value too large to draw
+        except _BAD_INPUT as exc:
             raise _bad_input(path, exc) from None
         if svg is not None:
             charts[os.path.join("report", chart)] = svg
@@ -602,7 +615,7 @@ def do_funnel(out_dir: str, settings: dict) -> str:
         raise ValueError(f"no ledger stages recorded in {ledger_path}")
     try:
         ledger.validate_chain()
-    except AssertionError as exc:
+    except _BAD_INPUT as exc:
         raise _bad_input(ledger_path, exc) from None
     rows = [[s.name, s.input, s.kept, s.distinct_users_kept] for s in ledger.stages]
     stamp = config_stamp(settings)
@@ -630,17 +643,14 @@ def do_synth(out_dir: str, settings: dict) -> str:
 def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: str | None) -> str:
     """Every stage in order, each handing its records to the next in memory; only
     each user's latest tweet, all that `geo` and `analyze` use, outlives `parse`."""
-    tweets_path = os.path.join(out_dir, "tweets.jsonl")
+    paths = _default_inputs(out_dir)
     ingested, tweets = do_ingest(input_path, out_dir, settings)
     profiles = latest_profiles(tweets)
-    parsed, logs = do_parse(_drained(tweets), tweets_path, out_dir, settings)
-    filtered, logs = do_filter(logs, os.path.join(out_dir, "logs.jsonl"), out_dir, settings)
-    located, resolutions = do_geo(profiles, tweets_path, out_dir, settings)
-    inputs = [os.path.join(out_dir, n) for n in ("filtered.jsonl", "tweets.jsonl", "countries.csv")]
-    timelines = None
-    if timelines_path:
-        timelines = _read_timelines(timelines_path)
-        inputs.append(timelines_path)
+    parsed, logs = do_parse(_drained(tweets), paths["parse"]["input"], out_dir, settings)
+    filtered, logs = do_filter(logs, paths["filter"]["input"], out_dir, settings)
+    located, resolutions = do_geo(profiles, paths["geo"]["input"], out_dir, settings)
+    inputs = [path for path in (*paths["analyze"].values(), timelines_path) if path]
+    timelines = _read_timelines(timelines_path) if timelines_path else None
     analyzed = do_analyze(logs, profiles, resolutions, timelines, inputs, out_dir, settings)
     reported, funnel = do_report(out_dir, settings), do_funnel(out_dir, settings)
     return "\n".join([ingested, parsed, filtered, located, analyzed, reported, funnel])
@@ -648,20 +658,17 @@ def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: st
 
 # --- Argument wiring -----------------------------------------------------------
 
+# How argparse reads each kind of setting; a str setting is kept as given.
+_SETTING_FLAGS = {"bool": {"action": argparse.BooleanOptionalAction}, "int": {"type": int}}
+
+
 def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value settings file")
     for setting in SETTINGS:
-        flag = "--" + setting.name.replace("_", "-")
-        if setting.kind == "bool":
-            parser.add_argument(
-                flag, dest=setting.name, action=argparse.BooleanOptionalAction,
-                default=None, help=setting.help,
-            )
-        else:
-            kind = int if setting.kind == "int" else str
-            parser.add_argument(
-                flag, dest=setting.name, type=kind, default=None, help=setting.help,
-            )
+        parser.add_argument(
+            "--" + setting.name.replace("_", "-"), dest=setting.name, default=None,
+            help=setting.help, **_SETTING_FLAGS.get(setting.kind, {}),
+        )
 
 
 def _settings_from_args(args: argparse.Namespace) -> dict:
@@ -670,30 +677,53 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     return resolve(file_values, None, flags)
 
 
-def _on_file(stage, read, default_name: str):
-    """A subcommand that reads one stage's input records with `read(path)` and runs the stage."""
-    def run(args: argparse.Namespace, settings: dict) -> str:
-        path = args.input or os.path.join(args.out, default_name)
-        return stage(read(path), path, args.out, settings)[0]
-    return run
-
-
 def _analyze_files(args: argparse.Namespace, settings: dict) -> str:
-    logs_path = args.logs or os.path.join(args.out, "filtered.jsonl")
-    tweets_path = args.tweets or os.path.join(args.out, "tweets.jsonl")
-    countries_path = args.countries or os.path.join(args.out, "countries.csv")
-    logs = _read_jsonl(logs_path, SleepLog.from_record)
-    profiles = _read_profiles(tweets_path)
-    inputs = [logs_path, tweets_path]
-    resolutions = {}
-    if args.countries or os.path.exists(countries_path):  # only the default may be absent
-        resolutions = _read_countries(countries_path)
-        inputs.append(countries_path)
-    timelines = None
-    if args.timelines:
-        timelines = _read_timelines(args.timelines)
-        inputs.append(args.timelines)
-    return do_analyze(logs, profiles, resolutions, timelines, inputs, args.out, settings)
+    countries = args.countries
+    if "countries" in args.omitted and not os.path.exists(countries):
+        countries = None  # only the default may be absent
+    return do_analyze(
+        _read_jsonl(args.logs, SleepLog.from_record),
+        _read_profiles(args.tweets),
+        _read_countries(countries) if countries else {},
+        _read_timelines(args.timelines) if args.timelines else None,
+        [path for path in (args.logs, args.tweets, countries, args.timelines) if path],
+        args.out, settings,
+    )
+
+
+# Each subcommand: (help, {file argument: the file under --out it reads when omitted, or
+# None for no default}, run(args, settings)).  A lambda looks its stage up by name when it
+# runs, so a patched stage is honoured.
+_COMMANDS = {
+    "ingest": ("read raw JSONL, validate, deduplicate", {"input": None},
+               lambda a, s: do_ingest(a.input, a.out, s)[0]),
+    "parse": ("extract sleep logs from tweets", {"input": "tweets.jsonl"},
+              lambda a, s: do_parse(
+                  _drained(_read_jsonl(a.input, RawTweet.from_record)), a.input, a.out, s)[0]),
+    "filter": ("drop implausible durations", {"input": "logs.jsonl"},
+               lambda a, s: do_filter(
+                   _read_jsonl(a.input, SleepLog.from_record), a.input, a.out, s)[0]),
+    "geo": ("resolve users to countries", {"input": "tweets.jsonl"},
+            lambda a, s: do_geo(_read_profiles(a.input), a.input, a.out, s)[0]),
+    "analyze": ("aggregate users, cohorts, and clocks",
+                {"--logs": "filtered.jsonl", "--tweets": "tweets.jsonl",
+                 "--countries": "countries.csv", "--timelines": None},
+                _analyze_files),
+    "report": ("render SVG charts from analysis outputs", {}, lambda a, s: do_report(a.out, s)),
+    "funnel": ("summarize per-stage keep/reject counts", {}, lambda a, s: do_funnel(a.out, s)),
+    "synth": ("generate a labeled synthetic corpus", {}, lambda a, s: do_synth(a.out, s)),
+    "run-all": ("run every stage in order", {"input": None, "--timelines": None},
+                lambda a, s: do_run_all(a.input, a.out, s, a.timelines)),
+}
+_NO_DEFAULT_HELP = {"input": "raw tweet JSONL file", "--timelines": "user timeline JSONL"}
+
+
+def _default_inputs(out_dir: str) -> dict[str, dict[str, str]]:
+    """Per subcommand, the path under `out_dir` of each file argument that has a default."""
+    return {
+        command: {arg.lstrip("-"): os.path.join(out_dir, f) for arg, f in files.items() if f}
+        for command, (_, files, _) in _COMMANDS.items()
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -703,63 +733,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def stage(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, files, run) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--out", default=".", help="output directory (default: .)")
         _add_setting_flags(p)
-        return p
-
-    p = stage("ingest", "read raw JSONL, validate, deduplicate")
-    p.add_argument("input", help="raw tweet JSONL file")
-    p.set_defaults(func=lambda a, s: do_ingest(a.input, a.out, s)[0])
-
-    p = stage("parse", "extract sleep logs from tweets.jsonl")
-    p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(func=_on_file(
-        do_parse, lambda path: _drained(_read_jsonl(path, RawTweet.from_record)), "tweets.jsonl"
-    ))
-
-    p = stage("filter", "drop implausible durations")
-    p.add_argument("input", nargs="?", default=None, help="logs JSONL (default: <out>/logs.jsonl)")
-    p.set_defaults(func=_on_file(
-        do_filter, lambda path: _read_jsonl(path, SleepLog.from_record), "logs.jsonl"
-    ))
-
-    p = stage("geo", "resolve users to countries")
-    p.add_argument("input", nargs="?", default=None, help="tweets JSONL (default: <out>/tweets.jsonl)")
-    p.set_defaults(func=_on_file(do_geo, _read_profiles, "tweets.jsonl"))
-
-    p = stage("analyze", "aggregate users, cohorts, and clocks")
-    p.add_argument("--logs", default=None, help="filtered logs JSONL")
-    p.add_argument("--tweets", default=None, help="tweets JSONL for profiles")
-    p.add_argument(
-        "--countries", default=None,
-        help="countries CSV (default: <out>/countries.csv, skipped if absent)",
-    )
-    p.add_argument("--timelines", default=None, help="user timeline JSONL")
-    p.set_defaults(func=_analyze_files)
-
-    p = stage("report", "render SVG charts from analysis outputs")
-    p.set_defaults(func=lambda a, s: do_report(a.out, s))
-
-    p = stage("funnel", "summarize per-stage keep/reject counts")
-    p.set_defaults(func=lambda a, s: do_funnel(a.out, s))
-
-    p = stage("synth", "generate a labeled synthetic corpus")
-    p.set_defaults(func=lambda a, s: do_synth(a.out, s))
-
-    p = stage("run-all", "run every stage in order")
-    p.add_argument("input", help="raw tweet JSONL file")
-    p.add_argument("--timelines", default=None, help="user timeline JSONL")
-    p.set_defaults(func=lambda a, s: do_run_all(a.input, a.out, s, a.timelines))
-
+        for arg, name in files.items():
+            p.add_argument(  # an input that has a default may be left out
+                arg, nargs="?" if name and not arg.startswith("-") else None,
+                help=f"(default: <out>/{name})" if name else _NO_DEFAULT_HELP[arg],
+            )
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    defaults = _default_inputs(args.out)[args.command]
+    args.omitted = {dest for dest in defaults if not getattr(args, dest)}
+    vars(args).update({dest: defaults[dest] for dest in args.omitted})
     try:
         settings = _settings_from_args(args)
         message = args.func(args, settings)

@@ -410,16 +410,20 @@ def dedupe(
     by_id: bool = True,
     by_content: bool = True,
 ) -> tuple[list[RawTweet], list[RejectedLine]]:
-    """Drop repeated tweets, keeping the first occurrence.
+    """Drop repeated tweets; the kept ones stay in input order.
 
     Two independent rules, each optional: a repeated tweet_id is rejected as
-    DUPLICATE_ID; a repeat of (user_id, byte-identical text) under a fresh id
-    is rejected as DUPLICATE_CONTENT.  The id rule is checked first.
+    DUPLICATE_ID; a repeat of (user_id, byte-identical text) under a fresh id,
+    as DUPLICATE_CONTENT.  The id rule is checked first.  Of the copies of one
+    content, the one with the earliest `created_at` is kept, ties going to the
+    earlier line, so which copy is kept does not depend on the corpus's line
+    order.  Rejections are in position order.
     """
     seen_ids: set[str] = set()
-    seen_content: set[tuple[str, str]] = set()
+    kept_copy: dict[tuple[str, str], RawTweet] = {}  # content -> its kept copy
     kept: list[RawTweet] = []
     rejected: list[RejectedLine] = []
+    replaced: set[int] = set()  # id() of each kept copy that an earlier copy replaced
     for position, tweet in enumerate(tweets, start=1):
         if by_id and tweet.tweet_id in seen_ids:
             rejected.append(
@@ -427,12 +431,28 @@ def dedupe(
             )
             continue
         content_key = (tweet.user_id, tweet.text)
-        if by_content and content_key in seen_content:
-            rejected.append(
-                RejectedLine(position, RejectReason.DUPLICATE_CONTENT, tweet.tweet_id)
-            )
-            continue
+        first = kept_copy.get(content_key) if by_content else None
+        if first is not None:
+            if first.created_at <= tweet.created_at:
+                rejected.append(
+                    RejectedLine(position, RejectReason.DUPLICATE_CONTENT, tweet.tweet_id)
+                )
+                continue
+            replaced.add(id(first))
         seen_ids.add(tweet.tweet_id)
-        seen_content.add(content_key)
+        kept_copy[content_key] = tweet
         kept.append(tweet)
-    return kept, rejected
+    if not replaced:
+        return kept, rejected
+    # Every position is held once by `kept` or `rejected`, so the kept tweets' positions
+    # are the ones no rejection holds, in order.
+    taken = {r.line_number for r in rejected}
+    positions = (p for p in range(1, len(kept) + len(taken) + 1) if p not in taken)
+    still_kept = []
+    for tweet, position in zip(kept, positions):
+        if id(tweet) in replaced:
+            rejected.append(RejectedLine(position, RejectReason.DUPLICATE_CONTENT, tweet.tweet_id))
+        else:
+            still_kept.append(tweet)
+    rejected.sort(key=lambda r: r.line_number)
+    return still_kept, rejected

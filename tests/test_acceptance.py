@@ -21,7 +21,6 @@ import pytest
 from sleeplog import cli
 from sleeplog.analytics import (
     country_compare,
-    latest_profiles,
     per_user_aggregates,
     presleep_activity,
     sleep_clock,
@@ -48,6 +47,7 @@ from sleeplog.records import (
     RejectReason,
     dedupe,
     ingest,
+    latest_profiles,
 )
 from sleeplog.stats import mann_whitney_u, pearson, quartile_split
 from sleeplog.synth import SynthConfig, generate, score

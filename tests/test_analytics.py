@@ -23,7 +23,6 @@ from sleeplog.analytics import (
     filter_min_logs,
     frequency_table,
     friends_split,
-    latest_profiles,
     per_user_aggregates,
     presleep_activity,
     presleep_probability,
@@ -34,6 +33,7 @@ from sleeplog.analytics import (
 )
 from sleeplog.geo import CountryResolution, ResolutionMethod
 from sleeplog.grammar import Separator, SleepLog, TimeNotation
+from sleeplog.records import latest_profiles
 
 _ids = iter(range(1, 100000))
 

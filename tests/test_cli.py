@@ -16,12 +16,13 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from sleeplog import analytics, cli
 from sleeplog.analytics import filter_min_logs, per_user_aggregates, presleep_activity
 from sleeplog.grammar import SleepLog
 from sleeplog.records import PipelineLedger, RawTweet, dedupe, ingest, latest_profiles
+from sleeplog.synth import score
 
 
 def tree_hashes(root: Path) -> dict[str, str]:
@@ -320,7 +322,7 @@ def test_robustness_bundle_equals_a_fresh_analysis_of_the_subset(tmp_path, run_d
     logs = cli._read_jsonl(str(run_dir / "filtered.jsonl"), SleepLog.from_record)
     resolutions = cli._read_countries(str(run_dir / "countries.csv"))
     tweets = cli._read_jsonl(str(run_dir / "tweets.jsonl"), RawTweet.from_record)
-    profiles = analytics.latest_profiles(tweets)
+    profiles = latest_profiles(tweets)
     users, _ = per_user_aggregates(logs, resolutions, profiles)
     steady_ids = {u.user_id for u in filter_min_logs(users, 5)}
     steady_logs = [l for l in logs if l.user_id in steady_ids]
@@ -739,6 +741,121 @@ def test_geo_rerun_is_byte_identical(tmp_path, run_dir):
         )
         assert rc == 0
     assert tree_hashes(first) == tree_hashes(second)
+
+
+# --- the analysis depends on the tweet set, not on the corpus's line order -----
+
+def scored_run(corpus_dir: Path, out: Path):
+    """`synth.score` of the run-all tree `out` against the truth of `corpus_dir`."""
+    rejected = {}
+    for name in ("ingest_rejects.csv", "parse_rejects.csv", "filter_rejects.csv"):
+        _, rows = read_stamped_csv(out / name)
+        rejected.update({row["tweet_id"]: row["reason"] for row in rows if row["tweet_id"]})
+    kept = cli._read_jsonl(str(out / "filtered.jsonl"), SleepLog.from_record)
+    truth = [json.loads(line) for line in (corpus_dir / "truth.jsonl").read_text().splitlines()]
+    return score(truth, kept, rejected)
+
+
+def json_leaves(doc, path: str = "") -> Iterator[tuple[str, object]]:
+    """Every scalar in a JSON document, with its path."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    if not items:
+        yield path, doc
+    for key, value in items:
+        yield from json_leaves(value, f"{path}/{key}")
+
+
+@pytest.fixture(scope="module", params=["reversed", "shuffled"])
+def reordered_run(request, tmp_path_factory, corpus_dir) -> Path:
+    """run-all over the corpus of `corpus_dir` with its lines in another order."""
+    lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
+    if request.param == "reversed":
+        lines.reverse()
+    else:
+        random.Random(5).shuffle(lines)
+    d = tmp_path_factory.mktemp(request.param)
+    (d / "corpus.jsonl").write_text("".join(lines))
+    shutil.copy(corpus_dir / "timelines.jsonl", d)
+    assert run_all_into(d / "out", d, d / "cache.json") == 0
+    return d / "out"
+
+
+def test_a_reordered_corpus_scores_every_reason_perfectly(corpus_dir, run_dir, reordered_run):
+    for out in (run_dir, reordered_run):
+        report = scored_run(corpus_dir, out)
+        assert report.per_reason["DUPLICATE_CONTENT"].n_truth > 0
+        for name, pr in [("valid", report.valid), *report.per_reason.items()]:
+            assert (name, pr.precision, pr.recall) == (name, 1.0, 1.0)
+
+
+def test_a_reordered_corpus_gives_the_same_analysis(run_dir, reordered_run):
+    # Floats may differ in their last bits, as sums run in another order; counts may not.
+    for path in sorted((run_dir / "analysis").rglob("*.json")):
+        rel = path.relative_to(run_dir)
+        expected = dict(json_leaves(json.loads(path.read_text())))
+        got = dict(json_leaves(json.loads((reordered_run / rel).read_text())))
+        assert got.keys() == expected.keys(), rel
+        for key, value in expected.items():
+            if type(value) is float:
+                assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-12), (rel, key)
+            else:
+                assert got[key] == value, (rel, key)
+    for rel in ("analysis/frequency.csv", "analysis/robustness/frequency.csv", "countries.csv"):
+        assert (reordered_run / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
+
+
+def test_a_corpus_read_twice_moves_only_the_accounting_files(tmp_path, corpus_dir, run_dir):
+    text = (corpus_dir / "corpus.jsonl").read_text()
+    (tmp_path / "corpus.jsonl").write_text(text + text)
+    shutil.copy(corpus_dir / "timelines.jsonl", tmp_path)
+    assert run_all_into(tmp_path / "out", tmp_path, tmp_path / "cache.json") == 0
+    once, twice = tree_hashes(run_dir), tree_hashes(tmp_path / "out")
+    assert twice.keys() == once.keys()
+    assert {name for name in once if twice[name] != once[name]} == {
+        "ingest_rejects.csv", "ledger.json", "funnel.csv",
+        "manifest_ingest.json", "manifest_parse.json", "manifest_filter.json",
+        "manifest_funnel.json",
+    }
+
+
+# --- the subcommand table -----------------------------------------------------
+
+SUBCOMMANDS = ("ingest", "parse", "filter", "geo", "analyze", "report", "funnel", "synth", "run-all")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_names_the_default_of_each_input(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for arg, name in cli._COMMANDS[command][1].items():
+        assert arg in out
+        if name is not None:
+            assert f"<out>/{name}" in out, arg
+
+
+def test_the_module_docstring_names_each_default_input():
+    lines = cli.__doc__.splitlines()
+    for command, (_, files, _) in cli._COMMANDS.items():
+        line = next(line for line in lines if line.startswith(f"    {command} "))
+        for name in filter(None, files.values()):
+            assert name in line.split("->")[0], (command, name)
+
+
+def test_stage_functions_are_looked_up_when_they_run(tmp_path, corpus_dir, monkeypatch):
+    # A stage tracer patches `cli.do_<stage>` after `sleeplog.cli` is imported, so
+    # no subcommand may hold on to the function it found at import time.
+    calls = dict.fromkeys(("ingest", "parse", "filter", "geo", "analyze", "report", "funnel"), 0)
+    for stage in calls:
+        def counted(*args, stage=stage, real=getattr(cli, f"do_{stage}"), **kwargs):
+            calls[stage] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, f"do_{stage}", counted)
+    stages_into(tmp_path / "stages", corpus_dir, tmp_path / "cache.json")
+    assert set(calls.values()) == {1}, calls
+    assert run_all_into(tmp_path / "all", corpus_dir, tmp_path / "cache.json") == 0
+    assert set(calls.values()) == {2}, calls
 
 
 # --- settings precedence through the CLI --------------------------------------

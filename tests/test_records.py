@@ -351,6 +351,32 @@ class TestDedupe:
         )
         assert rejected[0].reason is RejectReason.DUPLICATE_ID
 
+    def test_earliest_content_copy_is_kept_wherever_it_stands(self):
+        late, early = "2015-10-25T06:00:00+00:00", "2015-10-24T06:00:00+00:00"
+        kept, rejected = dedupe(self.tweets(
+            {"tweet_id": "a", "text": "x", "created_at": late},
+            {"tweet_id": "b", "text": "y"},
+            {"tweet_id": "c", "text": "x", "created_at": early},
+            {"tweet_id": "d", "text": "y"},
+        ))
+        assert [t.tweet_id for t in kept] == ["b", "c"]  # input order
+        assert [(r.line_number, r.reason, r.tweet_id) for r in rejected] == [
+            (1, RejectReason.DUPLICATE_CONTENT, "a"),  # position order
+            (4, RejectReason.DUPLICATE_CONTENT, "d"),  # a tie goes to the earlier line
+        ]
+
+    def test_a_replaced_copy_keeps_its_id_taken(self):
+        late, early = "2015-10-25T06:00:00+00:00", "2015-10-24T06:00:00+00:00"
+        kept, rejected = dedupe(self.tweets(
+            {"tweet_id": "a", "text": "x", "created_at": late},
+            {"tweet_id": "b", "text": "x", "created_at": early},
+            {"tweet_id": "a", "text": "x", "created_at": late},
+        ))
+        assert [t.tweet_id for t in kept] == ["b"]
+        assert [r.reason for r in rejected] == [
+            RejectReason.DUPLICATE_CONTENT, RejectReason.DUPLICATE_ID
+        ]
+
     def test_content_check_can_be_disabled(self):
         kept, _ = dedupe(
             self.tweets({"tweet_id": "a", "text": "x"}, {"tweet_id": "b", "text": "x"}),
