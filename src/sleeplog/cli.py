@@ -5,11 +5,11 @@ outputs as plain files.  Each subcommand runs one stage on the files an
 earlier stage wrote, so stages can be re-run, diffed, and audited
 independently; run-all hands the records from stage to stage in memory:
 
-    ingest  corpus.jsonl      -> tweets.jsonl + ledger.json
+    ingest  corpus.jsonl      -> tweets.jsonl + profiles.jsonl + ledger.json
     parse   tweets.jsonl      -> logs.jsonl
     filter  logs.jsonl        -> filtered.jsonl
-    geo     tweets.jsonl      -> countries.csv
-    analyze filtered.jsonl + tweets.jsonl + countries.csv (+ timelines)
+    geo     profiles.jsonl    -> countries.csv
+    analyze filtered.jsonl + profiles.jsonl + countries.csv (+ timelines)
                               -> analysis/
     report  analysis/         -> report/*.svg
     funnel  ledger.json       -> funnel.csv
@@ -18,8 +18,9 @@ independently; run-all hands the records from stage to stage in memory:
 
 A file argument left out is its file above, under --out (`_COMMANDS` says which).
 
-run-all and parse let go of each tweet once it is parsed; geo and analyze
-get only each user's latest tweet, whose profile fields are all they use.
+profiles.jsonl holds each user's latest tweet, whose profile fields are all
+geo and analyze use; given tweets.jsonl instead, they keep the same tweets.
+run-all and parse let go of each tweet once it is parsed.
 
 Every stage writes a manifest holding sha256 digests of its inputs and
 outputs plus the effective settings; no timestamps, so byte-identical
@@ -69,12 +70,10 @@ from .pipeline import FilterConfig, filter_logs
 from .records import (
     PipelineLedger,
     RawTweet,
-    checked_tweet,
     dedupe,
     ingest_file,
     latest_profiles,
     parse_timestamp,
-    tweet_fields,
     utf8_line,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
@@ -193,17 +192,8 @@ def _drained(tweets: list[RawTweet]) -> Iterator[RawTweet]:
 
 
 def _read_profiles(path: str) -> dict[str, RawTweet]:
-    """`latest_profiles(_read_jsonl(path, RawTweet.from_record))`.
-
-    Every line gets every check and error that `RawTweet.from_record` gives,
-    but only each user's newest fields are held, and only they become tweets.
-    """
-    latest: dict[str, tuple] = {}
-    for fields in _each_jsonl(path, lambda doc: checked_tweet(tweet_fields(doc))):
-        current = latest.get(fields[3])  # fields[3] is the user id, fields[2] the instant
-        if current is None or fields[2] > current[2]:
-            latest[fields[3]] = fields
-    return {user_id: RawTweet(*fields) for user_id, fields in latest.items()}
+    """Each user's latest tweet in `path`, a `profiles.jsonl` or a whole `tweets.jsonl`."""
+    return latest_profiles(_each_jsonl(path, RawTweet.from_record))
 
 
 def _kept_lines(path: str, logs: list[SleepLog], kept: list[SleepLog]) -> Iterator[str]:
@@ -323,12 +313,16 @@ def _publish(
 
 # --- Stage implementations -----------------------------------------------------
 
-def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[RawTweet]]:
+def do_ingest(
+    input_path: str, out_dir: str, settings: dict
+) -> tuple[str, list[RawTweet], dict[str, RawTweet]]:
+    """The kept tweets, and each user's latest of them by user id."""
     ledger = PipelineLedger()
     tweets, bad_lines = ingest_file(input_path)
     ledger.account("ingest", tweets, (r.reason for r in bad_lines))
     tweets, dupes = dedupe(tweets)
     ledger.account("dedupe", tweets, (r.reason for r in dupes))
+    profiles = latest_profiles(tweets)
 
     stamp = config_stamp(settings)
     header = ["stage", "position", "reason", "tweet_id", "detail"]
@@ -336,6 +330,7 @@ def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[
     rows += [["dedupe", r.line_number, r.reason.value, r.tweet_id, r.detail] for r in dupes]
     _publish(out_dir, "ingest", [input_path], stamp, {
         "tweets.jsonl": _jsonl(tweets),
+        "profiles.jsonl": _jsonl(profiles.values()),
         "ingest_rejects.csv": _csv(stamp, header, rows),
         "ledger.json": ledger.to_json() + "\n",
     })
@@ -343,7 +338,7 @@ def do_ingest(input_path: str, out_dir: str, settings: dict) -> tuple[str, list[
         f"ingest: kept {len(tweets)} tweets "
         f"({len(bad_lines)} malformed, {len(dupes)} duplicates)"
     )
-    return message, tweets
+    return message, tweets, profiles
 
 
 def do_parse(
@@ -397,7 +392,7 @@ def do_filter(
 
 
 def do_geo(
-    profiles: dict[str, RawTweet], tweets_path: str, out_dir: str, settings: dict
+    profiles: dict[str, RawTweet], profiles_path: str, out_dir: str, settings: dict
 ) -> tuple[str, dict[str, CountryResolution]]:
     """Each user's country, from `profiles`, their latest tweets by user id."""
     client = GeocodeClient(
@@ -410,7 +405,7 @@ def do_geo(
     stamp = config_stamp(settings)
     rows = [[r.user_id, r.country, r.method.value, r.query_text] for r in resolutions.values()]
     countries = _csv(stamp, _COUNTRY_HEADER, rows)
-    _publish(out_dir, "geo", [tweets_path], stamp, {"countries.csv": countries})
+    _publish(out_dir, "geo", [profiles_path], stamp, {"countries.csv": countries})
 
     resolved = sum(1 for r in resolutions.values() if r.country is not None)
     mode = "offline" if settings["geo_offline"] else "online"
@@ -644,8 +639,7 @@ def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: st
     """Every stage in order, each handing its records to the next in memory; only
     each user's latest tweet, all that `geo` and `analyze` use, outlives `parse`."""
     paths = _default_inputs(out_dir)
-    ingested, tweets = do_ingest(input_path, out_dir, settings)
-    profiles = latest_profiles(tweets)
+    ingested, tweets, profiles = do_ingest(input_path, out_dir, settings)
     parsed, logs = do_parse(_drained(tweets), paths["parse"]["input"], out_dir, settings)
     filtered, logs = do_filter(logs, paths["filter"]["input"], out_dir, settings)
     located, resolutions = do_geo(profiles, paths["geo"]["input"], out_dir, settings)
@@ -703,10 +697,10 @@ _COMMANDS = {
     "filter": ("drop implausible durations", {"input": "logs.jsonl"},
                lambda a, s: do_filter(
                    _read_jsonl(a.input, SleepLog.from_record), a.input, a.out, s)[0]),
-    "geo": ("resolve users to countries", {"input": "tweets.jsonl"},
+    "geo": ("resolve users to countries", {"input": "profiles.jsonl"},
             lambda a, s: do_geo(_read_profiles(a.input), a.input, a.out, s)[0]),
     "analyze": ("aggregate users, cohorts, and clocks",
-                {"--logs": "filtered.jsonl", "--tweets": "tweets.jsonl",
+                {"--logs": "filtered.jsonl", "--tweets": "profiles.jsonl",
                  "--countries": "countries.csv", "--timelines": None},
                 _analyze_files),
     "report": ("render SVG charts from analysis outputs", {}, lambda a, s: do_report(a.out, s)),

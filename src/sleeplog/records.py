@@ -113,12 +113,52 @@ class RawTweet:
     account_created_at: datetime | None = None
 
     def __post_init__(self) -> None:
-        checked_tweet((
-            self.tweet_id, self.text, self.created_at, self.user_id, self.screen_name,
-            self.location_text, self.time_zone, self.utc_offset_seconds, self.interface_lang,
-            self.bio, self.friends_count, self.followers_count, self.statuses_count,
-            self.account_created_at,
-        ))
+        """Raises ValueError for the first field that fails, in field order."""
+        # Exact types, so that to_json writes every value as json.dumps would.
+        # One check per field, not a loop over names: this runs for every tweet read.
+        if not isinstance(self.tweet_id, str) or not self.tweet_id:
+            raise ValueError("missing or empty field: tweet_id")
+        if not isinstance(self.text, str) or not self.text:
+            raise ValueError("missing or empty field: text")
+        if not isinstance(self.user_id, str) or not self.user_id:
+            raise ValueError("missing or empty field: user_id")
+        if not isinstance(self.screen_name, str) or not self.screen_name:
+            raise ValueError("missing or empty field: screen_name")
+        if self.location_text is not None and not isinstance(self.location_text, str):
+            raise ValueError("field location_text must be a string")
+        if self.time_zone is not None and not isinstance(self.time_zone, str):
+            raise ValueError("field time_zone must be a string")
+        if self.interface_lang is not None and not isinstance(self.interface_lang, str):
+            raise ValueError("field interface_lang must be a string")
+        if self.bio is not None and not isinstance(self.bio, str):
+            raise ValueError("field bio must be a string")
+        offset, friends = self.utc_offset_seconds, self.friends_count
+        followers, statuses = self.followers_count, self.statuses_count
+        if offset is not None and type(offset) is not int:
+            raise ValueError("field utc_offset_seconds must be an integer")
+        if friends is not None and type(friends) is not int:
+            raise ValueError("field friends_count must be an integer")
+        if followers is not None and type(followers) is not int:
+            raise ValueError("field followers_count must be an integer")
+        if statuses is not None and type(statuses) is not int:
+            raise ValueError("field statuses_count must be an integer")
+        if friends is not None and not 0 <= friends < 2**63:
+            raise ValueError(_count_error("friends_count", friends))
+        if followers is not None and not 0 <= followers < 2**63:
+            raise ValueError(_count_error("followers_count", followers))
+        if statuses is not None and not 0 <= statuses < 2**63:
+            raise ValueError(_count_error("statuses_count", statuses))
+        if offset is not None and not -86400 < offset < 86400:  # what `datetime.timezone` takes
+            raise ValueError(f"utc_offset_seconds must be in (-86400, 86400), got {offset}")
+        created_at, account = self.created_at, self.account_created_at
+        if not isinstance(created_at, datetime) or not (
+            account is None or isinstance(account, datetime)
+        ):
+            raise ValueError("created_at and account_created_at must be datetimes")
+        # A naive instant would be written without an offset and could not be
+        # compared with an aware one (`dedupe`, `latest_profiles`).
+        if created_at.utcoffset() is None or (account is not None and account.utcoffset() is None):
+            raise ValueError("created_at and account_created_at must carry a UTC offset")
 
     def to_json(self) -> str:
         """One `tweets.jsonl` line: the fields in declaration order, instants in ISO 8601."""
@@ -141,82 +181,31 @@ class RawTweet:
 
     @classmethod
     def from_record(cls, doc: dict) -> "RawTweet":
-        """Build from a decoded JSON object; raises ValueError when invalid."""
-        return cls(*tweet_fields(doc))
+        """Build from a decoded JSON object, timestamps parsed and profile strings
+        shared; raises ValueError when invalid."""
+        if not isinstance(doc, dict):
+            raise ValueError("tweet record must be a JSON object")
+        get = doc.get
+        created_raw = get("created_at")
+        if not isinstance(created_raw, str) or not created_raw:
+            raise ValueError("missing or empty field: created_at")
+        account_raw = get("account_created_at")
+        if account_raw is not None and (not isinstance(account_raw, str) or not account_raw):
+            raise ValueError(
+                f"account_created_at must be a timestamp string or null, got {account_raw!r}"
+            )
+        return cls(
+            get("tweet_id"), get("text"), parse_timestamp(created_raw),
+            _shared(get("user_id")), _shared(get("screen_name")), _shared(get("location_text")),
+            _shared(get("time_zone")), get("utc_offset_seconds"), _shared(get("interface_lang")),
+            _shared(get("bio")), get("friends_count"), get("followers_count"), get("statuses_count"),
+            None if account_raw is None else _account_instant(account_raw),
+        )
 
 
 def _count_error(name: str, value: int) -> str:
     """Why `value` is no count: Twitter stores its counts as signed 64-bit integers."""
     return f"{name} must be {'non-negative' if value < 0 else 'below 2**63'}, got {value}"
-
-
-def checked_tweet(fields: tuple) -> tuple:
-    """`fields`, once they pass `RawTweet(*fields)`'s checks; raises ValueError for the first
-    that fails, in field order."""
-    (tweet_id, text, created_at, user_id, screen_name, location_text, time_zone,
-     offset, interface_lang, bio, friends, followers, statuses, account) = fields
-    # Exact types, so that to_json writes every value as json.dumps would.
-    # One check per field, not a loop over names: this runs for every tweet read.
-    if not isinstance(tweet_id, str) or not tweet_id:
-        raise ValueError("missing or empty field: tweet_id")
-    if not isinstance(text, str) or not text:
-        raise ValueError("missing or empty field: text")
-    if not isinstance(user_id, str) or not user_id:
-        raise ValueError("missing or empty field: user_id")
-    if not isinstance(screen_name, str) or not screen_name:
-        raise ValueError("missing or empty field: screen_name")
-    if location_text is not None and not isinstance(location_text, str):
-        raise ValueError("field location_text must be a string")
-    if time_zone is not None and not isinstance(time_zone, str):
-        raise ValueError("field time_zone must be a string")
-    if interface_lang is not None and not isinstance(interface_lang, str):
-        raise ValueError("field interface_lang must be a string")
-    if bio is not None and not isinstance(bio, str):
-        raise ValueError("field bio must be a string")
-    if offset is not None and type(offset) is not int:
-        raise ValueError("field utc_offset_seconds must be an integer")
-    if friends is not None and type(friends) is not int:
-        raise ValueError("field friends_count must be an integer")
-    if followers is not None and type(followers) is not int:
-        raise ValueError("field followers_count must be an integer")
-    if statuses is not None and type(statuses) is not int:
-        raise ValueError("field statuses_count must be an integer")
-    if friends is not None and not 0 <= friends < 2**63:
-        raise ValueError(_count_error("friends_count", friends))
-    if followers is not None and not 0 <= followers < 2**63:
-        raise ValueError(_count_error("followers_count", followers))
-    if statuses is not None and not 0 <= statuses < 2**63:
-        raise ValueError(_count_error("statuses_count", statuses))
-    if offset is not None and not -86400 < offset < 86400:  # what `datetime.timezone` takes
-        raise ValueError(f"utc_offset_seconds must be in (-86400, 86400), got {offset}")
-    if not isinstance(created_at, datetime) or not (
-        account is None or isinstance(account, datetime)
-    ):
-        raise ValueError("created_at and account_created_at must be datetimes")
-    return fields
-
-
-def tweet_fields(doc: dict) -> tuple:
-    """`RawTweet.from_record(doc)`'s constructor arguments, timestamps parsed and profile
-    strings shared; raises ValueError as it does.  `checked_tweet` runs the field checks."""
-    if not isinstance(doc, dict):
-        raise ValueError("tweet record must be a JSON object")
-    get = doc.get
-    created_raw = get("created_at")
-    if not isinstance(created_raw, str) or not created_raw:
-        raise ValueError("missing or empty field: created_at")
-    account_raw = get("account_created_at")
-    if account_raw is not None and (not isinstance(account_raw, str) or not account_raw):
-        raise ValueError(
-            f"account_created_at must be a timestamp string or null, got {account_raw!r}"
-        )
-    return (
-        get("tweet_id"), get("text"), parse_timestamp(created_raw),
-        _shared(get("user_id")), _shared(get("screen_name")), _shared(get("location_text")),
-        _shared(get("time_zone")), get("utc_offset_seconds"), _shared(get("interface_lang")),
-        _shared(get("bio")), get("friends_count"), get("followers_count"), get("statuses_count"),
-        None if account_raw is None else _account_instant(account_raw),
-    )
 
 
 def _opt_str(value: str | None) -> str:

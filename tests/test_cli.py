@@ -131,6 +131,7 @@ def test_synth_seed_changes_output(tmp_path, corpus_dir):
 
 EXPECTED_FILES = [
     "tweets.jsonl",
+    "profiles.jsonl",
     "logs.jsonl",
     "filtered.jsonl",
     "countries.csv",
@@ -1309,6 +1310,7 @@ def _fields(types: dict) -> dict:
 
 
 _LEDGER_COUNT = {"integer"}
+_REQUIRED_TWEET_FIELDS = [(f,) for f, types in _TWEET_FIELD_TYPES.items() if "null" not in types]
 _TIMELINE_FIELD_TYPES = {"user_id": {"string"}, "created_at": {"string"}}
 
 
@@ -1317,8 +1319,8 @@ _TIMELINE_FIELD_TYPES = {"user_id": {"string"}, "created_at": {"string"}}
 # index of a list or key of an object), and the paths that must be present.  A CSV file's
 # types are by column, and the columns its readers use must be present.
 _BROKEN_INPUTS = {
-    "tweets.jsonl": (("parse", "geo", "analyze"), _fields(_TWEET_FIELD_TYPES),
-                     [(f,) for f, types in _TWEET_FIELD_TYPES.items() if "null" not in types]),
+    "tweets.jsonl": (("parse",), _fields(_TWEET_FIELD_TYPES), _REQUIRED_TWEET_FIELDS),
+    "profiles.jsonl": (("geo", "analyze"), _fields(_TWEET_FIELD_TYPES), _REQUIRED_TWEET_FIELDS),
     "timelines.jsonl": (("analyze --timelines",), _fields(_TIMELINE_FIELD_TYPES),
                         list(_fields(_TIMELINE_FIELD_TYPES))),
     "ledger.json": (
@@ -1554,7 +1556,7 @@ _WRITTEN = (
                        st.sampled_from(_WRITTEN), st.booleans()), min_size=1, max_size=14),
     st.randoms(use_true_random=False),
 )
-def test_profile_reader_keeps_what_latest_profiles_keeps(tweets, rng):
+def test_profiles_file_holds_what_latest_profiles_keeps(tweets, rng):
     lines = []
     for n, (user_id, instant, written, blank_after) in enumerate(tweets):
         lines.append(json.dumps({
@@ -1565,11 +1567,35 @@ def test_profile_reader_keeps_what_latest_profiles_keeps(tweets, rng):
             lines.append("  ")
     rng.shuffle(lines)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "tweets.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
+        corpus = os.path.join(tmp, "corpus.jsonl")
+        with open(corpus, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-        every_tweet = cli._read_jsonl(path, RawTweet.from_record)
-        assert list(cli._read_profiles(path).items()) == list(latest_profiles(every_tweet).items())
+        assert cli.main(["ingest", corpus, "--out", tmp]) == 0
+        every_tweet = cli._read_jsonl(os.path.join(tmp, "tweets.jsonl"), RawTweet.from_record)
+        latest = latest_profiles(every_tweet)
+        with open(os.path.join(tmp, "profiles.jsonl"), encoding="utf-8") as handle:
+            assert handle.read() == "".join(tweet.to_json() + "\n" for tweet in latest.values())
+        for name in ("profiles.jsonl", "tweets.jsonl"):
+            assert list(cli._read_profiles(os.path.join(tmp, name)).items()) == list(latest.items())
+
+
+def test_geo_and_analyze_on_all_tweets_write_what_they_write_from_profiles(
+    tmp_path, run_dir, corpus_dir
+):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    tweets = str(out / "tweets.jsonl")
+    common = ["--out", str(out), "--geo-offline", "--geo-cache", str(tmp_path / "gc.json")]
+    assert cli.main(["geo", tweets] + common) == 0
+    assert cli.main(["analyze", "--tweets", tweets,
+                     "--timelines", str(corpus_dir / "timelines.jsonl")] + common) == 0
+    written, expected = tree_hashes(out), tree_hashes(run_dir)
+    changed = {name for name in expected if written[name] != expected[name]}
+    assert set(written) == set(expected)
+    assert changed == {"manifest_geo.json", "manifest_analyze.json"}
+    for command in ("geo", "analyze"):
+        inputs = json.loads((out / f"manifest_{command}.json").read_text())["inputs"]
+        assert "tweets.jsonl" in inputs and "profiles.jsonl" not in inputs
 
 
 SLEEP_TEXT = (

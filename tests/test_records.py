@@ -85,6 +85,14 @@ class TestRawTweet:
         again = RawTweet.from_record(json.loads(tweet.to_json()))
         assert again == tweet
 
+    @pytest.mark.parametrize("name", ["created_at", "account_created_at"])
+    def test_a_naive_instant_is_refused(self, make_tweet, name):
+        # Written without an offset, it would not compare with an aware one in dedupe.
+        with pytest.raises(ValueError, match="^created_at and account_created_at must carry a UTC offset$"):
+            make_tweet(**{name: datetime(2015, 10, 24, 6)})
+        aware = make_tweet(**{name: datetime(2015, 10, 24, 6, tzinfo=timezone(timedelta(hours=9)))})
+        assert RawTweet.from_record(json.loads(aware.to_json())) == aware
+
     def test_missing_required_field(self):
         doc = record()
         del doc["screen_name"]
@@ -99,7 +107,8 @@ TEXT = st.text(st.one_of(
     st.characters(exclude_categories=()),
 ))
 OFFSETS = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59))
-INSTANTS = st.datetimes(timezones=st.one_of(st.none(), st.just(timezone.utc), st.builds(timezone, OFFSETS)))
+AWARE_INSTANTS = st.datetimes(timezones=st.one_of(st.just(timezone.utc), st.builds(timezone, OFFSETS)))
+INSTANTS = st.datetimes() | AWARE_INSTANTS  # naive too, which RawTweet refuses
 ANY_VALUE = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), TEXT, INSTANTS, st.lists(st.integers()),
 )
@@ -111,7 +120,7 @@ def raw_tweets(draw) -> RawTweet:
     return RawTweet(
         tweet_id=draw(TEXT.filter(bool)),
         text=draw(TEXT.filter(bool)),
-        created_at=draw(INSTANTS),
+        created_at=draw(AWARE_INSTANTS),
         user_id=draw(TEXT.filter(bool)),
         screen_name=draw(TEXT.filter(bool)),
         location_text=draw(st.none() | TEXT),
@@ -122,7 +131,7 @@ def raw_tweets(draw) -> RawTweet:
         friends_count=draw(counts),
         followers_count=draw(counts),
         statuses_count=draw(counts),
-        account_created_at=draw(st.none() | INSTANTS),
+        account_created_at=draw(st.none() | AWARE_INSTANTS),
     )
 
 
