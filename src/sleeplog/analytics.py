@@ -280,19 +280,20 @@ def start_bin_label(moment) -> str:
 
 def duration_by_start_bin(logs: Sequence[SleepLog]) -> CohortReport:
     """Duration and deep-sleep structure across eight 3-hour start bins."""
-    durations: dict[str, list[float]] = {label: [] for label in START_BIN_LABELS}
-    deeps: dict[str, list[float]] = {label: [] for label in START_BIN_LABELS}
+    # The logs' own ints, not float copies: sums, means and ranks come out the same.
+    durations: dict[str, list[int]] = {label: [] for label in START_BIN_LABELS}
+    deeps: dict[str, list[int]] = {label: [] for label in START_BIN_LABELS}
     for log in logs:
         label = start_bin_label(log.start_civil)
-        durations[label].append(float(log.duration_minutes))
+        durations[label].append(log.duration_minutes)
         if log.deep_sleep_pct is not None:
-            deeps[label].append(float(log.deep_sleep_pct))
+            deeps[label].append(log.deep_sleep_pct)
 
     matrix = []
     for label in START_BIN_LABELS:
         row = [0.0] * _DURATION_HIST_HOURS
         for value in durations[label]:
-            row[min(int(value // 60), _DURATION_HIST_HOURS - 1)] += 1
+            row[min(value // 60, _DURATION_HIST_HOURS - 1)] += 1
         total = left_sum(row)
         matrix.append([v / total for v in row] if total else row)
 

@@ -17,7 +17,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from zoneinfo import ZoneInfo
 
-from .records import _HHMM_TEXT, RawTweet, RejectReason, instant_text
+from .records import _HHMM_TEXT, RawTweet, RejectReason, _shared, instant_text
 
 PREFIX = "Sleep as Android: "
 
@@ -27,8 +27,9 @@ _MINUTE = timedelta(minutes=1)
 _NAIVE_MIN = datetime.min
 _UTC_MIN = datetime.min.replace(tzinfo=timezone.utc)
 _LAST_DAY = datetime.max.toordinal()
-# One shared civil `time` per minute of the day.
+# One shared civil `time`, and one shared duration `int`, per minute of the day.
 _CIVIL = [time(m // 60, m % 60) for m in range(1440)]
+_MINUTES = list(range(1440))
 
 # Minutes of slack allowed between a stated wake-up time and the tweet's
 # local timestamp: the app can post a minute or two before the stated end
@@ -221,10 +222,10 @@ class SleepLog:
             raise ValueError(f"log record must be a JSON object, got {type(doc).__name__}")
         return cls(
             doc["tweet_id"],
-            doc["user_id"],
+            _shared(doc["user_id"]),
             _civil(doc, "start_civil"),
             _civil(doc, "end_civil"),
-            doc["duration_minutes"],
+            _duration(doc["duration_minutes"]),
             doc["deep_sleep_pct"],
             _member(_NOTATIONS, doc["notation"], TimeNotation),
             _member(_SEPARATORS, doc["separator"], Separator),
@@ -237,6 +238,12 @@ class SleepLog:
 
 
 ParseOutcome = SleepLog | Rejection
+
+
+def _duration(raw):
+    """The shared `int` for an exact `int` in 0..1439; any other value passes
+    through, for `__post_init__` to refuse with its own message."""
+    return _MINUTES[raw] if type(raw) is int and 0 <= raw < 1440 else raw
 
 
 def _refuse_instant(name: str, kind: str, value) -> None:
@@ -428,7 +435,7 @@ def _build_log(
     dur_h, dur_m = int(dur_h), int(dur_m)
     if dur_h > 23 or dur_m > 59:
         return _unparseable(match, offset, "dm" if dur_m > 59 else "dh")
-    stated = dur_h * 60 + dur_m
+    stated = _MINUTES[dur_h * 60 + dur_m]
     if stated == 0:
         return _unparseable(match, offset, "dh")
 

@@ -80,17 +80,23 @@ def instant_text(moment: datetime) -> str:
     return text if tz is None else text + "+00:00"
 
 
-# One object per distinct profile string and per distinct account-creation text:
+# One object per distinct profile string, profile integer and account-creation text:
 # a user's tweets repeat the same few values.  Bounded, unlike `sys.intern`,
-# whose strings are never freed.
+# whose strings are never freed.  Integers have their own memo, so that a count
+# that is new on every tweet cannot evict the shared strings.
 _shared_text = lru_cache(maxsize=_MEMO_SIZE)(lambda value: value)
+_shared_int = lru_cache(maxsize=_MEMO_SIZE)(lambda value: value)
 _account_instant = lru_cache(maxsize=_MEMO_SIZE)(parse_timestamp)
 
 
 def _shared(value):
-    """`value`, or the first equal string seen.  Only exact `str`s reach the memo,
-    so a mistyped value (a list, `True`) is refused with its own message."""
-    return _shared_text(value) if type(value) is str else value
+    """`value`, or the first equal string or integer seen.  Only exact `str`s and
+    `int`s reach the memos, so a mistyped value (a list, `True`, `1.0`) is refused
+    with its own message: as `True == 1.0 == 1`, a memo could swap one for another."""
+    kind = type(value)
+    if kind is str:
+        return _shared_text(value)
+    return _shared_int(value) if kind is int else value
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,7 +187,7 @@ class RawTweet:
 
     @classmethod
     def from_record(cls, doc: dict) -> "RawTweet":
-        """Build from a decoded JSON object, timestamps parsed and profile strings
+        """Build from a decoded JSON object, timestamps parsed and profile values
         shared; raises ValueError when invalid."""
         if not isinstance(doc, dict):
             raise ValueError("tweet record must be a JSON object")
@@ -197,8 +203,9 @@ class RawTweet:
         return cls(
             get("tweet_id"), get("text"), parse_timestamp(created_raw),
             _shared(get("user_id")), _shared(get("screen_name")), _shared(get("location_text")),
-            _shared(get("time_zone")), get("utc_offset_seconds"), _shared(get("interface_lang")),
-            _shared(get("bio")), get("friends_count"), get("followers_count"), get("statuses_count"),
+            _shared(get("time_zone")), _shared(get("utc_offset_seconds")),
+            _shared(get("interface_lang")), _shared(get("bio")), _shared(get("friends_count")),
+            _shared(get("followers_count")), _shared(get("statuses_count")),
             None if account_raw is None else _account_instant(account_raw),
         )
 
@@ -409,7 +416,7 @@ def dedupe(
     order.  Rejections are in position order.
     """
     seen_ids: set[str] = set()
-    kept_copy: dict[tuple[str, str], RawTweet] = {}  # content -> its kept copy
+    kept_copy: dict[str, dict[str, RawTweet]] = {}  # user_id -> text -> its kept copy
     kept: list[RawTweet] = []
     rejected: list[RejectedLine] = []
     replaced: set[int] = set()  # id() of each kept copy that an earlier copy replaced
@@ -419,8 +426,10 @@ def dedupe(
                 RejectedLine(position, RejectReason.DUPLICATE_ID, tweet.tweet_id)
             )
             continue
-        content_key = (tweet.user_id, tweet.text)
-        first = kept_copy.get(content_key) if by_content else None
+        texts = kept_copy.get(tweet.user_id)
+        if texts is None:
+            texts = kept_copy[tweet.user_id] = {}
+        first = texts.get(tweet.text) if by_content else None
         if first is not None:
             if first.created_at <= tweet.created_at:
                 rejected.append(
@@ -429,7 +438,7 @@ def dedupe(
                 continue
             replaced.add(id(first))
         seen_ids.add(tweet.tweet_id)
-        kept_copy[content_key] = tweet
+        texts[tweet.text] = tweet
         kept.append(tweet)
     if not replaced:
         return kept, rejected

@@ -9,7 +9,7 @@ of the regularized incomplete beta function.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -73,18 +73,15 @@ class CorrelationResult:
 
 def _midranks(values: Sequence[float]) -> list[float]:
     """Ranks 1..n with ties sharing their average rank."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
+    # One average rank per distinct value, found by sorting the values themselves.
+    ordered = sorted(values)
+    rank_of = {}
     i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
+    while i < len(ordered):
+        j = bisect_right(ordered, ordered[i], i) - 1  # the last of the values equal to ordered[i]
+        rank_of[ordered[i]] = (i + j) / 2 + 1
         i = j + 1
-    return ranks
+    return [rank_of[value] for value in values]
 
 
 def _tie_sizes(values: Sequence[float]) -> list[int]:

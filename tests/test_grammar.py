@@ -706,6 +706,8 @@ class TestTableDecode:
         ("end_civil", _ALL_HHMM + _EDGE_VALUES),
         ("notation", [m.value for m in TimeNotation] + _EDGE_VALUES),
         ("separator", [m.value for m in Separator] + _EDGE_VALUES),
+        ("duration_minutes", list(range(-2, 1442)) + [10**400, 430.0] + _EDGE_VALUES),
+        ("user_id", ["u1", "u2"] + _EDGE_VALUES),
     ])
     def test_same_log_or_message_as_parsing(self, name, values):
         for value in values:
@@ -714,3 +716,12 @@ class TestTableDecode:
             assert _outcome(SleepLog.from_record, doc) == expected, value
             if isinstance(expected, SleepLog):
                 assert SleepLog.from_record(doc).to_json() == expected.to_json()
+
+    def test_logs_share_their_user_id_and_duration(self, make_tweet):
+        # Fresh equal objects per line, as `json.loads` gives them.
+        first, second = (SleepLog.from_record(json.loads(json.dumps(self.BASE))) for _ in range(2))
+        assert first.user_id is second.user_id
+        assert first.duration_minutes is second.duration_minutes
+        parsed = parse_tweet(make_tweet(text="Sleep as Android: I was sleeping for 7:10 from 23:02 "
+                                             "to 6:12 with 21% deep sleep #sleep_as_android"))
+        assert parsed.duration_minutes is first.duration_minutes

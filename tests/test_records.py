@@ -208,14 +208,20 @@ class TestInstantText:
 
 class TestSharedProfileValues:
     def test_one_users_tweets_share_their_profile_values(self):
+        # Counts above 256, which CPython's small-int cache does not share already.
+        counts = {"utc_offset_seconds": -25200, "friends_count": 1234,
+                  "followers_count": 56789, "statuses_count": 2**40}
         profile = {"bio": "sleeps a lot", "time_zone": "Berlin",
-                   "account_created_at": "2013-01-01T00:00:00+00:00"}
+                   "account_created_at": "2013-01-01T00:00:00+00:00", **counts}
         (first, second), _ = ingest([line(tweet_id="t1", text="a", **profile),
                                      line(tweet_id="t2", text="b", **profile)])
         assert first.user_id is second.user_id
         assert first.screen_name is second.screen_name
         assert first.bio is second.bio and first.time_zone is second.time_zone
         assert first.account_created_at is second.account_created_at
+        for name, value in counts.items():
+            assert getattr(first, name) == value
+            assert getattr(first, name) is getattr(second, name), name
 
     @pytest.mark.parametrize("field, value, message", [
         ("user_id", 1, "missing or empty field: user_id"),
@@ -232,6 +238,22 @@ class TestSharedProfileValues:
             records._shared(f"value {n}")
         info = records._shared_text.cache_info()
         assert info.currsize <= info.maxsize == records._MEMO_SIZE
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_a_count_equal_to_a_shared_int_is_still_refused(self, value):
+        # True == 1.0 == 1, so only exact ints may reach the memo.
+        assert RawTweet.from_record(record(friends_count=1)).friends_count == 1
+        _, rejected = ingest([line(friends_count=value)])
+        assert rejected[0].detail == "field friends_count must be an integer"
+
+    def test_the_int_memo_is_bounded_and_leaves_shared_strings_shared(self):
+        text = records._shared("".join(["a shared ", "string"]))
+        for n in range(records._MEMO_SIZE + 10):
+            records._shared(10**6 + n)
+        info = records._shared_int.cache_info()
+        assert info.currsize <= info.maxsize == records._MEMO_SIZE
+        again = "".join(["a shared ", "string"])
+        assert again is not text and records._shared(again) is text
 
 
 class TestIngest:

@@ -22,6 +22,7 @@ from sleeplog.stats import (
     MwuMethod,
     TestResult as UStatResult,
     _midranks,
+    _tie_sizes,
     exact_u_distribution,
     hour_histogram,
     left_sum,
@@ -103,6 +104,32 @@ def t_sf_by_quadrature(t: float, df: int) -> float:
     return 0.5 - integrate(lambda x: t_density(x, df), 0.0, t)
 
 
+def index_sort_ranks(values) -> tuple[list[float], list[int]]:
+    """Midranks and tie sizes by sorting the indices and walking runs of equal values."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    ties = []
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2 + 1
+        if j > i:
+            ties.append(j - i + 1)
+        i = j + 1
+    return ranks, ties
+
+
+# Few distinct values, so that ties are common, and the ones that compare equal across types.
+RANKED_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False).map(lambda v: round(v, 1)),
+    st.sampled_from([0.0, -0.0, 1, 1.0, True, 2**53, 2**53 + 1, float(2**53), 1e300, -math.inf]),
+)
+
+
 def draw_tie_free(rng: random.Random, n1: int, n2: int) -> tuple[list, list]:
     values = rng.sample(range(1, 13), n1 + n2)
     return [float(v) for v in values[:n1]], [float(v) for v in values[n1:]]
@@ -116,6 +143,27 @@ class TestRanks:
 
     def test_midranks_all_tied(self):
         assert _midranks([7.0, 7.0, 7.0]) == [2.0, 2.0, 2.0]
+
+    @settings(deadline=None)
+    @given(st.lists(RANKED_VALUES, max_size=60))
+    def test_ranks_and_ties_match_the_index_sort(self, values):
+        ranks, ties = index_sort_ranks(values)
+        got = _midranks(values)
+        assert [type(r) for r in got] == [float] * len(values)
+        assert [r.hex() for r in got] == [r.hex() for r in ranks]
+        assert sorted(_tie_sizes(values)) == sorted(ties)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 1439), min_size=1, max_size=40),
+           st.lists(st.integers(1, 1439), min_size=1, max_size=40),
+           st.sampled_from(["auto", "approx", "exact"]))
+    def test_mann_whitney_on_ints_equals_it_on_the_same_floats(self, a, b, mode):
+        # duration_by_start_bin tests the logs' own ints.
+        if mode == "exact" and math.comb(len(a) + len(b), len(a)) > 20_000:
+            mode = "auto"
+        as_ints = mann_whitney_u(a, b, mode)
+        as_floats = mann_whitney_u([float(v) for v in a], [float(v) for v in b], mode)
+        assert repr(as_ints) == repr(as_floats)
 
     def test_exact_distribution_sums_to_binomial(self):
         for n1, n2 in [(1, 1), (2, 3), (4, 4), (5, 6)]:
