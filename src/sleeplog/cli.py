@@ -88,7 +88,8 @@ def _sha256(path: str) -> str:
         raise ValueError(f"{path}: not a regular file, so the manifest cannot digest it")
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        # In 64 KiB chunks: reading 1 MiB at a time raised run-all's peak RSS by ~1 MB.
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

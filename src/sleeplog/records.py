@@ -80,10 +80,10 @@ def instant_text(moment: datetime) -> str:
     return text if tz is None else text + "+00:00"
 
 
-# One object per distinct profile string, profile integer and account-creation text:
-# a user's tweets repeat the same few values.  Bounded, unlike `sys.intern`,
-# whose strings are never freed.  Integers have their own memo, so that a count
-# that is new on every tweet cannot evict the shared strings.
+# One object per distinct profile string, UTC offset and account-creation text:
+# a user's tweets repeat them, and a corpus holds a few dozen offsets.  Bounded,
+# unlike `sys.intern`.  Integers have their own memo, so they cannot evict shared
+# strings.  Counts are not shared: a `statuses_count` can be new on every tweet.
 _shared_text = lru_cache(maxsize=_MEMO_SIZE)(lambda value: value)
 _shared_int = lru_cache(maxsize=_MEMO_SIZE)(lambda value: value)
 _account_instant = lru_cache(maxsize=_MEMO_SIZE)(parse_timestamp)
@@ -204,8 +204,8 @@ class RawTweet:
             get("tweet_id"), get("text"), parse_timestamp(created_raw),
             _shared(get("user_id")), _shared(get("screen_name")), _shared(get("location_text")),
             _shared(get("time_zone")), _shared(get("utc_offset_seconds")),
-            _shared(get("interface_lang")), _shared(get("bio")), _shared(get("friends_count")),
-            _shared(get("followers_count")), _shared(get("statuses_count")),
+            _shared(get("interface_lang")), _shared(get("bio")), get("friends_count"),
+            get("followers_count"), get("statuses_count"),
             None if account_raw is None else _account_instant(account_raw),
         )
 
@@ -415,8 +415,10 @@ def dedupe(
     earlier line, so which copy is kept does not depend on the corpus's line
     order.  Rejections are in position order.
     """
-    seen_ids: set[str] = set()
-    kept_copy: dict[str, dict[str, RawTweet]] = {}  # user_id -> text -> its kept copy
+    seen_ids: dict[str, None] = {}  # smaller than a set of the same ids, at every size
+    # Content is keyed by text; a text another user's kept copy holds, by (user_id, text).
+    kept_copy: dict[str, RawTweet] = {}
+    shared_text: dict[tuple[str, str], RawTweet] = {}
     kept: list[RawTweet] = []
     rejected: list[RejectedLine] = []
     replaced: set[int] = set()  # id() of each kept copy that an earlier copy replaced
@@ -426,10 +428,9 @@ def dedupe(
                 RejectedLine(position, RejectReason.DUPLICATE_ID, tweet.tweet_id)
             )
             continue
-        texts = kept_copy.get(tweet.user_id)
-        if texts is None:
-            texts = kept_copy[tweet.user_id] = {}
-        first = texts.get(tweet.text) if by_content else None
+        first = kept_copy.get(tweet.text) if by_content else None
+        if first is not None and first.user_id != tweet.user_id:
+            first = shared_text.get((tweet.user_id, tweet.text))
         if first is not None:
             if first.created_at <= tweet.created_at:
                 rejected.append(
@@ -437,8 +438,11 @@ def dedupe(
                 )
                 continue
             replaced.add(id(first))
-        seen_ids.add(tweet.tweet_id)
-        texts[tweet.text] = tweet
+        seen_ids[tweet.tweet_id] = None
+        if kept_copy.setdefault(tweet.text, tweet).user_id == tweet.user_id:
+            kept_copy[tweet.text] = tweet
+        else:
+            shared_text[tweet.user_id, tweet.text] = tweet
         kept.append(tweet)
     if not replaced:
         return kept, rejected

@@ -208,20 +208,24 @@ class TestInstantText:
 
 class TestSharedProfileValues:
     def test_one_users_tweets_share_their_profile_values(self):
-        # Counts above 256, which CPython's small-int cache does not share already.
-        counts = {"utc_offset_seconds": -25200, "friends_count": 1234,
-                  "followers_count": 56789, "statuses_count": 2**40}
-        profile = {"bio": "sleeps a lot", "time_zone": "Berlin",
-                   "account_created_at": "2013-01-01T00:00:00+00:00", **counts}
+        # An offset beyond 256, which CPython's small-int cache does not share already.
+        profile = {"bio": "sleeps a lot", "time_zone": "Berlin", "utc_offset_seconds": -25200,
+                   "account_created_at": "2013-01-01T00:00:00+00:00"}
         (first, second), _ = ingest([line(tweet_id="t1", text="a", **profile),
                                      line(tweet_id="t2", text="b", **profile)])
         assert first.user_id is second.user_id
         assert first.screen_name is second.screen_name
         assert first.bio is second.bio and first.time_zone is second.time_zone
         assert first.account_created_at is second.account_created_at
-        for name, value in counts.items():
-            assert getattr(first, name) == value
-            assert getattr(first, name) is getattr(second, name), name
+        assert first.utc_offset_seconds == -25200
+        assert first.utc_offset_seconds is second.utc_offset_seconds
+
+    def test_counts_stay_out_of_the_int_memo(self):
+        # A count can be new on every tweet; memo entries for those would share nothing.
+        records._shared_int.cache_clear()
+        ingest([line(tweet_id=f"t{n}", text=f"{n}", friends_count=1000 + n,
+                     followers_count=2000 + n, statuses_count=3000 + n) for n in range(50)])
+        assert records._shared_int.cache_info().currsize == 0
 
     @pytest.mark.parametrize("field, value, message", [
         ("user_id", 1, "missing or empty field: user_id"),
@@ -240,11 +244,11 @@ class TestSharedProfileValues:
         assert info.currsize <= info.maxsize == records._MEMO_SIZE
 
     @pytest.mark.parametrize("value", [True, 1.0])
-    def test_a_count_equal_to_a_shared_int_is_still_refused(self, value):
+    def test_an_offset_equal_to_a_shared_int_is_still_refused(self, value):
         # True == 1.0 == 1, so only exact ints may reach the memo.
-        assert RawTweet.from_record(record(friends_count=1)).friends_count == 1
-        _, rejected = ingest([line(friends_count=value)])
-        assert rejected[0].detail == "field friends_count must be an integer"
+        assert RawTweet.from_record(record(utc_offset_seconds=1)).utc_offset_seconds == 1
+        _, rejected = ingest([line(utc_offset_seconds=value)])
+        assert rejected[0].detail == "field utc_offset_seconds must be an integer"
 
     def test_the_int_memo_is_bounded_and_leaves_shared_strings_shared(self):
         text = records._shared("".join(["a shared ", "string"]))
@@ -421,6 +425,51 @@ class TestDedupe:
             by_id=False,
         )
         assert len(kept) == 2 and rejected == []
+
+    def test_a_text_two_users_share_keeps_each_users_earliest_copy(self):
+        late, early = "2015-10-25T06:00:00+00:00", "2015-10-24T06:00:00+00:00"
+        kept, rejected = dedupe(self.tweets(
+            {"tweet_id": "a", "text": "x", "user_id": "u1"},
+            {"tweet_id": "b", "text": "x", "user_id": "u2", "created_at": late},
+            {"tweet_id": "c", "text": "x", "user_id": "u1", "created_at": late},
+            {"tweet_id": "d", "text": "x", "user_id": "u2", "created_at": early},
+            {"tweet_id": "e", "text": "x", "user_id": "u2", "created_at": late},
+        ))
+        assert [t.tweet_id for t in kept] == ["a", "d"]
+        assert [(r.line_number, r.tweet_id) for r in rejected] == [
+            (2, "b"), (3, "c"), (5, "e")
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from(["u1", "u2", "u3"]),
+                           st.sampled_from("xyz"), st.integers(0, 3)), max_size=14),
+        st.booleans(), st.booleans(),
+    )
+    def test_same_outcome_as_one_key_per_user_and_text(self, specs, by_id, by_content):
+        tweets = self.tweets(*(
+            {"tweet_id": i, "user_id": u, "text": x, "created_at": f"2015-10-2{day}T06:00:00+00:00"}
+            for i, u, x, day in specs
+        ))
+        # The rules with one (user_id, text) key per kept copy, replaced copies dropped last.
+        seen, first_copy, kept, rejected, replaced = set(), {}, [], [], set()
+        for position, tweet in enumerate(tweets, start=1):
+            if by_id and tweet.tweet_id in seen:
+                rejected.append((position, RejectReason.DUPLICATE_ID, tweet.tweet_id))
+                continue
+            first = first_copy.get((tweet.user_id, tweet.text)) if by_content else None
+            if first is not None:
+                if first[1].created_at <= tweet.created_at:
+                    rejected.append((position, RejectReason.DUPLICATE_CONTENT, tweet.tweet_id))
+                    continue
+                replaced.add(first[0])
+            seen.add(tweet.tweet_id)
+            first_copy[tweet.user_id, tweet.text] = (position, tweet)
+            kept.append((position, tweet))
+        rejected += [(p, RejectReason.DUPLICATE_CONTENT, t.tweet_id) for p, t in kept if p in replaced]
+        got_kept, got_rejected = dedupe(tweets, by_id=by_id, by_content=by_content)
+        assert got_kept == [t for p, t in kept if p not in replaced]
+        assert [(r.line_number, r.reason, r.tweet_id) for r in got_rejected] == sorted(rejected)
 
 
 class TestLedger:
