@@ -17,7 +17,6 @@ from .stats import (
     DegenerateSampleError,
     TestResult,
     hour_histogram,
-    left_sum,
     log2_bin,
     LOG2_BIN_LABELS,
     mann_whitney_u,
@@ -84,7 +83,7 @@ class CohortReport:
 
     @property
     def group_means(self) -> dict[str, float | None]:
-        return {g: left_sum(vs) / len(vs) if vs else None for g, vs in self.group_values.items()}
+        return {g: math.fsum(vs) / len(vs) if vs else None for g, vs in self.group_values.items()}
 
     def to_record(self) -> dict:
         return {
@@ -169,11 +168,11 @@ def dataset_summary(logs: Sequence[SleepLog], users: Sequence[UserRecord]) -> Da
         n_users=len(users),
         overall_mean_duration=(sum(all_durations) / len(all_durations)) if logs else 0.0,
         mean_of_user_means_duration=(
-            left_sum(u.avg_duration_minutes for u in users) / len(users) if users else 0.0
+            math.fsum(u.avg_duration_minutes for u in users) / len(users) if users else 0.0
         ),
         overall_mean_deep=(sum(all_deeps) / len(all_deeps)) if all_deeps else None,
         mean_of_user_means_deep=(
-            left_sum(user_deep_means) / len(user_deep_means) if user_deep_means else None
+            math.fsum(user_deep_means) / len(user_deep_means) if user_deep_means else None
         ),
     )
 
@@ -212,9 +211,9 @@ def sleep_clock(logs: Sequence[SleepLog]) -> SleepClockReport:
     return SleepClockReport(
         start_hist=start_hist,
         end_hist=end_hist,
-        start_share_22_03=left_sum(start_hist[h] for h in START_WINDOW_HOURS),
-        end_share_05_10=left_sum(end_hist[h] for h in END_WINDOW_WIDE),
-        end_share_06_07=left_sum(end_hist[h] for h in END_WINDOW_PEAK),
+        start_share_22_03=math.fsum(start_hist[h] for h in START_WINDOW_HOURS),
+        end_share_05_10=math.fsum(end_hist[h] for h in END_WINDOW_WIDE),
+        end_share_06_07=math.fsum(end_hist[h] for h in END_WINDOW_PEAK),
         n_logs=len(logs),
     )
 
@@ -294,7 +293,7 @@ def duration_by_start_bin(logs: Sequence[SleepLog]) -> CohortReport:
         row = [0.0] * _DURATION_HIST_HOURS
         for value in durations[label]:
             row[min(value // 60, _DURATION_HIST_HOURS - 1)] += 1
-        total = left_sum(row)
+        total = math.fsum(row)
         matrix.append([v / total for v in row] if total else row)
 
     tests: dict[str, TestResult] = {}
@@ -448,10 +447,9 @@ def presleep_report(
 ) -> PresleepReport:
     """Correlate each user's pre-sleep probability with their mean deep sleep.
 
-    `deep_by_user` must hold every user in `probs`.  Quartile means are
-    summed in the order of `probs`, so a subset must keep its parent's order.
-    The correlation and the top-vs-bottom quartile test are reported as not
-    computable when the probabilities carry no variation.
+    `deep_by_user` must hold every user in `probs`.  The correlation and the
+    top-vs-bottom quartile test are reported as not computable when the
+    probabilities carry no variation.
     """
     notes: dict[str, str] = {}
     correlation = None
@@ -516,19 +514,18 @@ def activity_cohorts(
         )
     rates = {u.user_id: u.tweets_per_day for u in eligible}
     quartiles = quartile_split(rates)
-    grouped_logs = by_user(logs)
+    bin_counts = {label: [0.0] * len(START_BIN_LABELS) for label in QUARTILE_LABELS}
+    for log in logs:
+        label = quartiles.get(log.user_id)
+        if label is not None:
+            bin_counts[label][log.start_civil.hour // 3] += 1
 
     matrix = []
     values: dict[str, list[float]] = {}
-    for label in QUARTILE_LABELS:
-        members = [u for u in eligible if quartiles[u.user_id] == label]
-        values[label] = [u.avg_duration_minutes for u in members]
-        bin_counts = [0.0] * len(START_BIN_LABELS)
-        for user in members:
-            for log in grouped_logs.get(user.user_id, []):
-                bin_counts[log.start_civil.hour // 3] += 1
-        total = left_sum(bin_counts)
-        matrix.append([c / total for c in bin_counts] if total else bin_counts)
+    for label, counts in bin_counts.items():
+        values[label] = [u.avg_duration_minutes for u in eligible if quartiles[u.user_id] == label]
+        total = math.fsum(counts)
+        matrix.append([c / total for c in counts] if total else counts)
 
     tests: dict[str, TestResult] = {}
     notes: dict[str, str] = {}

@@ -17,20 +17,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 
-def left_sum(values: Iterable[float]) -> float:
-    """`sum(values)`, added strictly left to right on every Python version.
-
-    From Python 3.12, `sum` compensates float rounding, so a float total can
-    differ in its last bit from 3.10 and 3.11, and with it the analysis files.
-    Every float sum and mean of the analyses goes through here; integer sums
-    are exact either way and keep `sum`.
-    """
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
 class DegenerateSampleError(ValueError):
     """A sample without variation where variation is required."""
 
@@ -132,7 +118,7 @@ def _enumerated_p(pooled_ranks: Sequence[float], n1: int, u_obs: float) -> float
     base = n1 * (n1 + 1) / 2
     le = ge = 0
     for chosen in combinations(range(n), n1):
-        u = left_sum(pooled_ranks[i] for i in chosen) - base
+        u = math.fsum(pooled_ranks[i] for i in chosen) - base
         if u <= u_obs + 1e-12:
             le += 1
         if u >= u_obs - 1e-12:
@@ -160,8 +146,8 @@ def _sample_sd(values: Sequence[float]) -> float:
     n = len(values)
     if n < 2:
         return 0.0
-    mean = left_sum(values) / n
-    return math.sqrt(left_sum((v - mean) ** 2 for v in values) / (n - 1))
+    mean = math.fsum(values) / n
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
 
 
 EXACT_PRODUCT_LIMIT = 400
@@ -187,7 +173,7 @@ def mann_whitney_u(
     pooled = list(a) + list(b)
     ranks = _midranks(pooled)
     tie_groups = _tie_sizes(pooled)
-    r1 = left_sum(ranks[:n1])
+    r1 = math.fsum(ranks[:n1])
     u = r1 - n1 * (n1 + 1) / 2.0
 
     tie_free = not tie_groups
@@ -206,10 +192,10 @@ def mann_whitney_u(
         method = MwuMethod.NORMAL_APPROX
         p = _approx_p(u, n1, n2, tie_groups)
 
-    mean_a = left_sum(a) / n1
-    mean_b = left_sum(b) / n2
+    mean_a = math.fsum(a) / n1
+    mean_b = math.fsum(b) / n2
     mean_diff = mean_a - mean_b
-    sd_a, sd_b = _sample_sd(list(a)), _sample_sd(list(b))
+    sd_a, sd_b = _sample_sd(a), _sample_sd(b)
     df = n1 + n2 - 2
     pooled_var = ((n1 - 1) * sd_a**2 + (n2 - 1) * sd_b**2) / df if df > 0 else 0.0
     degenerate = pooled_var <= 0.0
@@ -292,15 +278,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         raise ValueError("samples must have equal length")
     if n < 3:
         raise ValueError("need at least 3 paired observations")
-    mean_x = left_sum(x) / n
-    mean_y = left_sum(y) / n
+    mean_x = math.fsum(x) / n
+    mean_y = math.fsum(y) / n
     dx = [v - mean_x for v in x]
     dy = [v - mean_y for v in y]
-    ss_x = left_sum(v * v for v in dx)
-    ss_y = left_sum(v * v for v in dy)
+    ss_x = math.fsum(v * v for v in dx)
+    ss_y = math.fsum(v * v for v in dy)
     if ss_x <= 0.0 or ss_y <= 0.0:
         raise DegenerateSampleError("zero variance in at least one sample")
-    r = left_sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return CorrelationResult(r=r, p_two_sided=0.0, n=n)

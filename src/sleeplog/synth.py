@@ -161,7 +161,7 @@ def _poisson(rng: random.Random, lam: float) -> int:
 
 
 def _weighted(rng: random.Random, weights: dict[str, float]) -> str:
-    total = sum(weights.values())
+    total = math.fsum(weights.values())
     x = rng.random() * total
     acc = 0.0
     for key, w in weights.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -26,6 +27,7 @@ from sleeplog.analytics import (
     per_user_aggregates,
     presleep_activity,
     presleep_probability,
+    presleep_report,
     sleep_clock,
     start_bin_label,
     tweets_per_day,
@@ -99,9 +101,28 @@ class TestPerUserAggregates:
         assert summary.overall_mean_deep == pytest.approx(40.0)
         assert summary.mean_of_user_means_deep == pytest.approx(40.0)
 
-    def test_mean_of_user_means_adds_left_to_right(self):
+    def test_mean_of_user_means_is_exactly_rounded(self):
         users = [mk_user("a", 1e16), mk_user("b", 1.0), mk_user("c", -1e16)]
-        assert dataset_summary([], users).mean_of_user_means_duration == 0.0
+        for order in itertools.permutations(users):
+            mean = dataset_summary([], order).mean_of_user_means_duration
+            assert repr(mean) == "0.3333333333333333"
+
+    @settings(deadline=None)
+    @given(
+        logs=st.lists(st.tuples(st.integers(1, 1439), st.none() | st.integers(0, 100)), max_size=6),
+        users=st.lists(st.tuples(st.floats(0, 1e16), st.none() | st.floats(0, 100)),
+                       min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_summary_ignores_the_order_of_logs_and_users(self, logs, users, data):
+        def summary(logs, users):
+            return dataset_summary(
+                [mk_log("u", NIGHT, duration, deep) for duration, deep in logs],
+                [mk_user(f"u{i}", duration, deep) for i, (duration, deep) in enumerate(users)],
+            )
+
+        shuffled = summary(data.draw(st.permutations(logs)), data.draw(st.permutations(users)))
+        assert repr(shuffled) == repr(summary(logs, users))
 
     def test_empty_corpus(self):
         users, summary = per_user_aggregates([])
@@ -456,6 +477,21 @@ class TestPresleepActivity:
         logs = [mk_log("u0", NIGHT, 420), mk_log("u1", NIGHT, 420)]
         report = presleep_activity(logs, {"u0": [], "u1": []})
         assert report.correlation is None and report.cohort is None
+
+    @settings(deadline=None)
+    @given(
+        users=st.lists(st.tuples(st.integers(0, 8).map(lambda hits: hits / 8), st.floats(0, 100)),
+                       min_size=1, max_size=16),
+        data=st.data(),
+    )
+    def test_report_ignores_the_order_of_the_users(self, users, data):
+        def record(order):
+            probs = {f"u{i}": users[i][0] for i in order}
+            deeps = {f"u{i}": users[i][1] for i in order}
+            return presleep_report(probs, deeps, 120, "night").to_record()
+
+        order = data.draw(st.permutations(range(len(users))))
+        assert repr(record(order)) == repr(record(range(len(users))))
 
 
 class TestActivityCohorts:
