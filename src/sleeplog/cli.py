@@ -669,8 +669,7 @@ def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
 
 def _settings_from_args(args: argparse.Namespace) -> dict:
     file_values = load_file(args.config) if args.config else None
-    flags = {s.name: getattr(args, s.name) for s in SETTINGS if hasattr(args, s.name)}
-    return resolve(file_values, None, flags)
+    return resolve(file_values, {s.name: getattr(args, s.name) for s in SETTINGS})
 
 
 def _analyze_files(args: argparse.Namespace, settings: dict) -> str:

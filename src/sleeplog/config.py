@@ -1,22 +1,18 @@
 """Runtime settings.
 
 One flat namespace of typed keys.  Precedence, highest first:
-command-line flag, SLEEPLOG_<KEY> environment variable, config file
-line, built-in default.  Config files are plain "key = value" lines;
-'#' starts a comment, blank lines are ignored.  Unknown keys are an
-error anywhere, not a warning.
+command-line flag, config file line, built-in default.  Config files
+are plain "key = value" lines; '#' starts a comment, blank lines are
+ignored.  Unknown keys are an error anywhere, not a warning.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Mapping
 
 from .records import utf8_line
-
-ENV_PREFIX = "SLEEPLOG_"
 
 
 class ConfigError(ValueError):
@@ -50,7 +46,6 @@ SETTINGS: tuple[Setting, ...] = (
 )
 
 _BY_NAME = {s.name: s for s in SETTINGS}
-_BY_ENV = {ENV_PREFIX + s.name.upper(): s.name for s in SETTINGS}
 
 # Below these a setting has no meaning: an empty or negative window, a floor
 # that keeps users with no logs, a negative clock skew, a corpus of no users.
@@ -107,26 +102,13 @@ def load_file(path: str) -> dict[str, str]:
     return values
 
 
-def env_overrides(environ: Mapping[str, str] | None = None) -> dict[str, str]:
-    """Raw setting -> value strings from SLEEPLOG_<KEY> variables; any other
-    SLEEPLOG_ variable is an error."""
-    environ = os.environ if environ is None else environ
-    unknown = sorted(key for key in environ if key.startswith(ENV_PREFIX) and key not in _BY_ENV)
-    if unknown:
-        raise ConfigError(f"unknown setting in environment: {', '.join(unknown)}")
-    return {name: environ[key] for key, name in _BY_ENV.items() if key in environ}
-
-
 def resolve(
     file_values: Mapping[str, str] | None = None,
-    environ: Mapping[str, str] | None = None,
     flag_values: Mapping[str, object] | None = None,
 ) -> dict[str, object]:
     """Effective typed settings after applying precedence."""
     out: dict[str, object] = {s.name: s.default for s in SETTINGS}
     for name, raw in (file_values or {}).items():
-        out[name] = parse_value(_BY_NAME[name], raw)
-    for name, raw in env_overrides(environ).items():
         out[name] = parse_value(_BY_NAME[name], raw)
     for name, value in (flag_values or {}).items():
         if name not in _BY_NAME:

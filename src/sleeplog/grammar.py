@@ -507,15 +507,6 @@ def _minute_of_day(hour: str, minute: str, meridiem: str | None) -> int | str:
     return hour * 60 + minute
 
 
-def format_sleeplog(log: SleepLog) -> str:
-    """Render the canonical tweet text for a log (inverse of parse_tweet)."""
-    start, end = log.start_civil, log.end_civil
-    return sleeplog_text(
-        log.notation.value, log.separator.value, start.hour * 60 + start.minute,
-        end.hour * 60 + end.minute, log.duration_minutes, log.deep_sleep_pct,
-    )
-
-
 def sleeplog_text(
     notation: str, separator: str, start: int, end: int, duration: int, deep: int | None
 ) -> str:

@@ -36,9 +36,9 @@ from sleeplog.grammar import (
     Separator,
     SleepLog,
     TimeNotation,
-    format_sleeplog,
     parse_tweet,
     recomputed_duration,
+    sleeplog_text,
 )
 from sleeplog.pipeline import FilterConfig, filter_logs
 from sleeplog.records import (
@@ -139,7 +139,10 @@ def test_c1_hundred_thousand_logs_round_trip_field_exact():
         )
         tweet = RawTweet(
             tweet_id="t",
-            text=format_sleeplog(log),
+            text=sleeplog_text(
+                notation.value, separator.value, start.hour * 60 + start.minute,
+                end.hour * 60 + end.minute, stated, deep,
+            ),
             created_at=CREATED,
             user_id="u",
             screen_name="s",

@@ -843,28 +843,17 @@ def test_stage_functions_are_looked_up_when_they_run(tmp_path, corpus_dir, monke
 
 # --- settings precedence through the CLI --------------------------------------
 
-def test_env_override_reaches_the_filter(tmp_path, run_dir, monkeypatch):
-    monkeypatch.setenv("SLEEPLOG_MIN_DURATION_MINUTES", "600")
-    rc = cli.main(["filter", str(run_dir / "logs.jsonl"), "--out", str(tmp_path)])
-    assert rc == 0
-    stamp, _ = read_stamped_csv(tmp_path / "filter_rejects.csv")
-    assert "min_duration_minutes=600" in stamp
-    for line in (tmp_path / "filtered.jsonl").read_text().splitlines():
-        assert 600 <= json.loads(line)["duration_minutes"] <= 720
+def test_environment_moves_no_byte(tmp_path, run_dir, monkeypatch):
+    def filter_into(out: Path) -> dict[str, str]:
+        assert cli.main(["filter", str(run_dir / "logs.jsonl"), "--out", str(out)]) == 0
+        return tree_hashes(out)
 
-
-def test_flag_beats_environment(tmp_path, run_dir, monkeypatch):
+    plain = filter_into(tmp_path / "plain")
+    # A setting's name, and a misspelt one: neither is a source of settings.
     monkeypatch.setenv("SLEEPLOG_MIN_DURATION_MINUTES", "600")
-    rc = cli.main(
-        [
-            "filter", str(run_dir / "logs.jsonl"),
-            "--out", str(tmp_path),
-            "--min-duration-minutes", "200",
-        ]
-    )
-    assert rc == 0
-    stamp, _ = read_stamped_csv(tmp_path / "filter_rejects.csv")
-    assert "min_duration_minutes=200" in stamp
+    monkeypatch.setenv("SLEEPLOG_SLAK_MINUTES", "3")
+    assert filter_into(tmp_path / "env") == plain
+    assert "filtered.jsonl" in plain
 
 
 def test_config_file_is_read(tmp_path, run_dir):
@@ -1663,12 +1652,6 @@ def test_config_file_byte_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert err == f"config error: {cfg}:1: not valid UTF-8: byte 0xe9 at char 3\n"
 
 
-def test_misspelt_env_variable_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SLEEPLOG_SLAK_MINUTES", "3")
-    assert cli.main(["funnel", "--out", str(tmp_path)]) == 2
-    assert "SLEEPLOG_SLAK_MINUTES" in capsys.readouterr().err
-
-
 def test_bad_config_file_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("slack_minutes = zero\n")
@@ -1686,12 +1669,6 @@ def test_inconsistent_duration_window_exits_2(tmp_path, capsys):
     rc = cli.main(["funnel", "--out", str(tmp_path), "--min-duration-minutes", "800"])
     assert rc == 2
     assert "min_duration_minutes" in capsys.readouterr().err
-
-
-def test_bad_env_value_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SLEEPLOG_SLACK_MINUTES", "zero")
-    assert cli.main(["funnel", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_non_numeric_flag_exits_2_via_argparse(tmp_path):
@@ -1754,6 +1731,23 @@ def test_a_piped_stage_input_is_refused_and_a_redirected_file_is_digested(tmp_pa
     assert redirected.returncode == 0, redirected.stderr
     manifest = json.loads((out / "manifest_parse.json").read_text())
     assert manifest["inputs"] == {"stdin": hashlib.sha256(tweets.read_bytes()).hexdigest()}
+
+
+def test_the_readme_library_snippet_runs_in_development_mode(tmp_path, corpus_dir):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    before, _, rest = section.partition("```python\n")
+    assert "\n## " not in before, "the Library use section has no python block"
+    snippet = rest.split("\n```", 1)[0]
+    (tmp_path / "data").mkdir()
+    # A line that is not UTF-8: the snippet must count it as malformed, not stop on it.
+    corpus = (corpus_dir / "corpus.jsonl").read_bytes() + b'{"text": "\xff"}\n'
+    (tmp_path / "data" / "corpus.jsonl").write_bytes(corpus)
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", snippet],
+                          cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")  # a leaked file warns on stderr
+    assert int(done.stdout.split()[0]) > 0
 
 
 def test_importing_the_cli_loads_no_synth_or_http_modules():

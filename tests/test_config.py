@@ -1,21 +1,25 @@
-"""Settings: file/env/flag precedence, typing, validation, the output stamp."""
+"""Settings: flag over config file over default, typing, validation, the output stamp."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import re
 
 import pytest
 
+from sleeplog.analytics import filter_min_logs, presleep_activity, presleep_probability
 from sleeplog.config import (
     SETTINGS,
     ConfigError,
     Setting,
     config_stamp,
-    env_overrides,
     load_file,
     parse_value,
     resolve,
 )
+from sleeplog.grammar import anchor_dates, parse_tweet
+from sleeplog.pipeline import FilterConfig
 
 INT_SETTING = Setting("min_duration_minutes", "int", 120, "")
 BOOL_SETTING = Setting("require_deep_sleep", "bool", False, "")
@@ -85,51 +89,39 @@ class TestLoadFile:
 
 class TestResolve:
     def test_defaults(self):
-        resolved = resolve(environ={})
+        resolved = resolve()
         assert resolved["min_duration_minutes"] == 120
         assert resolved["max_duration_minutes"] == 720
         assert resolved["slack_minutes"] == 15
         assert resolved["geo_offline"] is False
 
     def test_file_beats_default(self):
-        resolved = resolve(file_values={"slack_minutes": "30"}, environ={})
+        resolved = resolve(file_values={"slack_minutes": "30"})
         assert resolved["slack_minutes"] == 30
 
-    def test_env_beats_file(self):
+    def test_flag_beats_file(self):
         resolved = resolve(
             file_values={"slack_minutes": "30"},
-            environ={"SLEEPLOG_SLACK_MINUTES": "45"},
-        )
-        assert resolved["slack_minutes"] == 45
-
-    def test_flag_beats_env(self):
-        resolved = resolve(
-            file_values={"slack_minutes": "30"},
-            environ={"SLEEPLOG_SLACK_MINUTES": "45"},
             flag_values={"slack_minutes": 60},
         )
         assert resolved["slack_minutes"] == 60
 
     def test_none_flag_means_not_given(self):
-        resolved = resolve(environ={"SLEEPLOG_SLACK_MINUTES": "45"},
+        resolved = resolve(file_values={"slack_minutes": "45"},
                            flag_values={"slack_minutes": None})
         assert resolved["slack_minutes"] == 45
 
-    def test_env_bool_parsing(self):
-        resolved = resolve(environ={"SLEEPLOG_GEO_OFFLINE": "yes"})
-        assert resolved["geo_offline"] is True
-
     def test_unknown_flag_raises(self):
         with pytest.raises(ConfigError):
-            resolve(environ={}, flag_values={"volume": 11})
+            resolve(flag_values={"volume": 11})
 
     def test_invalid_window_raises(self):
         with pytest.raises(ConfigError, match="min_duration"):
-            resolve(environ={}, flag_values={"min_duration_minutes": 900})
+            resolve(flag_values={"min_duration_minutes": 900})
 
     def test_bad_denominator_raises(self):
         with pytest.raises(ConfigError, match="denominator"):
-            resolve(environ={}, flag_values={"presleep_denominator": "week"})
+            resolve(flag_values={"presleep_denominator": "week"})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -138,7 +130,7 @@ class TestResolve:
     )
     def test_value_below_its_floor_raises(self, name, value):
         with pytest.raises(ConfigError, match=name):
-            resolve(environ={}, flag_values={name: value})
+            resolve(flag_values={name: value})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -146,45 +138,63 @@ class TestResolve:
          ("synth_users", 1)],
     )
     def test_value_at_its_floor_is_accepted(self, name, value):
-        assert resolve(environ={}, flag_values={name: value})[name] == value
+        assert resolve(flag_values={name: value})[name] == value
 
     def test_window_up_to_datetimes_whole_span_is_accepted(self):
         span = 5_258_964_959  # whole minutes from datetime.min to datetime.max
         flags = {"presleep_window_minutes": span}
-        assert resolve(environ={}, flag_values=flags)["presleep_window_minutes"] == span
+        assert resolve(flag_values=flags)["presleep_window_minutes"] == span
         with pytest.raises(ConfigError, match=f"presleep_window_minutes <= {span}"):
-            resolve(environ={}, flag_values={"presleep_window_minutes": span + 1})
-
-    def test_env_overrides_only_reads_prefixed_keys(self):
-        values = env_overrides({"SLEEPLOG_SEED": "1", "SEED": "2", "PATH": "/bin"})
-        assert values == {"seed": "1"}
-
-    def test_prefixed_env_variable_of_no_setting_raises(self):
-        environ = {"SLEEPLOG_SLAK_MINUTES": "3", "SLEEPLOG_SEED": "1", "SLEEPLOG_seed": "2"}
-        with pytest.raises(ConfigError, match="SLEEPLOG_SLAK_MINUTES, SLEEPLOG_seed$"):
-            resolve(environ=environ)
+            resolve(flag_values={"presleep_window_minutes": span + 1})
 
 
 class TestStamp:
     def test_sorted_and_lowercase_bools(self):
-        stamp = config_stamp(resolve(environ={}))
+        stamp = config_stamp(resolve())
         assert "geo_offline=false" in stamp
         keys = [pair.split("=")[0] for pair in stamp.split(" ")]
         assert keys == sorted(keys)
 
     def test_geo_cache_never_in_stamp(self):
-        here = config_stamp(resolve(environ={}, flag_values={"geo_cache": "a.json"}))
-        there = config_stamp(resolve(environ={}, flag_values={"geo_cache": "elsewhere/b.json"}))
+        here = config_stamp(resolve(flag_values={"geo_cache": "a.json"}))
+        there = config_stamp(resolve(flag_values={"geo_cache": "elsewhere/b.json"}))
         assert here == there
         assert "geo_cache" not in here
 
     def test_stamp_reflects_value_changes(self):
-        base = config_stamp(resolve(environ={}))
-        changed = config_stamp(resolve(environ={}, flag_values={"slack_minutes": 45}))
+        base = config_stamp(resolve())
+        changed = config_stamp(resolve(flag_values={"slack_minutes": 45}))
         assert base != changed
         assert "slack_minutes=45" in changed
 
     def test_every_stamped_setting_present(self):
-        stamp = config_stamp(resolve(environ={}))
+        stamp = config_stamp(resolve())
         for setting in SETTINGS:
             assert (f"{setting.name}=" in stamp) is setting.stamped
+
+
+class TestLibraryDefaults:
+    """A library caller who passes nothing gets what a run with no settings gets."""
+
+    DEFAULTS = {s.name: s.default for s in SETTINGS}
+
+    @pytest.mark.parametrize(
+        "function, parameter, setting",
+        [(parse_tweet, "slack_minutes", "slack_minutes"),
+         (anchor_dates, "slack_minutes", "slack_minutes"),
+         (presleep_probability, "window_minutes", "presleep_window_minutes"),
+         (presleep_probability, "denominator", "presleep_denominator"),
+         (presleep_activity, "window_minutes", "presleep_window_minutes"),
+         (presleep_activity, "denominator", "presleep_denominator"),
+         (filter_min_logs, "min_logs", "min_logs_per_user")],
+    )
+    def test_parameter_default_is_the_settings_default(self, function, parameter, setting):
+        assert inspect.signature(function).parameters[parameter].default == self.DEFAULTS[setting]
+
+    def test_filter_config_defaults_are_the_settings_defaults(self):
+        fields = {f.name: f.default for f in dataclasses.fields(FilterConfig)}
+        assert fields == {
+            name: self.DEFAULTS[name]
+            for name in ("min_duration_minutes", "max_duration_minutes",
+                         "require_deep_sleep", "require_anchor")
+        }

@@ -23,9 +23,9 @@ from sleeplog.grammar import (
     SleepLog,
     TimeNotation,
     anchor_dates,
-    format_sleeplog,
     parse_tweet,
     recomputed_duration,
+    sleeplog_text,
 )
 from sleeplog.records import RawTweet, RejectReason
 
@@ -106,6 +106,15 @@ def oracle_parse(text: str) -> dict | None:
     }
 
 
+def text_of(log: SleepLog) -> str:
+    """The canonical tweet text that `parse_tweet` must read back as `log`."""
+    start, end = log.start_civil, log.end_civil
+    return sleeplog_text(
+        log.notation.value, log.separator.value, start.hour * 60 + start.minute,
+        end.hour * 60 + end.minute, log.duration_minutes, log.deep_sleep_pct,
+    )
+
+
 def random_log(rng: random.Random, tweet_id: str = "t", user_id: str = "u") -> SleepLog:
     start = time(rng.randrange(24), rng.randrange(60))
     end = time(rng.randrange(24), rng.randrange(60))
@@ -134,7 +143,7 @@ class TestAgainstOracle:
         rng = random.Random(99)
         for i in range(2000):
             log = random_log(rng)
-            tweet = make_tweet(text=format_sleeplog(log))
+            tweet = make_tweet(text=text_of(log))
             parsed = parse_tweet(tweet)
             reference = oracle_parse(tweet.text)
             assert isinstance(parsed, SleepLog), tweet.text
@@ -149,7 +158,7 @@ class TestAgainstOracle:
         rng = random.Random(7)
         mangled = 0
         for _ in range(500):
-            text = format_sleeplog(random_log(rng))
+            text = text_of(random_log(rng))
             pos = rng.randrange(len(PREFIX), len(text))
             if not text[pos].isdigit():
                 continue
@@ -192,21 +201,14 @@ class TestRoundTrip:
         )
         from sleeplog.records import RawTweet
         tweet = RawTweet(
-            tweet_id="t1", text=format_sleeplog(log),
+            tweet_id="t1", text=text_of(log),
             created_at=datetime(2015, 10, 24, 6, tzinfo=timezone.utc),
             user_id="u1", screen_name="s",
         )
         assert parse_tweet(tweet) == log
 
     def test_explicit_notation_override(self):
-        log = SleepLog(
-            tweet_id="t", user_id="u", start_civil=time(23, 40), end_civil=time(5, 53),
-            duration_minutes=373, deep_sleep_pct=21,
-            notation=TimeNotation.H24, separator=Separator.COLON,
-        )
-        text = format_sleeplog(
-            dataclasses.replace(log, notation=TimeNotation.H12_DOTTED_AMPM, separator=Separator.DOT)
-        )
+        text = sleeplog_text("H12_DOTTED_AMPM", "DOT", 23 * 60 + 40, 5 * 60 + 53, 373, 21)
         assert "11.40 p.m." in text and "5.53 a.m." in text and "6.13" in text
 
 
