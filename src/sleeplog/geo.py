@@ -221,10 +221,7 @@ def resolve_country(tweet: RawTweet, client: GeocodeClient | None = None) -> Cou
 
     location = (tweet.location_text or "").strip()
     if location and client is not None:
-        try:
-            country = client.lookup(location)
-        except ValueError:
-            country = None
+        country = client.lookup(location)
         if country:
             return CountryResolution(
                 user_id=tweet.user_id,

@@ -158,8 +158,9 @@ class SleepLog:
             or end_utc.utcoffset() != _ZERO
         ):
             _refuse_instant("end_utc", "UTC", end_utc)
-        if (start_utc is None) != (end_utc is None):
-            raise ValueError("start/end instants must be both present or both absent")
+        # Anchoring sets all four instants or none, and a reader of one relies on the others.
+        if not (start_local is None) == (end_local is None) == (start_utc is None) == (end_utc is None):
+            raise ValueError("the four instants must be all present or all null")
         if start_utc is not None and end_utc <= start_utc:
             raise ValueError("sleep end must be strictly after sleep start")
 

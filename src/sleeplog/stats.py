@@ -1,19 +1,19 @@
 """Self-contained statistical kernels used by the cohort analyses.
 
-Only the standard library is used.  The Mann-Whitney exact distribution is
-built iteratively as a Gaussian binomial polynomial; the Student-t tail
-needed for correlation p-values comes from a continued-fraction evaluation
-of the regularized incomplete beta function.
+Only the standard library is used.  The Mann-Whitney p is exact when the
+pooled sample has no ties and n1*n2 <= EXACT_PRODUCT_LIMIT, from the exact U
+distribution built iteratively as a Gaussian binomial polynomial; otherwise
+it is the tie-corrected normal approximation.  The Student-t tail needed for
+correlation p-values comes from a continued-fraction evaluation of the
+regularized incomplete beta function.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable, Sequence
 
 
@@ -57,21 +57,20 @@ class CorrelationResult:
         return asdict(self)
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    """Ranks 1..n with ties sharing their average rank."""
+def _ranks_and_ties(values: Sequence[float]) -> tuple[list[float], list[int]]:
+    """Ranks 1..n with ties sharing their average rank, and the size of each tie."""
     # One average rank per distinct value, found by sorting the values themselves.
     ordered = sorted(values)
     rank_of = {}
+    ties = []
     i = 0
     while i < len(ordered):
         j = bisect_right(ordered, ordered[i], i) - 1  # the last of the values equal to ordered[i]
         rank_of[ordered[i]] = (i + j) / 2 + 1
+        if j > i:
+            ties.append(j - i + 1)
         i = j + 1
-    return [rank_of[value] for value in values]
-
-
-def _tie_sizes(values: Sequence[float]) -> list[int]:
-    return [c for c in Counter(values).values() if c > 1]
+    return [rank_of[value] for value in values], ties
 
 
 def exact_u_distribution(n1: int, n2: int) -> list[int]:
@@ -96,33 +95,10 @@ def _two_sided_from_tails(tail_le: float, tail_ge: float) -> float:
 
 
 def _exact_p(n1: int, n2: int, u: float) -> float:
-    if min(n1, n2) * n1 * n2 > EXACT_STEP_LIMIT:  # the inner-loop steps of exact_u_distribution
-        raise ValueError(f"the exact U distribution for n1={n1}, n2={n2} takes more than "
-                         f"{EXACT_STEP_LIMIT} steps and is infeasible; use mode='approx'")
     counts = exact_u_distribution(n1, n2)
     total = math.comb(n1 + n2, n1)
     le = sum(c for v, c in enumerate(counts) if v <= u)
     ge = sum(c for v, c in enumerate(counts) if v >= u)
-    return _two_sided_from_tails(le / total, ge / total)
-
-
-def _enumerated_p(pooled_ranks: Sequence[float], n1: int, u_obs: float) -> float:
-    """Exact p by enumerating label assignments; handles ties via midranks."""
-    n = len(pooled_ranks)
-    total = math.comb(n, n1)
-    if total > 500_000:
-        raise ValueError(
-            f"exact enumeration over {total} arrangements is infeasible; "
-            "use mode='approx'"
-        )
-    base = n1 * (n1 + 1) / 2
-    le = ge = 0
-    for chosen in combinations(range(n), n1):
-        u = math.fsum(pooled_ranks[i] for i in chosen) - base
-        if u <= u_obs + 1e-12:
-            le += 1
-        if u >= u_obs - 1e-12:
-            ge += 1
     return _two_sided_from_tails(le / total, ge / total)
 
 
@@ -151,46 +127,24 @@ def _sample_sd(values: Sequence[float]) -> float:
 
 
 EXACT_PRODUCT_LIMIT = 400
-EXACT_STEP_LIMIT = 10_000_000
 
 
-def mann_whitney_u(
-    a: Sequence[float], b: Sequence[float], mode: str = "auto"
-) -> TestResult:
+def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """Two-sided Mann-Whitney U test; u_statistic counts pairs a > b.
 
-    mode 'auto' uses the exact distribution when the pooled sample is
-    tie-free and n1*n2 <= 400, otherwise the tie-corrected normal
-    approximation.  'exact' forces exact (enumeration when ties are present),
-    'approx' forces the approximation.  'exact' raises ValueError, before
-    counting, for a size it cannot finish in seconds (EXACT_STEP_LIMIT).
+    The p is exact when the pooled sample is tie-free and n1*n2 <=
+    EXACT_PRODUCT_LIMIT, and the tie-corrected normal approximation otherwise;
+    `method` says which.
     """
-    if mode not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown mode: {mode!r}")
     n1, n2 = len(a), len(b)
     if n1 < 1 or n2 < 1:
         raise ValueError("both samples must be non-empty")
-    pooled = list(a) + list(b)
-    ranks = _midranks(pooled)
-    tie_groups = _tie_sizes(pooled)
-    r1 = math.fsum(ranks[:n1])
-    u = r1 - n1 * (n1 + 1) / 2.0
-
-    tie_free = not tie_groups
-    if mode == "auto":
-        use_exact = tie_free and n1 * n2 <= EXACT_PRODUCT_LIMIT
+    ranks, tie_groups = _ranks_and_ties(list(a) + list(b))
+    u = math.fsum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
+    if not tie_groups and n1 * n2 <= EXACT_PRODUCT_LIMIT:
+        method, p = MwuMethod.EXACT, _exact_p(n1, n2, u)
     else:
-        use_exact = mode == "exact"
-
-    if use_exact:
-        method = MwuMethod.EXACT
-        if tie_free:
-            p = _exact_p(n1, n2, u)
-        else:
-            p = _enumerated_p(ranks, n1, u)
-    else:
-        method = MwuMethod.NORMAL_APPROX
-        p = _approx_p(u, n1, n2, tie_groups)
+        method, p = MwuMethod.NORMAL_APPROX, _approx_p(u, n1, n2, tie_groups)
 
     mean_a = math.fsum(a) / n1
     mean_b = math.fsum(b) / n2

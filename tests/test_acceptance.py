@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from sleeplog import cli
+from sleeplog import cli, stats
 from sleeplog.analytics import (
     country_compare,
     per_user_aggregates,
@@ -49,7 +49,7 @@ from sleeplog.records import (
     ingest,
     latest_profiles,
 )
-from sleeplog.stats import mann_whitney_u, pearson, quartile_split
+from sleeplog.stats import MwuMethod, mann_whitney_u, pearson, quartile_split
 from sleeplog.synth import SynthConfig, generate, score
 
 CREATED = datetime(2015, 10, 24, 6, 0, tzinfo=timezone.utc)
@@ -256,8 +256,8 @@ def worst_exact_vs_approx_gap(cells: list[tuple[int, int]]) -> float:
             if u in seen:
                 continue
             seen.add(u)
-            exact = mann_whitney_u(a, b, mode="exact").p_two_sided
-            approx = mann_whitney_u(a, b, mode="approx").p_two_sided
+            exact = mann_whitney_u(a, b).p_two_sided
+            approx = stats._approx_p(u, n1, n2, [])
             worst = max(worst, abs(exact - approx))
     return worst
 
@@ -268,11 +268,12 @@ def test_c4_exact_p_matches_label_enumeration_and_u_antisymmetry():
         for _ in range(12):
             pool = rng.sample(range(1, 13), n1 + n2)
             a, b = pool[:n1], pool[n1:]
-            res = mann_whitney_u(a, b, mode="exact")
+            res = mann_whitney_u(a, b)
+            assert res.method is MwuMethod.EXACT
             assert res.u_statistic == brute_u(a, b)
             oracle = enumerated_two_sided_p(a + b, n1, res.u_statistic)
             assert abs(res.p_two_sided - oracle) <= 1e-12
-            flipped = mann_whitney_u(b, a, mode="exact")
+            flipped = mann_whitney_u(b, a)
             assert res.u_statistic + flipped.u_statistic == n1 * n2
             assert abs(res.p_two_sided - flipped.p_two_sided) <= 1e-12
 

@@ -71,9 +71,9 @@ def run_all_into(out: Path, corpus_dir: Path, cache: Path, extra: list[str] | No
     return cli.main(argv + (extra or []))
 
 
-def stages_into(out: Path, corpus_dir: Path, cache: Path) -> None:
+def stages_into(out: Path, corpus_dir: Path, cache: Path, extra: list[str] | None = None) -> None:
     """The run-all pipeline, one subcommand per stage."""
-    common = ["--out", str(out), "--geo-offline", "--geo-cache", str(cache)]
+    common = ["--out", str(out), "--geo-offline", "--geo-cache", str(cache)] + (extra or [])
     for argv in (
         ["ingest", str(corpus_dir / "corpus.jsonl")],
         ["parse"],
@@ -674,6 +674,15 @@ def test_stage_by_stage_matches_run_all(tmp_path, corpus_dir, run_dir):
     assert tree_hashes(tmp_path / "s") == tree_hashes(run_dir)
 
 
+def test_day_denominator_gives_the_same_tree_stage_by_stage(tmp_path, corpus_dir):
+    day = ["--presleep-denominator", "day"]
+    assert run_all_into(tmp_path / "all", corpus_dir, tmp_path / "cache_a.json", day) == 0
+    stages_into(tmp_path / "s", corpus_dir, tmp_path / "cache_s.json", day)
+    assert tree_hashes(tmp_path / "s") == tree_hashes(tmp_path / "all")
+    presleep = json.loads((tmp_path / "all" / "analysis" / "presleep.json").read_text())
+    assert presleep["denominator"] == "day"
+
+
 def live_tweets() -> int:
     """How many `RawTweet`s are still reachable."""
     gc.collect()
@@ -1050,6 +1059,9 @@ def _set(field: str, value):
     return lambda doc: {**doc, field: value}
 
 
+PARTLY_ANCHORED = "the four instants must be all present or all null"
+
+
 _MISTYPED_LOGS = [
     pytest.param(_log_with(_set("duration_minutes", 420.5),
                            "duration_minutes must be a positive integer, got 420.5"),
@@ -1097,7 +1109,24 @@ _MISTYPED_LOGS = [
     pytest.param(_log_with(_set("start_local", "2015-13-01T03:36:00"),
                            "start_local out of range (month must be in 1..12), got '2015-13-01T03:36:00'"),
                  id="local-month-out-of-range"),
+    pytest.param(_log_with(_set("start_local", None), PARTLY_ANCHORED), id="partly-anchored-log"),
 ]
+
+
+def _presleep_log_without_start_local(tmp_path, run_dir, corpus_dir):
+    # The day denominator reads start_local; the pre-sleep window reads start_utc.
+    bad = tmp_path / "filtered.jsonl"
+    _edit_first(run_dir / "filtered.jsonl", bad, _set("start_local", None))
+    argv = ["analyze", "--logs", str(bad), "--tweets", str(run_dir / "tweets.jsonl"),
+            "--timelines", str(corpus_dir / "timelines.jsonl"), "--presleep-denominator", "day"]
+    return argv, f"{bad}:1: {PARTLY_ANCHORED}"
+
+
+def _analyzed_log_without_end_local(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "filtered.jsonl"
+    _edit_first(run_dir / "filtered.jsonl", bad, _set("end_local", None))
+    argv = ["analyze", "--logs", str(bad), "--tweets", str(run_dir / "tweets.jsonl")]
+    return argv, f"{bad}:1: {PARTLY_ANCHORED}"
 
 
 def _presleep_log_with_naive_utc(tmp_path, run_dir, corpus_dir):
@@ -1175,6 +1204,7 @@ def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
      _countries_without_method, _ledger_stage_without_input, _ledger_stage_that_does_not_balance,
      _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice, _ledger_nested_too_deep,
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
+     _presleep_log_without_start_local, _analyzed_log_without_end_local,
      _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
      _tweet_with_a_huge_statuses_count, _tweet_with_a_byte_that_is_not_utf8,
      _countries_with_a_byte_that_is_not_utf8, _countries_with_an_overlong_field,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -587,8 +587,9 @@ STAGE_UTC = STAGE_LOCAL.map(lambda dt: dt.replace(tzinfo=timezone.utc))
 @st.composite
 def sleep_logs(draw, local=STAGE_LOCAL, utc=STAGE_UTC,
                gaps=st.integers(1, 2 * 86400).map(lambda s: timedelta(seconds=s))) -> SleepLog:
-    start_utc = end_utc = None
-    if draw(st.booleans()):  # anchored
+    start_local = end_local = start_utc = end_utc = None
+    if draw(st.booleans()):  # anchored: all four instants, or none
+        start_local, end_local = draw(local), draw(local)
         start_utc = draw(utc)
         end_utc = start_utc + draw(gaps)
     return SleepLog(
@@ -600,8 +601,8 @@ def sleep_logs(draw, local=STAGE_LOCAL, utc=STAGE_UTC,
         deep_sleep_pct=draw(st.none() | st.integers(0, 100)),
         notation=draw(st.sampled_from(list(TimeNotation))),
         separator=draw(st.sampled_from(list(Separator))),
-        start_local=draw(st.none() | local),
-        end_local=draw(st.none() | local),
+        start_local=start_local,
+        end_local=end_local,
         start_utc=start_utc,
         end_utc=end_utc,
         duration_inconsistent=draw(st.booleans()),

@@ -21,8 +21,9 @@ from sleeplog.stats import (
     DegenerateSampleError,
     MwuMethod,
     TestResult as UStatResult,
-    _midranks,
-    _tie_sizes,
+    _approx_p,
+    _exact_p,
+    _ranks_and_ties,
     exact_u_distribution,
     hour_histogram,
     log2_bin,
@@ -138,30 +139,29 @@ def draw_tie_free(rng: random.Random, n1: int, n2: int) -> tuple[list, list]:
 
 class TestRanks:
     def test_midranks_hand_case(self):
-        assert _midranks([3.0, 1.0, 4.0, 1.0, 5.0]) == [3.0, 1.5, 4.0, 1.5, 5.0]
+        assert _ranks_and_ties([3.0, 1.0, 4.0, 1.0, 5.0]) == ([3.0, 1.5, 4.0, 1.5, 5.0], [2])
 
     def test_midranks_all_tied(self):
-        assert _midranks([7.0, 7.0, 7.0]) == [2.0, 2.0, 2.0]
+        assert _ranks_and_ties([7.0, 7.0, 7.0]) == ([2.0, 2.0, 2.0], [3])
 
     @settings(deadline=None)
     @given(st.lists(RANKED_VALUES, max_size=60))
     def test_ranks_and_ties_match_the_index_sort(self, values):
         ranks, ties = index_sort_ranks(values)
-        got = _midranks(values)
+        got, got_ties = _ranks_and_ties(values)
         assert [type(r) for r in got] == [float] * len(values)
         assert [r.hex() for r in got] == [r.hex() for r in ranks]
-        assert sorted(_tie_sizes(values)) == sorted(ties)
+        assert sorted(got_ties) == sorted(ties)
 
     @settings(deadline=None)
     @given(st.lists(st.integers(1, 1439), min_size=1, max_size=40),
-           st.lists(st.integers(1, 1439), min_size=1, max_size=40),
-           st.sampled_from(["auto", "approx", "exact"]))
-    def test_mann_whitney_on_ints_equals_it_on_the_same_floats(self, a, b, mode):
+           st.lists(st.integers(1, 1439), min_size=1, max_size=40))
+    @example([1, 5, 9], [2, 3])  # EXACT
+    @example([1, 5, 9], [5, 3])  # NORMAL_APPROX
+    def test_mann_whitney_on_ints_equals_it_on_the_same_floats(self, a, b):
         # duration_by_start_bin tests the logs' own ints.
-        if mode == "exact" and math.comb(len(a) + len(b), len(a)) > 20_000:
-            mode = "auto"
-        as_ints = mann_whitney_u(a, b, mode)
-        as_floats = mann_whitney_u([float(v) for v in a], [float(v) for v in b], mode)
+        as_ints = mann_whitney_u(a, b)
+        as_floats = mann_whitney_u([float(v) for v in a], [float(v) for v in b])
         assert repr(as_ints) == repr(as_floats)
 
     def test_exact_distribution_sums_to_binomial(self):
@@ -193,17 +193,8 @@ class TestMannWhitneyExact:
         for _ in range(40):
             n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
             a, b = draw_tie_free(rng, n1, n2)
-            result = mann_whitney_u(a, b, mode="exact")
+            result = mann_whitney_u(a, b)
             assert result.method is MwuMethod.EXACT
-            assert result.p_two_sided == pytest.approx(brute_exact_p(a, b), abs=1e-12)
-
-    def test_exact_with_ties_matches_enumeration_oracle(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            n1, n2 = rng.randint(2, 5), rng.randint(2, 5)
-            a = [float(rng.randint(1, 4)) for _ in range(n1)]
-            b = [float(rng.randint(1, 4)) for _ in range(n2)]
-            result = mann_whitney_u(a, b, mode="exact")
             assert result.p_two_sided == pytest.approx(brute_exact_p(a, b), abs=1e-12)
 
     def test_antisymmetry(self):
@@ -211,25 +202,26 @@ class TestMannWhitneyExact:
         for _ in range(30):
             n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
             a, b = draw_tie_free(rng, n1, n2)
-            fwd = mann_whitney_u(a, b, mode="exact")
-            rev = mann_whitney_u(b, a, mode="exact")
+            fwd = mann_whitney_u(a, b)
+            rev = mann_whitney_u(b, a)
+            assert fwd.method is rev.method is MwuMethod.EXACT
             assert fwd.u_statistic + rev.u_statistic == n1 * n2
             assert fwd.p_two_sided == pytest.approx(rev.p_two_sided, abs=1e-12)
 
     def test_extreme_separation_known_p(self):
         # a entirely above b: U = 9, p = 2 / C(6,3) = 0.1
-        result = mann_whitney_u([7.0, 8.0, 9.0], [1.0, 2.0, 3.0], mode="exact")
+        result = mann_whitney_u([7.0, 8.0, 9.0], [1.0, 2.0, 3.0])
+        assert result.method is MwuMethod.EXACT
         assert result.u_statistic == 9.0
         assert result.p_two_sided == pytest.approx(0.1, abs=1e-12)
 
     def test_exact_p_for_a_large_sample_needs_no_recursion(self):
         # n1 = 1: each U in 0..2000 has one arrangement, and U = 1 here.
-        result = mann_whitney_u([0.5], range(2000), mode="exact")
-        assert result.u_statistic == 1.0
-        assert result.p_two_sided == 2 * (2 / 2001)
+        assert _exact_p(1, 2000, 1.0) == 2 * (2 / 2001)
 
     def test_identical_samples_p_is_one(self):
-        result = mann_whitney_u([5.0, 5.0], [5.0, 5.0], mode="exact")
+        result = mann_whitney_u([5.0, 5.0], [5.0, 5.0])
+        assert result.method is MwuMethod.NORMAL_APPROX
         assert result.p_two_sided == pytest.approx(1.0)
         assert result.degenerate_d is True
         assert result.cohens_d == 0.0
@@ -251,36 +243,17 @@ class TestMannWhitneyModes:
         result = mann_whitney_u([1.0, 2.0, 2.0], [2.0, 3.0, 4.0])
         assert result.method is MwuMethod.NORMAL_APPROX
 
-    def test_forced_approx(self):
-        a, b = draw_tie_free(random.Random(1), 3, 3)
-        assert mann_whitney_u(a, b, mode="approx").method is MwuMethod.NORMAL_APPROX
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            mann_whitney_u([1.0], [2.0], mode="bogus")
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             mann_whitney_u([], [1.0])
-
-    def test_exact_enumeration_size_guard(self):
-        # Ties force enumeration; C(22, 11) = 705432 exceeds the guard.
-        a = [float(i % 3) for i in range(11)]
-        b = [float(i % 3) for i in range(11)]
-        with pytest.raises(ValueError, match="infeasible"):
-            mann_whitney_u(a, b, mode="exact")
-
-    def test_exact_distribution_size_guard(self):
-        # Tie-free, so exact_u_distribution would take 2000 * 2000 * 2000 steps.
-        with pytest.raises(ValueError, match="n1=2000, n2=2000.*infeasible; use mode='approx'"):
-            mann_whitney_u(range(2000), range(2000, 4000), mode="exact")
 
 
 class TestNormalApproximation:
     def test_tie_corrected_variance_hand_case(self):
         # pooled [1,2,2,2,3,4]: tie group of 3, var = 4.65, u = 1, mu = 4.5
         # z = (3.5 - 0.5)/sqrt(4.65), p = 2*normal_sf(z)
-        result = mann_whitney_u([1.0, 2.0, 2.0], [2.0, 3.0, 4.0], mode="approx")
+        result = mann_whitney_u([1.0, 2.0, 2.0], [2.0, 3.0, 4.0])
+        assert result.method is MwuMethod.NORMAL_APPROX
         assert result.u_statistic == 1.0
         assert result.p_two_sided == pytest.approx(0.16415972847851523, abs=1e-15)
 
@@ -288,12 +261,14 @@ class TestNormalApproximation:
         rng = random.Random(5)
         a = [float(v) for v in rng.sample(range(1, 100), 12)]
         b = [float(v) for v in rng.sample(range(101, 200), 12)]
-        exact = mann_whitney_u(a, b, mode="exact").p_two_sided
-        approx = mann_whitney_u(a, b, mode="approx").p_two_sided
-        assert approx == pytest.approx(exact, abs=0.02)
+        exact = mann_whitney_u(a, b)
+        assert exact.method is MwuMethod.EXACT
+        approx = _approx_p(exact.u_statistic, len(a), len(b), [])
+        assert approx == pytest.approx(exact.p_two_sided, abs=0.02)
 
     def test_all_values_equal_gives_p_one(self):
-        result = mann_whitney_u([3.0] * 4, [3.0] * 4, mode="approx")
+        result = mann_whitney_u([3.0] * 4, [3.0] * 4)
+        assert result.method is MwuMethod.NORMAL_APPROX
         assert result.p_two_sided == 1.0
 
     def test_mean_diff_and_d_sign(self):
@@ -522,11 +497,11 @@ def with_a_permutation(elements, min_size: int, max_size: int):
 
 
 @settings(deadline=None)
-@given(with_a_permutation(SUMMED_VALUES, 1, 6), with_a_permutation(SUMMED_VALUES, 1, 6),
-       st.sampled_from(["auto", "approx", "exact"]))
-@example(([1e16, 1.0, -1e16], [-1e16, 1.0, 1e16]), ([0.0, 0.5], [0.5, 0.0]), "auto")
-def test_mann_whitney_ignores_the_order_of_each_sample(a, b, mode):
-    assert repr(mann_whitney_u(a[1], b[1], mode)) == repr(mann_whitney_u(a[0], b[0], mode))
+@given(with_a_permutation(SUMMED_VALUES, 1, 6), with_a_permutation(SUMMED_VALUES, 1, 6))
+@example(([1e16, 1.0, -1e16], [-1e16, 1.0, 1e16]), ([0.0, 0.5], [0.5, 0.0]))  # EXACT
+@example(([1e16, 0.5, -1e16], [-1e16, 0.5, 1e16]), ([0.0, 0.5], [0.5, 0.0]))  # NORMAL_APPROX
+def test_mann_whitney_ignores_the_order_of_each_sample(a, b):
+    assert repr(mann_whitney_u(a[1], b[1])) == repr(mann_whitney_u(a[0], b[0]))
 
 
 @settings(deadline=None)
