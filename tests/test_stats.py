@@ -247,6 +247,18 @@ class TestMannWhitneyModes:
         with pytest.raises(ValueError):
             mann_whitney_u([], [1.0])
 
+    def test_forced_approx(self):
+        # a entirely above b, tie-free 3x3: U = 9, mu = 4.5, var = 9 * 7 / 12 = 5.25
+        assert _approx_p(9.0, 3, 3, []) == 2 * normal_sf((9.0 - 4.5 - 0.5) / math.sqrt(5.25))
+        assert _approx_p(9.0, 3, 3, []) == pytest.approx(0.0808555983700523, abs=1e-15)
+
+    def test_large_tie_free_samples_take_the_approximation(self):
+        # 2000 x 2000 is far past EXACT_PRODUCT_LIMIT, so no exact distribution is built.
+        result = mann_whitney_u(range(2000), range(2000, 4000))
+        assert result.method is MwuMethod.NORMAL_APPROX
+        assert result.u_statistic == 0.0
+        assert result.p_two_sided < 1e-300
+
 
 class TestNormalApproximation:
     def test_tie_corrected_variance_hand_case(self):
