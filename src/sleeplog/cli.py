@@ -48,8 +48,6 @@ from . import __version__
 from .config import ConfigError, SETTINGS, config_stamp, load_file, resolve
 from .analytics import (
     CohortError,
-    DatasetSummary,
-    PresleepReport,
     UserRecord,
     activity_cohorts,
     country_compare,
@@ -444,10 +442,10 @@ def _analysis_bundle(
     stamp: str,
     logs: list[SleepLog],
     users: list[UserRecord],
-    summary: DatasetSummary,
-    presleep: PresleepReport | None,
+    presleep: tuple[int, str] | None,
 ) -> dict[str, Iterable[str]]:
-    """One analysis bundle from finished per-user values, as `{path under --out: text}`."""
+    """The bundle of `logs` and their `users`, as `{path under --out: text}`; given timelines,
+    `presleep` is `(window_minutes, denominator)` and users carry `presleep_tweet_prob`."""
     users_rows = [[getattr(u, k) for k in _USER_HEADER] for u in users]
     bundle = {
         "users.csv": _csv(stamp, _USER_HEADER, users_rows),
@@ -456,7 +454,7 @@ def _analysis_bundle(
             [[row.bin_label, row.n_users, row.percent] for row in frequency_table(users)],
         ),
         "summary.json": _json({
-            "summary": summary.to_record(),
+            "summary": dataset_summary(logs, users).to_record(),
             "clock": sleep_clock(logs).to_record(),
             "settings": stamp,
         }),
@@ -469,8 +467,10 @@ def _analysis_bundle(
         "activity.json": _json(_cohort_or_note(activity_cohorts, users, logs)),
         "friends.json": _json(_cohort_or_note(friends_split, users)),
     }
-    if presleep is not None:
-        bundle["presleep.json"] = _json(presleep.to_record())
+    if presleep is not None:  # only a user with a deep-sleep mean has a probability
+        probs = {u.user_id: p for u in users if (p := u.presleep_tweet_prob) is not None}
+        deeps = {u.user_id: u.avg_deep_sleep_pct for u in users}
+        bundle["presleep.json"] = _json(presleep_report(probs, deeps, *presleep).to_record())
     return {os.path.join(bundle_dir, name): text for name, text in bundle.items()}
 
 
@@ -487,21 +487,20 @@ def do_analyze(
 
     `<out_dir>/analysis/` is replaced whole.  Per-user values (aggregates and,
     given timelines, pre-sleep probabilities) are derived once.  The robustness
-    bundle reuses them for the users with at least `min_logs_per_user` logs, so
-    no timeline is scanned twice.
+    bundle is built the same way from those of the users with at least
+    `min_logs_per_user` logs, so no timeline is scanned twice.
     """
     if not logs:
         raise ValueError(f"no logs to analyze in {inputs[0]}")
     users, summary = per_user_aggregates(logs, resolutions, profiles)
     presleep = None
     if timelines is not None:
-        presleep = presleep_activity(
-            logs, timelines, settings["presleep_window_minutes"], settings["presleep_denominator"]
-        )
+        presleep = (settings["presleep_window_minutes"], settings["presleep_denominator"])
+        probabilities = presleep_activity(logs, timelines, *presleep).probabilities
         for user in users:
-            user.presleep_tweet_prob = presleep.probabilities.get(user.user_id)
+            user.presleep_tweet_prob = probabilities.get(user.user_id)
     stamp = config_stamp(settings)
-    outputs = _analysis_bundle("analysis", stamp, logs, users, summary, presleep)
+    outputs = _analysis_bundle("analysis", stamp, logs, users, presleep)
 
     # Robustness subset: drop casual users, keep everyone else's values.
     min_logs = settings["min_logs_per_user"]
@@ -509,18 +508,8 @@ def do_analyze(
     if steady_users:
         steady_ids = {u.user_id for u in steady_users}
         steady_logs = [l for l in logs if l.user_id in steady_ids]
-        steady_presleep = None
-        if presleep is not None:
-            steady_presleep = presleep_report(
-                {u: p for u, p in presleep.probabilities.items() if u in steady_ids},
-                {u.user_id: u.avg_deep_sleep_pct for u in steady_users},
-                presleep.window_minutes,
-                presleep.denominator,
-            )
-        steady_summary = dataset_summary(steady_logs, steady_users)
         outputs.update(_analysis_bundle(
-            os.path.join("analysis", "robustness"),
-            stamp, steady_logs, steady_users, steady_summary, steady_presleep,
+            os.path.join("analysis", "robustness"), stamp, steady_logs, steady_users, presleep,
         ))
 
     _publish(out_dir, "analyze", inputs, stamp, outputs)
@@ -655,7 +644,7 @@ def do_run_all(input_path: str, out_dir: str, settings: dict, timelines_path: st
 # --- Argument wiring -----------------------------------------------------------
 
 # How argparse reads each kind of setting; a str setting is kept as given.
-_SETTING_FLAGS = {"bool": {"action": argparse.BooleanOptionalAction}, "int": {"type": int}}
+_SETTING_FLAGS = {bool: {"action": argparse.BooleanOptionalAction}, int: {"type": int}}
 
 
 def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
@@ -663,7 +652,7 @@ def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
     for setting in SETTINGS:
         parser.add_argument(
             "--" + setting.name.replace("_", "-"), dest=setting.name, default=None,
-            help=setting.help, **_SETTING_FLAGS.get(setting.kind, {}),
+            help=setting.help, **_SETTING_FLAGS.get(type(setting.default), {}),
         )
 
 

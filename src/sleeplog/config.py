@@ -22,27 +22,26 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Setting:
     name: str
-    kind: str  # int | bool | str
-    default: object
+    default: object  # an int, bool or str: its type is the setting's type
     help: str
     stamped: bool = True  # False: operational only, never changes output content
 
 
 SETTINGS: tuple[Setting, ...] = (
-    Setting("min_duration_minutes", "int", 120, "shortest believable sleep, minutes"),
-    Setting("max_duration_minutes", "int", 720, "longest believable sleep, minutes"),
-    Setting("require_deep_sleep", "bool", False, "drop logs without a deep-sleep field"),
-    Setting("require_anchor", "bool", False, "drop logs without resolved dates"),
-    Setting("slack_minutes", "int", 15, "allowed clock skew when anchoring dates"),
-    Setting("min_logs_per_user", "int", 5, "per-user floor for the robustness bundle"),
-    Setting("geo_offline", "bool", False, "never touch the network when resolving countries"),
-    Setting("geo_cache", "str", "geo_cache.json",
+    Setting("min_duration_minutes", 120, "shortest believable sleep, minutes"),
+    Setting("max_duration_minutes", 720, "longest believable sleep, minutes"),
+    Setting("require_deep_sleep", False, "drop logs without a deep-sleep field"),
+    Setting("require_anchor", False, "drop logs without resolved dates"),
+    Setting("slack_minutes", 15, "allowed clock skew when anchoring dates"),
+    Setting("min_logs_per_user", 5, "per-user floor for the robustness bundle"),
+    Setting("geo_offline", False, "never touch the network when resolving countries"),
+    Setting("geo_cache", "geo_cache.json",
             "geocode cache path, relative to the working directory (not --out)", stamped=False),
-    Setting("geo_base_url", "str", "https://nominatim.openstreetmap.org/search", "geocoder endpoint"),
-    Setting("seed", "int", 20151024, "corpus generator seed"),
-    Setting("synth_users", "int", 100, "corpus generator user count"),
-    Setting("presleep_window_minutes", "int", 120, "pre-sleep activity window, minutes"),
-    Setting("presleep_denominator", "str", "night", "presleep probability denominator: night or day"),
+    Setting("geo_base_url", "https://nominatim.openstreetmap.org/search", "geocoder endpoint"),
+    Setting("seed", 20151024, "corpus generator seed"),
+    Setting("synth_users", 100, "corpus generator user count"),
+    Setting("presleep_window_minutes", 120, "pre-sleep activity window, minutes"),
+    Setting("presleep_denominator", "night", "presleep probability denominator: night or day"),
 )
 
 _BY_NAME = {s.name: s for s in SETTINGS}
@@ -62,10 +61,11 @@ _FALSE = {"0", "false", "no", "off"}
 
 def parse_value(setting: Setting, raw: str) -> object:
     raw = raw.strip()
+    kind = type(setting.default)
     try:
-        if setting.kind == "int":
+        if kind is int:
             return int(raw)
-        if setting.kind == "bool":
+        if kind is bool:
             low = raw.lower()
             if low in _TRUE:
                 return True
@@ -74,28 +74,28 @@ def parse_value(setting: Setting, raw: str) -> object:
             raise ValueError(raw)
         return raw
     except ValueError:
-        raise ConfigError(f"bad value for {setting.name}: {raw!r} (expected {setting.kind})") from None
+        raise ConfigError(f"bad value for {setting.name}: {raw!r} (expected {kind.__name__})") from None
 
 
 def load_file(path: str) -> dict[str, str]:
-    """Raw key -> value strings from a config file."""
+    """Raw key -> value strings from a config file; an error names the file and line."""
     values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
                 try:
-                    utf8_line(line)
-                except ValueError as exc:
+                    stripped = utf8_line(line).split("#", 1)[0].strip()
+                    if not stripped:
+                        continue
+                    if "=" not in stripped:
+                        raise ConfigError(f"expected key=value, got {stripped!r}")
+                    key, _, value = stripped.partition("=")
+                    key = key.strip()
+                    if key not in _BY_NAME:
+                        raise ConfigError(f"unknown setting {key!r}")
+                    parse_value(_BY_NAME[key], value)  # checked where its line is known
+                except ValueError as exc:  # ConfigError is one
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-                key, _, value = stripped.partition("=")
-                key = key.strip()
-                if key not in _BY_NAME:
-                    raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -22,6 +22,7 @@ from .records import _HHMM_TEXT, RawTweet, RejectReason, _shared, instant_text
 PREFIX = "Sleep as Android: "
 
 _ZERO = timedelta(0)
+_DAY = timedelta(days=1)
 # Anchoring counts whole minutes from datetime.min, 0001-01-01 00:00 (ordinal day 1).
 _MINUTE = timedelta(minutes=1)
 _NAIVE_MIN = datetime.min
@@ -163,6 +164,15 @@ class SleepLog:
             raise ValueError("the four instants must be all present or all null")
         if start_utc is not None and end_utc <= start_utc:
             raise ValueError("sleep end must be strictly after sleep start")
+        # As anchoring writes them: start_local at start_civil, end_local at the next end_civil.
+        start, end = self.start_civil, self.end_civil
+        if start_local is not None and (start_local.time() != start or end_local.time() != end
+                                        or not _ZERO < end_local - start_local <= _DAY):
+            raise ValueError(
+                f"start_local and end_local must be at start_civil {start:%H:%M} and the next"
+                f" end_civil {end:%H:%M} after it, got {start_local.isoformat()} and"
+                f" {end_local.isoformat()}"
+            )
 
     @property
     def anchored(self) -> bool:

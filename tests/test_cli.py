@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 import sleeplog
 from sleeplog import analytics, cli
-from sleeplog.analytics import filter_min_logs, per_user_aggregates, presleep_activity
+from sleeplog.config import SETTINGS
 from sleeplog.grammar import SleepLog
 from sleeplog.records import PipelineLedger, RawTweet, dedupe, ingest, latest_profiles
 from sleeplog.synth import score
@@ -318,25 +318,35 @@ def test_analyze_scans_each_timeline_once(tmp_path, run_dir, corpus_dir, monkeyp
     assert sorted(scanned) == sorted(covered)
 
 
-def test_robustness_bundle_equals_a_fresh_analysis_of_the_subset(tmp_path, run_dir, corpus_dir):
-    assert analyze_with_timelines(tmp_path, run_dir, corpus_dir) == 0
-    logs = cli._read_jsonl(str(run_dir / "filtered.jsonl"), SleepLog.from_record)
-    resolutions = cli._read_countries(str(run_dir / "countries.csv"))
-    tweets = cli._read_jsonl(str(run_dir / "tweets.jsonl"), RawTweet.from_record)
-    profiles = latest_profiles(tweets)
-    users, _ = per_user_aggregates(logs, resolutions, profiles)
-    steady_ids = {u.user_id for u in filter_min_logs(users, 5)}
-    steady_logs = [l for l in logs if l.user_id in steady_ids]
-    assert 0 < len(steady_ids) < len(users)
-    timelines = cli._read_timelines(str(corpus_dir / "timelines.jsonl"))
-    steady_timelines = {u: t for u, t in timelines.items() if u in steady_ids}
+@pytest.mark.parametrize("floor", [5, 10])
+@pytest.mark.parametrize("timelines", [False, True])
+def test_robustness_bundle_equals_a_fresh_analysis_of_the_subset(
+    tmp_path, run_dir, corpus_dir, floor, timelines
+):
+    """analysis/robustness/ is, byte for byte, what analyze writes over the steady users' lines."""
+    lines = (run_dir / "filtered.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    counts: dict[str, int] = {}
+    for line in lines:
+        user_id = json.loads(line)["user_id"]
+        counts[user_id] = counts.get(user_id, 0) + 1
+    steady = {u for u, n in counts.items() if n >= floor}
+    assert 0 < len(steady) < len(counts)
+    subset = tmp_path / "steady.jsonl"
+    subset.write_text("".join(l for l in lines if json.loads(l)["user_id"] in steady), "utf-8")
 
-    robustness = tmp_path / "analysis" / "robustness"
-    presleep = presleep_activity(steady_logs, steady_timelines, 120, "night").to_record()
-    written = json.loads((robustness / "presleep.json").read_text())
-    assert written == json.loads(json.dumps(presleep))
-    summary = per_user_aggregates(steady_logs, resolutions, profiles)[1].to_record()
-    assert json.loads((robustness / "summary.json").read_text())["summary"] == summary
+    def analysis_of(logs: Path, out: Path) -> Path:
+        argv = ["analyze", "--out", str(out), "--logs", str(logs),
+                "--tweets", str(run_dir / "profiles.jsonl"),
+                "--countries", str(run_dir / "countries.csv"),
+                "--min-logs-per-user", str(floor)]
+        assert cli.main(argv + ["--timelines", str(corpus_dir / "timelines.jsonl")] * timelines) == 0
+        return out / "analysis"
+
+    robustness = analysis_of(run_dir / "filtered.jsonl", tmp_path / "all") / "robustness"
+    fresh = analysis_of(subset, tmp_path / "steady")
+    written = {p.name: p.read_bytes() for p in robustness.iterdir()}
+    assert written == {p.name: p.read_bytes() for p in fresh.iterdir() if p.is_file()}
+    assert ("presleep.json" in written) is timelines
 
 
 # --- re-running analyze and report --------------------------------------------
@@ -1129,6 +1139,33 @@ def _analyzed_log_without_end_local(tmp_path, run_dir, corpus_dir):
     return argv, f"{bad}:1: {PARTLY_ANCHORED}"
 
 
+CONTRADICTING_END = "2001-01-01T00:00:00"  # before the log's own start
+
+
+def _contradicting_local_instants(src: Path, bad: Path) -> str:
+    """Copy `src` with its first log's end_local set before its start; the error for that line."""
+    _edit_first(src, bad, _set("end_local", CONTRADICTING_END))
+    doc = json.loads(bad.read_text().splitlines()[0])
+    return (
+        f"{bad}:1: start_local and end_local must be at start_civil {doc['start_civil']} and the"
+        f" next end_civil {doc['end_civil']} after it, got {doc['start_local']} and {CONTRADICTING_END}"
+    )
+
+
+def _filtered_log_ending_before_it_starts(tmp_path, run_dir, corpus_dir):
+    bad = tmp_path / "logs.jsonl"
+    return ["filter", str(bad)], _contradicting_local_instants(run_dir / "logs.jsonl", bad)
+
+
+def _analyzed_log_ending_before_it_starts(tmp_path, run_dir, corpus_dir):
+    # The wake-up heatmap reads end_local, so it would count this log's wake-up at 2001-01-01 00:00.
+    bad = tmp_path / "filtered.jsonl"
+    located = _contradicting_local_instants(run_dir / "filtered.jsonl", bad)
+    argv = ["analyze", "--logs", str(bad), "--tweets", str(run_dir / "tweets.jsonl"),
+            "--timelines", str(corpus_dir / "timelines.jsonl")]
+    return argv, located
+
+
 def _presleep_log_with_naive_utc(tmp_path, run_dir, corpus_dir):
     # Pre-sleep analysis compares log instants with aware timeline instants.
     bad = tmp_path / "filtered.jsonl"
@@ -1205,6 +1242,7 @@ def _ledger_ending_in_a_byte_that_is_not_utf8(tmp_path, run_dir, corpus_dir):
      _ledger_stage_with_non_integer_counts, _ledger_stage_listed_twice, _ledger_nested_too_deep,
      _ledger_stage_with_more_users_than_kept, *_MISTYPED_LOGS, _presleep_log_with_naive_utc,
      _presleep_log_without_start_local, _analyzed_log_without_end_local,
+     _filtered_log_ending_before_it_starts, _analyzed_log_ending_before_it_starts,
      _tweet_with_empty_account_created_at, _tweet_with_a_day_long_offset,
      _tweet_with_a_huge_statuses_count, _tweet_with_a_byte_that_is_not_utf8,
      _countries_with_a_byte_that_is_not_utf8, _countries_with_an_overlong_field,
@@ -1315,10 +1353,10 @@ _REQUIRED_TWEET_FIELDS = [(f,) for f, types in _TWEET_FIELD_TYPES.items() if "nu
 _TIMELINE_FIELD_TYPES = {"user_id": {"string"}, "created_at": {"string"}}
 
 
-# Each stage input the fuzz test breaks: the stages that read it (one ending in an option
-# takes the broken file there), the JSON types of the values they read (by path; "*" is every
-# index of a list or key of an object), and the paths that must be present.  A CSV file's
-# types are by column, and the columns its readers use must be present.
+# Each stage input the fuzz test breaks: the stages that read it (see `_run_stage`), the JSON
+# types of the values they read (by path; "*" is every index of a list or key of an object),
+# and the paths that must be present.  A CSV file's types are by column, and the columns its
+# readers use must be present.  A config file is broken by `_mutated_config`.
 _BROKEN_INPUTS = {
     "tweets.jsonl": (("parse",), _fields(_TWEET_FIELD_TYPES), _REQUIRED_TWEET_FIELDS),
     "profiles.jsonl": (("geo", "analyze"), _fields(_TWEET_FIELD_TYPES), _REQUIRED_TWEET_FIELDS),
@@ -1338,6 +1376,8 @@ _BROKEN_INPUTS = {
     "analysis/frequency.csv": (("report",), {"n_users": {"integer"}}, ["bin_label", "n_users"]),
     "logs.jsonl": (("filter",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
     "filtered.jsonl": (("analyze",), _fields(_LOG_FIELD_TYPES), list(_fields(_LOG_FIELD_TYPES))),
+    "geo_cache.json": (("geo --geo-cache",), {("*",): {"string", "null"}}, []),
+    "sleeplog.conf": (("filter --config", "report --config"), None, None),
     "analysis/summary.json": (
         ("report",), {("clock", "start_hist", "*"): _NUMBER, ("clock", "end_hist", "*"): _NUMBER},
         [("clock",), ("clock", "start_hist"), ("clock", "end_hist")]),
@@ -1393,7 +1433,7 @@ def _mutated(text: bytes, data, types: dict, required: list) -> bytes:
         "digits": [path for path, json_types in values if "integer" not in json_types],
         "huge": [path for path, json_types in values if "integer" in json_types],
     }
-    kind = data.draw(st.sampled_from(["drop", "byte", "truncate", "array"]
+    kind = data.draw(st.sampled_from(["drop"] * bool(required) + ["byte", "truncate", "array"]
                                      + [k for k, paths in choices.items() if paths]), label="kind")
     if kind == "byte":
         at = data.draw(st.integers(0, len(text)), label="at")
@@ -1468,14 +1508,71 @@ def _mutated_csv(text: bytes, data, types: dict, columns: list) -> tuple[bytes, 
     return _csv_text(comment, [header, *rows]), row + 3
 
 
-@settings(deadline=None, max_examples=100)
-@given(name=st.sampled_from(sorted(_BROKEN_INPUTS)), data=st.data())
+# The inputs no stage writes, as the fuzz test starts from them: a geo cache, and a config
+# file that sets every setting to its default.
+_UNWRITTEN_INPUTS = {
+    "geo_cache.json": b'{"Atlantis": null, "Berlin": "DE", "Tokyo": "JP"}\n',
+    "sleeplog.conf": ("# every setting at its default\n" + "".join(
+        f"{s.name} = {str(s.default).lower() if type(s.default) is bool else s.default}\n"
+        for s in SETTINGS
+    )).encode(),
+}
+
+
+def _mutated_config(text: bytes, data) -> tuple[bytes, int]:
+    """`text`, a config file, broken in one way that no reader may accept, and its line number."""
+    lines = text.split(b"\n")  # the last is empty
+    kind = data.draw(st.sampled_from(["byte", "unknown", "no-equals", "retype"]), label="kind")
+    if kind == "byte":
+        lineno = data.draw(st.integers(1, len(lines) - 1), label="lineno")
+        line = lines[lineno - 1]
+        at = data.draw(st.integers(0, len(line)), label="at")
+        lines[lineno - 1] = line[:at] + b"\xff" + line[at:]
+    elif kind == "unknown":
+        lineno = data.draw(st.integers(1, len(lines)), label="lineno")
+        lines.insert(lineno - 1, b"verbosity = 3")
+    elif kind == "no-equals":  # line 1 is the comment
+        lineno = data.draw(st.integers(2, len(lines) - 1), label="lineno")
+        lines[lineno - 1] = lines[lineno - 1].replace(b"=", b"")
+    else:  # an int or bool setting given a value of another type
+        lineno = data.draw(st.sampled_from(
+            [n for n, s in enumerate(SETTINGS, start=2) if type(s.default) is not str]), label="lineno")
+        setting = SETTINGS[lineno - 2]
+        wrong = data.draw(st.sampled_from(
+            ["abc", "1.5", "", "5 minutes"] if type(setting.default) is int
+            else ["maybe", "2", "", "on off"]), label="value")
+        lines[lineno - 1] = f"{setting.name} = {wrong}".encode()
+    return b"\n".join(lines), lineno
+
+
+def _run_stage(stage: str, out: Path, path: Path, cache: str) -> tuple[int, str]:
+    """`main`'s exit code and stderr for `stage` run offline on the file `path`.
+
+    A stage that ends in an option, and `ingest`, whose input has no default, take `path`
+    there; any other stage reads it as its default under `out`.
+    """
+    command, *options = stage.split()
+    argv = [command, "--out", str(out), "--geo-offline", "--geo-cache", cache, *options]
+    argv += [str(path)] if options or command == "ingest" else []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_INPUTS))
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
 def test_a_broken_stage_input_is_one_located_error_from_every_reader(
     run_dir, corpus_dir, name, data
 ):
     stages, types, required = _BROKEN_INPUTS[name]
-    text = (run_dir / name if (run_dir / name).exists() else corpus_dir / name).read_bytes()
-    if name.endswith(".csv"):
+    text = _UNWRITTEN_INPUTS.get(name) or (
+        run_dir / name if (run_dir / name).exists() else corpus_dir / name).read_bytes()
+    if name.endswith(".conf"):
+        text, lineno = _mutated_config(text, data)
+        where = f":{lineno}"
+    elif name.endswith(".csv"):
         text, lineno = _mutated_csv(text, data, types, required)
         where = f":{lineno}"
     elif name.endswith(".jsonl"):  # break one line
@@ -1485,6 +1582,8 @@ def test_a_broken_stage_input_is_one_located_error_from_every_reader(
         text, where = b"\n".join(lines), f":{lineno}"
     else:
         text, where = _mutated(text.rstrip(b"\n"), data, types, required) + b"\n", ""
+    # A config file is read before any stage runs: a usage error.
+    code, prefix = (2, "config error") if name.endswith(".conf") else (1, "error")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         shutil.copytree(run_dir, out)
@@ -1492,20 +1591,72 @@ def test_a_broken_stage_input_is_one_located_error_from_every_reader(
         before = tree_hashes(out)
         errors = []
         for stage in stages:
-            argv = stage.split()
-            argv += [str(out / name)] if argv[-1].startswith("--") else []
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = cli.main(argv + ["--out", str(out), "--geo-offline",
-                                        "--geo-cache", os.path.join(tmp, "gc.json")])
-            assert code == 1, stage
-            errors.append(err.getvalue())
+            exit_code, err = _run_stage(stage, out, out / name, os.path.join(tmp, "gc.json"))
+            assert exit_code == code, stage
+            errors.append(err)
         assert errors == [errors[0]] * len(stages)
-        assert errors[0].startswith(f"error: {out / name}{where}: ")
+        assert errors[0].startswith(f"{prefix}: {out / name}{where}: ")
         assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
         assert "Traceback" not in errors[0]
         assert tree_hashes(out) == before
         assert not list(out.rglob("*.tmp"))
+
+
+# Each stage input that CRLF line ends must not change, and the stages that read it (see
+# `_run_stage`).  Blank and whitespace-only lines must not change one either, but in a CSV
+# file they are rows.
+_SPACED_INPUTS = {
+    "corpus.jsonl": ("ingest",),
+    "tweets.jsonl": ("parse",),
+    "profiles.jsonl": ("geo", "analyze"),
+    "logs.jsonl": ("filter",),
+    "filtered.jsonl": ("analyze",),
+    "timelines.jsonl": ("analyze --timelines",),
+    "ledger.json": ("parse", "filter", "funnel"),
+    "countries.csv": ("analyze",),
+    "analysis/frequency.csv": ("report",),
+}
+
+
+def _crlf(text: bytes) -> bytes:
+    return text.replace(b"\n", b"\r\n")
+
+
+def _blank_lines(text: bytes) -> bytes:
+    """`text` with an empty line after its first line and a whitespace-only one before its last."""
+    lines = text.split(b"\n")  # the last is empty
+    return b"\n".join(lines[:1] + [b""] + lines[1:-2] + [b" \t "] + lines[-2:])
+
+
+def _without_input_digests(hashes: dict[str, str], out: Path) -> dict[str, object]:
+    """`hashes`, each manifest's digest replaced by the manifest without its input digests."""
+    return {rel: {k: v for k, v in json.loads((out / rel).read_text()).items() if k != "inputs"}
+            if rel.startswith("manifest_") else digest for rel, digest in hashes.items()}
+
+
+@pytest.mark.parametrize("name, mutate", [
+    pytest.param(name, mutate, id=f"{name}-{mutate.__name__.strip('_')}")
+    for name in _SPACED_INPUTS for mutate in (_crlf, _blank_lines)
+    if mutate is _crlf or not name.endswith(".csv")
+])
+def test_crlf_and_blank_lines_in_a_stage_input_move_no_output_byte(
+    tmp_path, run_dir, corpus_dir, name, mutate
+):
+    text = (run_dir / name if (run_dir / name).exists() else corpus_dir / name).read_bytes()
+    assert mutate(text) != text
+    plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+    for out in (plain, spaced):
+        shutil.copytree(run_dir, out)
+    cache = str(tmp_path / "gc.json")
+    for stage in _SPACED_INPUTS[name]:  # each stage reads the input as given, not as rewritten
+        for out, given_text in ((plain, text), (spaced, mutate(text))):
+            (out / name).write_bytes(given_text)
+            assert _run_stage(stage, out, out / name, cache) == (0, ""), stage
+        trees = [_without_input_digests(tree_hashes(out), out) for out in (plain, spaced)]
+        if (spaced / name).read_bytes() == mutate(text):  # an input the stage does not rewrite
+            for tree in trees:
+                del tree[name]
+        assert trees[0] == trees[1], stage
 
 
 NESTED = "[" * 100_000 + "]" * 100_000  # a JSON value too deep for the decoder
@@ -1686,7 +1837,8 @@ def test_bad_config_file_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("slack_minutes = zero\n")
     assert cli.main(["funnel", "--out", str(tmp_path), "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err == f"config error: {cfg}:1: bad value for slack_minutes: 'zero' (expected int)\n"
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

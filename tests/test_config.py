@@ -21,8 +21,8 @@ from sleeplog.config import (
 from sleeplog.grammar import anchor_dates, parse_tweet
 from sleeplog.pipeline import FilterConfig
 
-INT_SETTING = Setting("min_duration_minutes", "int", 120, "")
-BOOL_SETTING = Setting("require_deep_sleep", "bool", False, "")
+INT_SETTING = Setting("min_duration_minutes", 120, "")
+BOOL_SETTING = Setting("require_deep_sleep", False, "")
 
 
 class TestParseValue:
@@ -47,7 +47,7 @@ class TestParseValue:
             parse_value(BOOL_SETTING, "maybe")
 
     def test_str_passes_through(self):
-        setting = Setting("geo_cache", "str", "x", "")
+        setting = Setting("geo_cache", "x", "")
         assert parse_value(setting, " cache.json ") == "cache.json"
 
 
@@ -73,6 +73,15 @@ class TestLoadFile:
     def test_missing_equals_is_error(self, tmp_path):
         path = self.write(tmp_path, "just some words\n")
         with pytest.raises(ConfigError, match="key=value"):
+            load_file(path)
+
+    @pytest.mark.parametrize("line, kind", [("slack_minutes = abc", "int"),
+                                            ("geo_offline = maybe", "bool")])
+    def test_value_of_the_wrong_type_names_file_and_line(self, tmp_path, line, kind):
+        path = self.write(tmp_path, f"seed = 9\n{line}\n")
+        name, _, value = line.partition(" = ")
+        message = f"{path}:2: bad value for {name}: {value!r} (expected {kind})"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_file(path)
 
     def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):

@@ -588,15 +588,19 @@ STAGE_UTC = STAGE_LOCAL.map(lambda dt: dt.replace(tzinfo=timezone.utc))
 def sleep_logs(draw, local=STAGE_LOCAL, utc=STAGE_UTC,
                gaps=st.integers(1, 2 * 86400).map(lambda s: timedelta(seconds=s))) -> SleepLog:
     start_local = end_local = start_utc = end_utc = None
+    start_civil, end_civil = draw(st.times()), draw(st.times())
     if draw(st.booleans()):  # anchored: all four instants, or none
-        start_local, end_local = draw(local), draw(local)
+        # The local pair as anchoring writes it: at start_civil, and the next end_civil after.
+        start_local = draw(local).replace(second=0)
+        start_civil, end_civil = start_local.time(), end_civil.replace(second=0, microsecond=0)
+        end_local = start_local + timedelta(minutes=recomputed_duration(start_civil, end_civil))
         start_utc = draw(utc)
         end_utc = start_utc + draw(gaps)
     return SleepLog(
         tweet_id=draw(IDS),
         user_id=draw(IDS),
-        start_civil=draw(st.times()),
-        end_civil=draw(st.times()),
+        start_civil=start_civil,
+        end_civil=end_civil,
         duration_minutes=draw(st.integers(min_value=1, max_value=1439)),
         deep_sleep_pct=draw(st.none() | st.integers(0, 100)),
         notation=draw(st.sampled_from(list(TimeNotation))),
@@ -660,6 +664,24 @@ class TestRecordCodec:
         assert log.anchored
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(log, **{name: value})
+
+    @pytest.mark.parametrize("start_shift, end_shift", [
+        (timedelta(minutes=1), timedelta(minutes=1)),  # both off their civil times
+        (timedelta(seconds=1), timedelta(seconds=1)),
+        (timedelta(0), timedelta(days=1)),  # end_local a day past the next end_civil
+        (timedelta(0), -timedelta(days=1)),  # end_local before start_local
+    ])
+    def test_local_instants_must_fall_where_anchoring_puts_them(
+        self, make_tweet, start_shift, end_shift
+    ):
+        log = parse_tweet(make_tweet(utc_offset_seconds=0))
+        assert log.anchored
+        with pytest.raises(ValueError, match="^start_local and end_local must be at start_civil"):
+            dataclasses.replace(log, start_local=log.start_local + start_shift,
+                                end_local=log.end_local + end_shift)
+        # A whole night moved by a day agrees with its clock times: no zone to check UTC against.
+        day = timedelta(days=1)
+        dataclasses.replace(log, start_local=log.start_local + day, end_local=log.end_local + day)
 
     def test_durations_stop_at_the_longest_a_log_can_state(self, make_tweet):
         log = parse_tweet(make_tweet(text="Sleep as Android: I was sleeping for 23:59 from 0:00 "

@@ -14,9 +14,9 @@ from sleeplog.records import PipelineLedger, RejectReason
 def log_with(duration: int, *, deep: int | None = 40, anchored: bool = False,
              tweet_id: str = "t1", user_id: str = "u1") -> SleepLog:
     start_local = end_local = start_utc = end_utc = None
-    if anchored:
+    if anchored:  # 23:02 to 06:12 is 430 minutes, whatever `duration` states
         end_local = datetime(2015, 10, 24, 6, 12)
-        start_local = end_local - timedelta(minutes=duration)
+        start_local = end_local - timedelta(minutes=430)
         start_utc = start_local.replace(tzinfo=timezone.utc)
         end_utc = end_local.replace(tzinfo=timezone.utc)
     return SleepLog(
