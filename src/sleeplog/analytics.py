@@ -7,7 +7,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .geo import CountryResolution, ResolutionMethod
 from .grammar import SleepLog
@@ -122,13 +122,8 @@ def per_user_aggregates(
     logs: Sequence[SleepLog],
     resolutions: dict[str, CountryResolution] | None = None,
     profiles: dict[str, RawTweet] | None = None,
-) -> tuple[list[UserRecord], DatasetSummary]:
-    """Collapse logs to one record per user plus corpus-level means.
-
-    The overall mean weights every log equally; the mean of user means
-    weights every user equally.  Both are reported because heavy loggers
-    pull them apart.
-    """
+) -> list[UserRecord]:
+    """Collapse logs to one record per user, in user id order."""
     resolutions = resolutions or {}
     profiles = profiles or {}
     grouped = by_user(logs)
@@ -155,11 +150,16 @@ def per_user_aggregates(
                 friends_count=profile.friends_count if profile else None,
             )
         )
-    return users, dataset_summary(logs, users)
+    return users
 
 
 def dataset_summary(logs: Sequence[SleepLog], users: Sequence[UserRecord]) -> DatasetSummary:
-    """Corpus-level means of `logs` and of the per-user records built from them."""
+    """Corpus-level means of `logs` and of the per-user records built from them.
+
+    The overall mean weights every log equally; the mean of user means
+    weights every user equally.  Both are reported because heavy loggers
+    pull them apart.
+    """
     all_durations = [l.duration_minutes for l in logs]
     all_deeps = [l.deep_sleep_pct for l in logs if l.deep_sleep_pct is not None]
     user_deep_means = [u.avg_deep_sleep_pct for u in users if u.avg_deep_sleep_pct is not None]
@@ -355,7 +355,6 @@ def wake_heatmap(logs: Sequence[SleepLog]) -> WakeHeatmap:
 
 @dataclass
 class PresleepReport:
-    probabilities: dict[str, float]
     correlation: CorrelationResult | None
     cohort: CohortReport | None
     window_minutes: int
@@ -414,61 +413,54 @@ def presleep_activity(
     timelines: dict[str, Sequence[datetime]],
     window_minutes: int = 120,
     denominator: str = "night",
-) -> PresleepReport:
-    """Relate pre-sleep tweeting tendency to average deep-sleep share.
+) -> dict[str, float]:
+    """Each user's pre-sleep probability, by user id.
 
-    Users without any timeline coverage, anchored log or deep-sleep value
-    are excluded outright; `presleep_report` relates the rest.
+    Users without any timeline coverage, anchored log or deep-sleep value get
+    none: `presleep_report` relates a probability to the user's mean deep sleep.
     """
-    grouped = by_user(logs)
     probs: dict[str, float] = {}
-    deep_by_user: dict[str, float] = {}
-    for user_id, user_logs in grouped.items():
+    for user_id, user_logs in by_user(logs).items():
         if user_id not in timelines:
             continue  # zero timeline coverage
-        prob = presleep_probability(
-            user_logs, timelines[user_id], window_minutes, denominator
-        )
-        if prob is None:
+        if all(l.deep_sleep_pct is None for l in user_logs):
             continue
-        deeps = [l.deep_sleep_pct for l in user_logs if l.deep_sleep_pct is not None]
-        if not deeps:
-            continue
-        probs[user_id] = prob
-        deep_by_user[user_id] = sum(deeps) / len(deeps)
-    return presleep_report(probs, deep_by_user, window_minutes, denominator)
+        prob = presleep_probability(user_logs, timelines[user_id], window_minutes, denominator)
+        if prob is not None:
+            probs[user_id] = prob
+    return probs
 
 
 def presleep_report(
-    probs: dict[str, float],
-    deep_by_user: Mapping[str, float],
-    window_minutes: int,
-    denominator: str,
+    users: Sequence[UserRecord], window_minutes: int, denominator: str
 ) -> PresleepReport:
-    """Correlate each user's pre-sleep probability with their mean deep sleep.
+    """Correlate pre-sleep probability with mean deep sleep over the users that carry both.
 
-    `deep_by_user` must hold every user in `probs`.  The correlation and the
-    top-vs-bottom quartile test are reported as not computable when the
-    probabilities carry no variation.
+    The correlation and the top-vs-bottom quartile test are reported as not
+    computable when the probabilities carry no variation.
     """
+    related = sorted(
+        (u for u in users if u.presleep_tweet_prob is not None and u.avg_deep_sleep_pct is not None),
+        key=lambda u: u.user_id,
+    )
+    probs = [u.presleep_tweet_prob for u in related]
     notes: dict[str, str] = {}
     correlation = None
     cohort = None
-    ordered_users = sorted(probs)
-    if len(ordered_users) >= 3:
-        xs = [probs[u] for u in ordered_users]
-        ys = [deep_by_user[u] for u in ordered_users]
+    if len(related) >= 3:
         try:
-            correlation = pearson(xs, ys)
+            correlation = pearson(probs, [u.avg_deep_sleep_pct for u in related])
         except DegenerateSampleError as exc:
             notes["correlation"] = f"not computable: {exc}"
     else:
-        notes["correlation"] = f"not computable: only {len(ordered_users)} users"
+        notes["correlation"] = f"not computable: only {len(related)} users"
 
-    if len(ordered_users) >= 4 and len(set(probs.values())) > 1:
-        quartiles = quartile_split(probs)
+    varied = len(set(probs)) > 1
+    if len(related) >= 4 and varied:
+        quartiles = quartile_split({u.user_id: u.presleep_tweet_prob for u in related})
         groups = {
-            q: [deep_by_user[u] for u, qq in quartiles.items() if qq == q] for q in QUARTILE_LABELS
+            q: [u.avg_deep_sleep_pct for u in related if quartiles[u.user_id] == q]
+            for q in QUARTILE_LABELS
         }
         top, bottom = groups["Q4"], groups["Q1"]
         if top and bottom:
@@ -479,18 +471,17 @@ def presleep_report(
             )
         else:
             notes["cohort"] = "not computable: empty extreme quartile"
-    elif len(set(probs.values())) <= 1:
+    elif not varied:
         notes["cohort"] = "not computable: probabilities carry no variation"
     else:
-        notes["cohort"] = f"not computable: only {len(ordered_users)} users"
+        notes["cohort"] = f"not computable: only {len(related)} users"
 
     return PresleepReport(
-        probabilities=probs,
         correlation=correlation,
         cohort=cohort,
         window_minutes=window_minutes,
         denominator=denominator,
-        n_users=len(ordered_users),
+        n_users=len(related),
         notes=notes,
     )
 

@@ -400,7 +400,7 @@ def do_geo(
         cache_path=settings["geo_cache"],
         offline=settings["geo_offline"],
     )
-    resolutions = resolve_users(profiles.values(), client)  # sorted by user id
+    resolutions = resolve_users(profiles, client)  # sorted by user id
 
     stamp = config_stamp(settings)
     rows = [[r.user_id, r.country, r.method.value, r.query_text] for r in resolutions.values()]
@@ -467,10 +467,8 @@ def _analysis_bundle(
         "activity.json": _json(_cohort_or_note(activity_cohorts, users, logs)),
         "friends.json": _json(_cohort_or_note(friends_split, users)),
     }
-    if presleep is not None:  # only a user with a deep-sleep mean has a probability
-        probs = {u.user_id: p for u in users if (p := u.presleep_tweet_prob) is not None}
-        deeps = {u.user_id: u.avg_deep_sleep_pct for u in users}
-        bundle["presleep.json"] = _json(presleep_report(probs, deeps, *presleep).to_record())
+    if presleep is not None:
+        bundle["presleep.json"] = _json(presleep_report(users, *presleep).to_record())
     return {os.path.join(bundle_dir, name): text for name, text in bundle.items()}
 
 
@@ -492,11 +490,11 @@ def do_analyze(
     """
     if not logs:
         raise ValueError(f"no logs to analyze in {inputs[0]}")
-    users, summary = per_user_aggregates(logs, resolutions, profiles)
+    users = per_user_aggregates(logs, resolutions, profiles)
     presleep = None
     if timelines is not None:
         presleep = (settings["presleep_window_minutes"], settings["presleep_denominator"])
-        probabilities = presleep_activity(logs, timelines, *presleep).probabilities
+        probabilities = presleep_activity(logs, timelines, *presleep)
         for user in users:
             user.presleep_tweet_prob = probabilities.get(user.user_id)
     stamp = config_stamp(settings)
@@ -515,7 +513,7 @@ def do_analyze(
     _publish(out_dir, "analyze", inputs, stamp, outputs)
     _prune(out_dir, "analysis", outputs)  # only once the new files are in place
     return (
-        f"analyze: {summary.n_logs} logs over {summary.n_users} users; "
+        f"analyze: {len(logs)} logs over {len(users)} users; "
         f"robustness subset (>= {min_logs} logs) holds {len(steady_users)} users"
     )
 

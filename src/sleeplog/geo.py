@@ -17,9 +17,9 @@ import time as _time
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable
 
-from .records import RawTweet, latest_profiles
+from .records import RawTweet
 
 
 class ResolutionMethod(Enum):
@@ -245,10 +245,10 @@ def resolve_country(tweet: RawTweet, client: GeocodeClient | None = None) -> Cou
 
 
 def resolve_users(
-    tweets: Iterable[RawTweet], client: GeocodeClient | None = None
+    profiles: dict[str, RawTweet], client: GeocodeClient | None = None
 ) -> dict[str, CountryResolution]:
-    """One resolution per user, from that user's most recent tweet."""
-    profiles = latest_profiles(tweets)
+    """One resolution per user, in user id order, from `profiles`: each user's most
+    recent tweet by user id, as `latest_profiles` gives them."""
     return {
         user_id: resolve_country(profile, client)
         for user_id, profile in sorted(profiles.items())

@@ -115,7 +115,6 @@ class SleepLog:
     end_local: datetime | None = None
     start_utc: datetime | None = None
     end_utc: datetime | None = None
-    duration_inconsistent: bool = False
 
     def __post_init__(self) -> None:
         # Exact types, so that to_json writes every value as json.dumps would.
@@ -131,10 +130,6 @@ class SleepLog:
             raise ValueError(f"duration_minutes must be at most 1439, got {duration}")
         if pct is not None and (type(pct) is not int or not 0 <= pct <= 100):
             raise ValueError(f"deep_sleep_pct must be an integer in [0, 100] or null, got {pct!r}")
-        if type(self.duration_inconsistent) is not bool:
-            raise ValueError(
-                f"duration_inconsistent must be true or false, got {self.duration_inconsistent!r}"
-            )
         # The instants `from_record` reads back: local ones naive, UTC ones in UTC, to the second.
         # One check per field, not a loop over (name, value) pairs: this runs for every log built.
         start_local, end_local = self.start_local, self.end_local
@@ -177,6 +172,11 @@ class SleepLog:
     @property
     def anchored(self) -> bool:
         return self.start_utc is not None
+
+    @property
+    def duration_inconsistent(self) -> bool:
+        """The stated duration is more than a minute off the clock times' own."""
+        return abs(recomputed_duration(self.start_civil, self.end_civil) - self.duration_minutes) > 1
 
     def to_record(self) -> dict:
         """The dict form; `to_json` writes the same object as one JSON line."""
@@ -227,11 +227,12 @@ class SleepLog:
         Times and instants must have the shapes that stages write: civil times
         `HH:MM`, local instants naive `YYYY-MM-DDTHH:MM:SS`, UTC instants the
         same plus `+00:00`, and an absent instant `null`.  Raises KeyError for
-        a missing field and ValueError for any other value (see `__post_init__`).
+        a missing field, and ValueError for any other bad value (see
+        `__post_init__`) or a `duration_inconsistent` other than the derived flag.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"log record must be a JSON object, got {type(doc).__name__}")
-        return cls(
+        log = cls(
             doc["tweet_id"],
             _shared(doc["user_id"]),
             _civil(doc, "start_civil"),
@@ -244,8 +245,18 @@ class SleepLog:
             _instant(doc, "end_local", False),
             _instant(doc, "start_utc", True),
             _instant(doc, "end_utc", True),
-            doc["duration_inconsistent"],
         )
+        flag = doc["duration_inconsistent"]
+        if flag is not log.duration_inconsistent:
+            if type(flag) is not bool:
+                raise ValueError(f"duration_inconsistent must be true or false, got {flag!r}")
+            raise ValueError(
+                f"duration_inconsistent must be {'false' if flag else 'true'}:"
+                f" {log.start_civil:%H:%M} to {log.end_civil:%H:%M} is"
+                f" {recomputed_duration(log.start_civil, log.end_civil)} minutes,"
+                f" and duration_minutes is {log.duration_minutes}"
+            )
+        return log
 
 
 ParseOutcome = SleepLog | Rejection
@@ -476,8 +487,6 @@ def _build_log(
     separator = Separator.COLON if start_sep == ":" else Separator.DOT
 
     start_civil, end_civil = _CIVIL[start], _CIVIL[end]
-    inconsistent = abs(recomputed_duration(start_civil, end_civil) - stated) > 1
-
     start_local = end_local = start_utc = end_utc = None
     tz = user_tzinfo(tweet)
     if tz is not None:
@@ -497,7 +506,7 @@ def _build_log(
 
     return SleepLog(
         tweet.tweet_id, tweet.user_id, start_civil, end_civil, stated, deep, notation, separator,
-        start_local, end_local, start_utc, end_utc, inconsistent,
+        start_local, end_local, start_utc, end_utc,
     )
 
 

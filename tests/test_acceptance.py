@@ -23,6 +23,7 @@ from sleeplog.analytics import (
     country_compare,
     per_user_aggregates,
     presleep_activity,
+    presleep_report,
     sleep_clock,
 )
 from sleeplog.geo import (
@@ -68,7 +69,6 @@ def make_log(duration_minutes: int, tweet_id: str = "t0", user_id: str = "u0") -
         deep_sleep_pct=40,
         notation=TimeNotation.H24,
         separator=Separator.COLON,
-        duration_inconsistent=abs(recomputed_duration(start, end) - duration_minutes) > 1,
     )
 
 
@@ -119,7 +119,7 @@ def test_c1_hundred_thousand_logs_round_trip_field_exact():
         start = clock_time(rng.randrange(24), rng.randrange(60))
         end = clock_time(rng.randrange(24), rng.randrange(60))
         # Stated duration usually agrees with the clock span; sometimes not,
-        # to exercise the inconsistency flag.  A full-day span has no
+        # so that inconsistent logs round-trip too.  A full-day span has no
         # duration token (hour field stops at 23), so it stays out of range.
         if start != end and rng.random() < 0.7:
             stated = recomputed_duration(start, end)
@@ -135,7 +135,6 @@ def test_c1_hundred_thousand_logs_round_trip_field_exact():
             deep_sleep_pct=deep,
             notation=notation,
             separator=separator,
-            duration_inconsistent=abs(recomputed_duration(start, end) - stated) > 1,
         )
         tweet = RawTweet(
             tweet_id="t",
@@ -353,6 +352,15 @@ def test_c5_pearson_r_hand_cases_and_p_against_quadrature():
 
 # --- c6: planted effects at scale ----------------------------------------------
 
+def presleep_json_report(users, logs, timelines):
+    """The report `analyze` writes to presleep.json: `users` (from `per_user_aggregates`)
+    given their pre-sleep probabilities, related by `presleep_report`."""
+    probabilities = presleep_activity(logs, timelines, window_minutes=120, denominator="night")
+    for user in users:
+        user.presleep_tweet_prob = probabilities.get(user.user_id)
+    return presleep_report(users, window_minutes=120, denominator="night")
+
+
 def test_c6_seeded_corpus_recovers_planted_effects_under_60s():
     started = time.monotonic()
     config = SynthConfig(seed=1006, n_users=400, logs_per_user_range=(30, 160), days=60)
@@ -360,8 +368,8 @@ def test_c6_seeded_corpus_recovers_planted_effects_under_60s():
     tweets, kept, _ = run_pipeline(result, PipelineLedger())
     assert 20_000 <= len(kept) <= 45_000
 
-    resolutions = resolve_users(tweets)
-    users, _ = per_user_aggregates(kept, resolutions, latest_profiles(tweets))
+    profiles = latest_profiles(tweets)
+    users = per_user_aggregates(kept, resolutions=resolve_users(profiles), profiles=profiles)
 
     duration = country_compare(users, "JP", "US", "duration")
     assert duration.tests["duration"].p_two_sided < 0.01
@@ -370,9 +378,7 @@ def test_c6_seeded_corpus_recovers_planted_effects_under_60s():
     clock = sleep_clock(kept)
     assert abs(clock.start_share_22_03 - 0.77) <= 0.02
 
-    presleep = presleep_activity(
-        kept, build_timelines(result), window_minutes=120, denominator="night"
-    )
+    presleep = presleep_json_report(users, kept, build_timelines(result))
     assert presleep.correlation is not None
     assert presleep.correlation.r < 0.0
     assert presleep.correlation.p_two_sided < 0.05
@@ -401,9 +407,7 @@ def test_c6_null_corpora_reject_at_the_nominal_rate():
             outcome = parse_tweet(tweet)
             assert not isinstance(outcome, Rejection)
             logs.append(outcome)
-        report = presleep_activity(
-            logs, build_timelines(result), window_minutes=120, denominator="night"
-        )
+        report = presleep_json_report(per_user_aggregates(logs), logs, build_timelines(result))
         assert report.correlation is not None
         if report.correlation.p_two_sided < 0.05:
             rejections += 1

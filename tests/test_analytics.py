@@ -82,7 +82,8 @@ class TestPerUserAggregates:
             user_id="u1", statuses_count=1000,
             account_created_at=datetime(2015, 7, 16, 6, 20, tzinfo=timezone.utc),
         )  # exactly 100 days before the default created_at
-        users, summary = per_user_aggregates(logs, resolutions, {"u1": profile})
+        users = per_user_aggregates(logs, resolutions, {"u1": profile})
+        summary = dataset_summary(logs, users)
 
         assert [u.user_id for u in users] == ["u1", "u2"]
         u1, u2 = users
@@ -125,8 +126,9 @@ class TestPerUserAggregates:
         assert repr(shuffled) == repr(summary(logs, users))
 
     def test_empty_corpus(self):
-        users, summary = per_user_aggregates([])
-        assert users == [] and summary.n_logs == 0
+        assert per_user_aggregates([]) == []
+        summary = dataset_summary([], [])
+        assert summary.n_logs == 0 and summary.n_users == 0
         assert summary.overall_mean_deep is None
 
     def test_min_logs_threshold_inclusive(self):
@@ -439,9 +441,18 @@ class TestPresleepActivity:
             timelines[uid] = timeline
         return logs, timelines
 
+    @staticmethod
+    def report(logs, timelines):
+        """The report `analyze` writes to presleep.json, built the way it builds it."""
+        users = per_user_aggregates(logs)
+        probabilities = presleep_activity(logs, timelines)
+        for user in users:
+            user.presleep_tweet_prob = probabilities.get(user.user_id)
+        return presleep_report(users, 120, "night")
+
     def test_negative_association_recovered(self):
         logs, timelines = self.planted()
-        report = presleep_activity(logs, timelines)
+        report = self.report(logs, timelines)
         assert report.n_users == 40
         assert report.correlation is not None
         assert report.correlation.r < -0.5
@@ -453,21 +464,31 @@ class TestPresleepActivity:
 
     def test_probabilities_reported_per_user(self):
         logs, timelines = self.planted()
-        report = presleep_activity(logs, timelines)
-        assert report.probabilities["u00"] == pytest.approx(0.0)
-        assert report.probabilities["u04"] == pytest.approx(1.0)
+        probabilities = presleep_activity(logs, timelines)
+        assert len(probabilities) == 40
+        assert probabilities["u00"] == pytest.approx(0.0)
+        assert probabilities["u04"] == pytest.approx(1.0)
 
     def test_users_without_timeline_coverage_excluded(self):
         logs, timelines = self.planted()
         del timelines["u00"]
-        report = presleep_activity(logs, timelines)
-        assert report.n_users == 39
-        assert "u00" not in report.probabilities
+        assert "u00" not in presleep_activity(logs, timelines)
+        assert self.report(logs, timelines).n_users == 39
+
+    def test_users_without_an_anchored_log_or_deep_sleep_get_no_probability(self):
+        logs, timelines = self.planted()
+        logs = [replace(l, deep_sleep_pct=None) if l.user_id == "u01" else l for l in logs]
+        logs = [mk_log("u02", l.start_local, 420, anchored=False) if l.user_id == "u02" else l
+                for l in logs]
+        probabilities = presleep_activity(logs, timelines)
+        assert "u01" not in probabilities and "u02" not in probabilities
+        assert len(probabilities) == 38
+        assert self.report(logs, timelines).n_users == 38
 
     def test_constant_probabilities_noted(self):
         logs = [mk_log(f"u{i}", NIGHT, 420, deep=40 + i) for i in range(6)]
         timelines = {f"u{i}": [] for i in range(6)}
-        report = presleep_activity(logs, timelines)
+        report = self.report(logs, timelines)
         assert report.correlation is None
         assert "correlation" in report.notes
         assert report.cohort is None
@@ -475,7 +496,8 @@ class TestPresleepActivity:
 
     def test_too_few_users_noted(self):
         logs = [mk_log("u0", NIGHT, 420), mk_log("u1", NIGHT, 420)]
-        report = presleep_activity(logs, {"u0": [], "u1": []})
+        report = self.report(logs, {"u0": [], "u1": []})
+        assert report.n_users == 2
         assert report.correlation is None and report.cohort is None
 
     @settings(deadline=None)
@@ -486,9 +508,9 @@ class TestPresleepActivity:
     )
     def test_report_ignores_the_order_of_the_users(self, users, data):
         def record(order):
-            probs = {f"u{i}": users[i][0] for i in order}
-            deeps = {f"u{i}": users[i][1] for i in order}
-            return presleep_report(probs, deeps, 120, "night").to_record()
+            related = [mk_user(f"u{i}", deep=users[i][1], presleep_tweet_prob=users[i][0])
+                       for i in order]
+            return presleep_report(related, 120, "night").to_record()
 
         order = data.draw(st.permutations(range(len(users))))
         assert repr(record(order)) == repr(record(range(len(users))))

@@ -1088,6 +1088,14 @@ _MISTYPED_LOGS = [
     pytest.param(_log_with(_set("duration_inconsistent", "no"),
                            "duration_inconsistent must be true or false, got 'no'"),
                  id="string-inconsistent-flag"),
+    pytest.param(_log_with(_set("duration_inconsistent", True),
+                           "duration_inconsistent must be false: 05:14 to 10:04 is 290 minutes,"
+                           " and duration_minutes is 290"),
+                 id="flag-set-on-a-consistent-log"),
+    pytest.param(_log_with(_set("duration_minutes", 200),
+                           "duration_inconsistent must be true: 05:14 to 10:04 is 290 minutes,"
+                           " and duration_minutes is 200"),
+                 id="duration-moved-under-a-clear-flag"),
     pytest.param(_log_with(_set("tweet_id", 12345), "tweet_id must be a non-empty string, got 12345"),
                  id="integer-tweet-id"),
     pytest.param(_log_with(_set("user_id", ["u1"]), "user_id must be a non-empty string, got ['u1']"),
@@ -1356,8 +1364,10 @@ _TIMELINE_FIELD_TYPES = {"user_id": {"string"}, "created_at": {"string"}}
 # Each stage input the fuzz test breaks: the stages that read it (see `_run_stage`), the JSON
 # types of the values they read (by path; "*" is every index of a list or key of an object),
 # and the paths that must be present.  A CSV file's types are by column, and the columns its
-# readers use must be present.  A config file is broken by `_mutated_config`.
+# readers use must be present.  A config file is broken by `_mutated_config`.  `ingest` counts
+# a broken corpus line as a reject and goes on (`_assert_ingest_counts_one_reject`).
 _BROKEN_INPUTS = {
+    "corpus.jsonl": (("ingest",), _fields(_TWEET_FIELD_TYPES), _REQUIRED_TWEET_FIELDS),
     "tweets.jsonl": (("parse",), _fields(_TWEET_FIELD_TYPES), _REQUIRED_TWEET_FIELDS),
     "profiles.jsonl": (("geo", "analyze"), _fields(_TWEET_FIELD_TYPES), _REQUIRED_TWEET_FIELDS),
     "timelines.jsonl": (("analyze --timelines",), _fields(_TIMELINE_FIELD_TYPES),
@@ -1560,6 +1570,23 @@ def _run_stage(stage: str, out: Path, path: Path, cache: str) -> tuple[int, str]
     return code, err.getvalue()
 
 
+def _assert_ingest_counts_one_reject(run_dir: Path, out: Path, lineno: int, cache: str) -> None:
+    """`ingest` of `out`'s corpus, whose line `lineno` is broken, skips that line alone:
+    it exits 0, lists the line as malformed, and keeps one tweet fewer than `run_dir`."""
+    exit_code, err = _run_stage("ingest", out, out / "corpus.jsonl", cache)
+    assert (exit_code, err) == (0, "")
+    _, rows = read_stamped_csv(out / "ingest_rejects.csv")
+    assert [(r["position"], r["reason"]) for r in rows if r["stage"] == "ingest"] == [
+        (str(lineno), "MALFORMED_JSON")
+    ]
+
+    def ingest_kept(root: Path) -> int:
+        stages = json.loads((root / "ledger.json").read_text())["stages"]
+        return next(s["kept"] for s in stages if s["name"] == "ingest")
+
+    assert ingest_kept(out) == ingest_kept(run_dir) - 1
+
+
 @pytest.mark.parametrize("name", sorted(_BROKEN_INPUTS))
 @settings(deadline=None, max_examples=8)
 @given(data=st.data())
@@ -1588,6 +1615,9 @@ def test_a_broken_stage_input_is_one_located_error_from_every_reader(
         out = Path(tmp) / "out"
         shutil.copytree(run_dir, out)
         (out / name).write_bytes(text)
+        if name == "corpus.jsonl":
+            _assert_ingest_counts_one_reject(run_dir, out, lineno, os.path.join(tmp, "gc.json"))
+            return
         before = tree_hashes(out)
         errors = []
         for stage in stages:

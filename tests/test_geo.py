@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 
 import pytest
 
@@ -242,24 +241,15 @@ class TestRetriesAndThrottle:
 
 
 class TestResolveUsers:
-    def test_latest_profile_wins(self, make_tweet):
-        older = make_tweet(user_id="u9", time_zone="Asia/Tokyo",
-                           created_at=datetime(2015, 10, 1, tzinfo=timezone.utc))
-        newer = make_tweet(user_id="u9", time_zone="America/Chicago",
-                           created_at=datetime(2015, 10, 20, tzinfo=timezone.utc))
-        got = resolve_users([older, newer])
-        assert got["u9"].country == "US"
-
     def test_one_entry_per_user(self, make_tweet):
-        tweets = [
-            make_tweet(user_id="a", time_zone="Asia/Tokyo"),
-            make_tweet(user_id="b", time_zone="Europe/London"),
-            make_tweet(user_id="a", time_zone="Asia/Tokyo"),
-        ]
-        got = resolve_users(tweets)
-        assert set(got) == {"a", "b"}
-        assert got["b"].country == "GB"
+        profiles = {
+            "b": make_tweet(user_id="b", time_zone="Europe/London"),
+            "a": make_tweet(user_id="a", time_zone="Asia/Tokyo"),
+        }
+        got = resolve_users(profiles)
+        assert list(got) == ["a", "b"]
+        assert got["a"].country == "JP" and got["b"].country == "GB"
 
     def test_unresolvable_users_still_reported(self, make_tweet):
-        got = resolve_users([make_tweet(user_id="x")])
+        got = resolve_users({"x": make_tweet(user_id="x")})
         assert got["x"].method is ResolutionMethod.UNRESOLVED

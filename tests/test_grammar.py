@@ -134,7 +134,6 @@ def random_log(rng: random.Random, tweet_id: str = "t", user_id: str = "u") -> S
         deep_sleep_pct=deep,
         notation=rng.choice(list(TimeNotation)),
         separator=rng.choice(list(Separator)),
-        duration_inconsistent=abs(recomputed_duration(start, end) - stated) > 1,
     )
 
 
@@ -197,7 +196,6 @@ class TestRoundTrip:
             start_civil=start, end_civil=end,
             duration_minutes=stated, deep_sleep_pct=deep,
             notation=notation, separator=separator,
-            duration_inconsistent=abs(recomputed_duration(start, end) - stated) > 1,
         )
         from sleeplog.records import RawTweet
         tweet = RawTweet(
@@ -609,7 +607,6 @@ def sleep_logs(draw, local=STAGE_LOCAL, utc=STAGE_UTC,
         end_local=end_local,
         start_utc=start_utc,
         end_utc=end_utc,
-        duration_inconsistent=draw(st.booleans()),
     )
 
 
@@ -633,8 +630,7 @@ class TestRecordCodec:
     @settings(deadline=None)
     @given(
         sleep_logs(),
-        st.sampled_from(["tweet_id", "user_id", "duration_minutes", "deep_sleep_pct",
-                         "duration_inconsistent"]),
+        st.sampled_from(["tweet_id", "user_id", "duration_minutes", "deep_sleep_pct"]),
         st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), IDS, st.lists(IDS)),
     )
     def test_to_json_is_the_sorted_dict_form_for_every_accepted_value(self, log, name, value):
@@ -650,6 +646,16 @@ class TestRecordCodec:
     def test_decoding_a_line_writes_it_back_byte_for_byte(self, log):
         line = log.to_json()
         assert SleepLog.from_record(json.loads(line)).to_json() == line
+
+    @settings(deadline=None)
+    @given(sleep_logs())
+    def test_a_flag_that_contradicts_the_clock_times_is_refused(self, log):
+        flag = log.duration_inconsistent
+        doc = {**log.to_record(), "duration_inconsistent": not flag}
+        message = (f"^duration_inconsistent must be {json.dumps(flag)}: {log.start_civil:%H:%M} "
+                   f"to {log.end_civil:%H:%M} is ")
+        with pytest.raises(ValueError, match=message):
+            SleepLog.from_record(doc)
 
     @pytest.mark.parametrize("name, value", [
         ("start_local", datetime(2015, 10, 23, 23, 2, tzinfo=timezone.utc)),
@@ -705,8 +711,17 @@ def _decoded_by_parsing(doc: dict) -> SleepLog:
         TimeNotation(doc["notation"]), Separator(doc["separator"]),
         grammar._instant(doc, "start_local", False), grammar._instant(doc, "end_local", False),
         grammar._instant(doc, "start_utc", True), grammar._instant(doc, "end_utc", True),
-        doc["duration_inconsistent"],
     )
+
+
+def _derived_flag(doc: dict) -> bool:
+    """The `duration_inconsistent` that `doc`'s civil times and duration give, where they
+    decode; any other record is refused before its flag is read."""
+    try:
+        start, end = time.fromisoformat(doc["start_civil"]), time.fromisoformat(doc["end_civil"])
+        return abs(recomputed_duration(start, end) - doc["duration_minutes"]) > 1
+    except (TypeError, ValueError):
+        return False
 
 
 def _outcome(decode, doc: dict):
@@ -737,6 +752,7 @@ class TestTableDecode:
     def test_same_log_or_message_as_parsing(self, name, values):
         for value in values:
             doc = {**self.BASE, name: value}
+            doc["duration_inconsistent"] = _derived_flag(doc)
             expected = _outcome(_decoded_by_parsing, doc)
             assert _outcome(SleepLog.from_record, doc) == expected, value
             if isinstance(expected, SleepLog):
