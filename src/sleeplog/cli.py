@@ -24,7 +24,10 @@ run-all and parse let go of each tweet once it is parsed.
 
 Every stage writes a manifest holding sha256 digests of its inputs and
 outputs plus the effective settings; no timestamps, so byte-identical
-inputs always produce byte-identical outputs.
+inputs always produce byte-identical outputs.  A JSON Lines input is digested
+through the handle it is decoded from.  One that a stage wrote (`_WRITERS`),
+with the digest its manifest beside it lists, is built without re-checking
+each record: the stage that wrote it checked them.
 
 Exit codes: 0 success, 1 operational failure (bad paths, broken data),
 2 usage or configuration error.
@@ -63,7 +66,7 @@ from .analytics import (
     wake_heatmap,
 )
 from .geo import CountryResolution, GeocodeClient, resolve_users
-from .grammar import Rejection, SleepLog, parse_tweet
+from .grammar import Rejection, SleepLog, parse_tweet, written_log
 from .pipeline import FilterConfig, filter_logs
 from .records import (
     PipelineLedger,
@@ -74,18 +77,20 @@ from .records import (
     latest_profiles,
     parse_timestamp,
     utf8_line,
+    written_tweet,
 )
 from .svg import render_grouped_bars, render_heatmap, render_histogram
 
 
 # --- Small file helpers --------------------------------------------------------
 
-def _sha256(path: str) -> str:
-    """Digest of a file read from the start; a pipe would give the empty stream's."""
+def _sha256(path: str, handle=None) -> str:
+    """Digest of a file, read from the start or from where binary `handle`, open on it,
+    stands; a pipe would give the empty stream's."""
     if not os.path.isfile(path):
         raise ValueError(f"{path}: not a regular file, so the manifest cannot digest it")
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
+    with open(path, "rb") if handle is None else contextlib.nullcontext(handle) as handle:
         # In 64 KiB chunks: reading 1 MiB at a time raised run-all's peak RSS by ~1 MB.
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
@@ -94,13 +99,14 @@ def _sha256(path: str) -> str:
 
 def _prune(out_dir: str, sub_dir: str, written: Iterable[str]) -> None:
     """Delete each file under `out_dir/sub_dir` that is not in `written` (paths
-    under `out_dir`), and each directory below it that this leaves empty."""
+    under `out_dir`) or another stage's temp file, and each directory below it
+    that this leaves empty."""
     keep = {os.path.join(out_dir, rel) for rel in written}
     root = os.path.join(out_dir, sub_dir)
     for dirpath, _, filenames in os.walk(root, topdown=False):
         for name in filenames:
             path = os.path.join(dirpath, name)
-            if path not in keep:
+            if path not in keep and not name.endswith(".tmp"):
                 os.remove(path)
         if dirpath != root and not os.listdir(dirpath):
             os.rmdir(dirpath)
@@ -167,10 +173,36 @@ def _read_csv(path: str, columns: list[str], build) -> list:
             raise _bad_input(f"{path}:{reader.reader.line_num + skipped}", exc) from None
 
 
-def _each_jsonl(path: str, build) -> Iterator:
+# The files stages write from checked records, each by the stage whose manifest lists it.
+_WRITERS = {"tweets.jsonl": "ingest", "profiles.jsonl": "ingest", "logs.jsonl": "parse",
+            "filtered.jsonl": "filter"}
+_read_digests: dict[str, str] = {}  # by path, each file `_each_jsonl` read, for the manifest
+
+
+def _vouched(path: str, digest: str) -> bool:
+    """Whether the manifest beside `path` of its writer, at this version, lists `digest`."""
+    name = os.path.basename(path)
+    writer = _WRITERS.get(name)
+    if writer is None:
+        return False
+    try:
+        doc = _read_json_object(os.path.join(os.path.dirname(path), f"manifest_{writer}.json"))
+        return (doc["command"], doc["tool_version"], doc["outputs"][name]) == (
+            writer, __version__, digest)
+    except (OSError, *_BAD_INPUT):
+        return False
+
+
+def _each_jsonl(path: str, build, written=None) -> Iterator:
     """`build(record)` for each non-blank line of a JSON Lines file, as the file is read;
-    a bad record names its line."""
+    a bad record names its line.  The file is digested through the same handle first, so
+    its manifest entry names the bytes decoded; if `_vouched` says a stage wrote them,
+    `written`, when given, builds the records instead, without checking them."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        _read_digests[path] = digest = _sha256(path, handle.buffer)
+        handle.seek(0)
+        if written is not None and _vouched(path, digest):
+            build = written
         try:
             for lineno, line in enumerate(handle, start=1):
                 if line.strip():
@@ -179,8 +211,8 @@ def _each_jsonl(path: str, build) -> Iterator:
             raise _bad_input(f"{path}:{lineno}", exc) from None
 
 
-def _read_jsonl(path: str, build) -> list:
-    return list(_each_jsonl(path, build))
+def _read_jsonl(path: str, build, written=None) -> list:
+    return list(_each_jsonl(path, build, written))
 
 
 def _drained(tweets: list[RawTweet]) -> Iterator[RawTweet]:
@@ -193,7 +225,7 @@ def _drained(tweets: list[RawTweet]) -> Iterator[RawTweet]:
 
 def _read_profiles(path: str) -> dict[str, RawTweet]:
     """Each user's latest tweet in `path`, a `profiles.jsonl` or a whole `tweets.jsonl`."""
-    return latest_profiles(_each_jsonl(path, RawTweet.from_record))
+    return latest_profiles(_each_jsonl(path, RawTweet.from_record, written_tweet))
 
 
 def _kept_lines(path: str, logs: list[SleepLog], kept: list[SleepLog]) -> Iterator[str]:
@@ -281,33 +313,36 @@ def _publish(
 
     `outputs` maps a path under `out_dir` to the file's text: a string or an
     iterable of string chunks.  Every file, the manifest last, is written to
-    `<path>.tmp`; the temp files replace their targets only once all are
-    written.  A failed write leaves the previous files and no temp file.
+    `<path>.<pid>.tmp`, named for this process so that a stage running beside it
+    neither digests nor deletes it; the temp files replace their targets only once
+    all are written.  A failed write leaves the previous files and no temp file of its own.
     """
     files = {os.path.join(out_dir, rel): text for rel, text in outputs.items()}
     written = list(files)
+    tmp = f".{os.getpid()}.tmp"
 
     def manifest() -> Iterator[str]:  # drawn last, when every file in `written` is complete
         yield _json({
             "command": command,
             "tool_version": __version__,
             "settings": stamp,
-            "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
-            "outputs": {os.path.basename(p): _sha256(p + ".tmp") for p in written},
+            "inputs": {os.path.basename(p): _read_digests.pop(p, None) or _sha256(p)
+                       for p in inputs},
+            "outputs": {os.path.basename(p): _sha256(p + tmp) for p in written},
         })
 
     files[os.path.join(out_dir, f"manifest_{command}.json")] = manifest()
     try:
         for path, text in files.items():
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path + ".tmp", "w", encoding="utf-8", newline="") as handle:
+            with open(path + tmp, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines([text] if isinstance(text, str) else text)
         for path in files:
-            os.replace(path + ".tmp", path)
+            os.replace(path + tmp, path)
     except BaseException:
         for path in files:
             with contextlib.suppress(FileNotFoundError):
-                os.remove(path + ".tmp")
+                os.remove(path + tmp)
         raise
 
 
@@ -664,7 +699,7 @@ def _analyze_files(args: argparse.Namespace, settings: dict) -> str:
     if "countries" in args.omitted and not os.path.exists(countries):
         countries = None  # only the default may be absent
     return do_analyze(
-        _read_jsonl(args.logs, SleepLog.from_record),
+        _read_jsonl(args.logs, SleepLog.from_record, written_log),
         _read_profiles(args.tweets),
         _read_countries(countries) if countries else {},
         _read_timelines(args.timelines) if args.timelines else None,
@@ -681,10 +716,11 @@ _COMMANDS = {
                lambda a, s: do_ingest(a.input, a.out, s)[0]),
     "parse": ("extract sleep logs from tweets", {"input": "tweets.jsonl"},
               lambda a, s: do_parse(
-                  _drained(_read_jsonl(a.input, RawTweet.from_record)), a.input, a.out, s)[0]),
+                  _drained(_read_jsonl(a.input, RawTweet.from_record, written_tweet)),
+                  a.input, a.out, s)[0]),
     "filter": ("drop implausible durations", {"input": "logs.jsonl"},
-               lambda a, s: do_filter(
-                   _read_jsonl(a.input, SleepLog.from_record), a.input, a.out, s)[0]),
+               lambda a, s: do_filter(_read_jsonl(a.input, SleepLog.from_record, written_log),
+                                      a.input, a.out, s)[0]),
     "geo": ("resolve users to countries", {"input": "profiles.jsonl"},
             lambda a, s: do_geo(_read_profiles(a.input), a.input, a.out, s)[0]),
     "analyze": ("aggregate users, cohorts, and clocks",
@@ -730,6 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _read_digests.clear()  # what an earlier command in this process read is no input here
     defaults = _default_inputs(args.out)[args.command]
     args.omitted = {dest for dest in defaults if not getattr(args, dest)}
     vars(args).update({dest: defaults[dest] for dest in args.omitted})

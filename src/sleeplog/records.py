@@ -210,6 +210,32 @@ class RawTweet:
         )
 
 
+def written_tweet(
+    doc: dict, _setters=[RawTweet.__dict__[name].__set__ for name in RawTweet.__slots__]
+) -> RawTweet:
+    """`RawTweet.from_record(doc)` for a line that a stage wrote from a checked tweet,
+    without the checks.  One slot setter call per field: a loop over them costs more."""
+    (tweet_id, text, created_at, user_id, screen_name, location_text, time_zone, offset,
+     interface_lang, bio, friends, followers, statuses, account_created_at) = _setters
+    tweet = object.__new__(RawTweet)
+    tweet_id(tweet, doc["tweet_id"])
+    text(tweet, doc["text"])
+    created_at(tweet, datetime.fromisoformat(doc["created_at"]))
+    user_id(tweet, _shared_text(doc["user_id"]))
+    screen_name(tweet, _shared_text(doc["screen_name"]))
+    location_text(tweet, _shared(doc["location_text"]))
+    time_zone(tweet, _shared(doc["time_zone"]))
+    offset(tweet, _shared(doc["utc_offset_seconds"]))
+    interface_lang(tweet, _shared(doc["interface_lang"]))
+    bio(tweet, _shared(doc["bio"]))
+    friends(tweet, doc["friends_count"])
+    followers(tweet, doc["followers_count"])
+    statuses(tweet, doc["statuses_count"])
+    account = doc["account_created_at"]
+    account_created_at(tweet, None if account is None else _account_instant(account))
+    return tweet
+
+
 def _count_error(name: str, value: int) -> str:
     """Why `value` is no count: Twitter stores its counts as signed 64-bit integers."""
     return f"{name} must be {'non-negative' if value < 0 else 'below 2**63'}, got {value}"

@@ -240,7 +240,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     ss_y = math.fsum(v * v for v in dy)
     if ss_x <= 0.0 or ss_y <= 0.0:
         raise DegenerateSampleError("zero variance in at least one sample")
-    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    # Two tiny sums of squares (under ~1e-162 each) multiply to 0.0: take the roots apart then.
+    spread = math.sqrt(ss_x * ss_y) or math.sqrt(ss_x) * math.sqrt(ss_y)
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / spread
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return CorrelationResult(r=r, p_two_sided=0.0, n=n)

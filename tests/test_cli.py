@@ -27,7 +27,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sleeplog
 from sleeplog import analytics, cli
@@ -652,8 +652,8 @@ def test_logs_file_that_changes_after_it_is_read_is_an_error(tmp_path, run_dir, 
     n = len(logs.read_text().splitlines())
     read = cli._read_jsonl
 
-    def read_then_append(path, build):
-        records = read(path, build)
+    def read_then_append(path, *builders):
+        records = read(path, *builders)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(logs.read_text().splitlines(keepends=True)[0])
         return records
@@ -1969,3 +1969,238 @@ def test_importing_the_cli_loads_no_synth_or_http_modules():
     done = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# --- the trusted hand-off: a stage input its writer's manifest vouches for --------
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def counting_checks(monkeypatch) -> dict[str, int]:
+    """Patch both checked constructors to count their calls; the counts, as made."""
+    counts = {"SleepLog": 0, "RawTweet": 0}
+    for cls in (SleepLog, RawTweet):
+        def counted(doc, name=cls.__name__, real=cls.from_record):
+            counts[name] += 1
+            return real(doc)
+        monkeypatch.setattr(cls, "from_record", staticmethod(counted))
+    return counts
+
+
+def non_blank_lines(path: Path) -> int:
+    return sum(1 for line in path.read_bytes().splitlines() if line.strip())
+
+
+def redigest(out: Path, command: str, name: str) -> None:
+    """List `name`'s bytes on disk in `manifest_<command>.json`, as its writer would have."""
+    path = out / f"manifest_{command}.json"
+    doc = json.loads(path.read_text())
+    doc["outputs"][name] = sha256_of(out / name)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def edit_one_byte(path: Path) -> None:
+    """Change the last digit of the first line's tweet id: still a valid line."""
+    text = path.read_bytes()
+    at = text.index(b'"tweet_id": "') + len(b'"tweet_id": "')
+    at = text.index(b'"', at) - 1
+    digit = b"1" if text[at:at + 1] != b"1" else b"2"
+    path.write_bytes(text[:at] + digit + text[at + 1:])
+
+
+def test_an_untouched_tree_is_read_without_checking_a_line(
+    tmp_path, run_dir, corpus_dir, monkeypatch
+):
+    out = copy_of(run_dir, tmp_path)
+    counts = counting_checks(monkeypatch)
+    timelines = ["--timelines", str(corpus_dir / "timelines.jsonl")]
+    for stage in (["parse"], ["filter"], ["geo"], ["analyze", *timelines]):
+        assert cli.main([*stage, "--out", str(out), "--geo-offline",
+                         "--geo-cache", str(tmp_path / "gc.json")]) == 0, stage
+    assert counts == {"SleepLog": 0, "RawTweet": 0}
+    assert tree_hashes(out) == tree_hashes(run_dir)
+
+    edit_one_byte(out / "logs.jsonl")
+    assert cli.main(["filter", "--out", str(out), "--geo-offline"]) == 0
+    assert counts == {"SleepLog": non_blank_lines(out / "logs.jsonl"), "RawTweet": 0}
+    counts["SleepLog"] = 0
+    edit_one_byte(out / "filtered.jsonl")
+    edit_one_byte(out / "profiles.jsonl")
+    assert cli.main(["analyze", "--out", str(out), "--geo-offline"]) == 0
+    assert counts == {"SleepLog": non_blank_lines(out / "filtered.jsonl"),
+                      "RawTweet": non_blank_lines(out / "profiles.jsonl")}
+
+
+def test_each_input_is_digested_once_through_the_handle_it_is_read_from(
+    tmp_path, run_dir, monkeypatch
+):
+    out = copy_of(run_dir, tmp_path)
+    digested, real = [], cli._sha256
+
+    def counted(path, *handle):
+        digested.append((os.path.basename(path), bool(handle)))
+        return real(path, *handle)
+
+    monkeypatch.setattr(cli, "_sha256", counted)
+    assert cli.main(["filter", "--out", str(out), "--geo-offline"]) == 0
+    assert cli.main(["analyze", "--out", str(out), "--geo-offline"]) == 0
+    read = [name for name in ("logs.jsonl", "filtered.jsonl", "profiles.jsonl")
+            for entry in digested if entry[0] == name]
+    assert read == ["logs.jsonl", "filtered.jsonl", "profiles.jsonl"]
+    assert {entry for entry in digested if entry[0] in read} == {(name, True) for name in read}
+
+
+def _without_manifest(out: Path) -> None:
+    (out / "manifest_parse.json").unlink()
+
+
+def _edit_manifest(**fields):
+    def edit(out: Path) -> None:
+        path = out / "manifest_parse.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    return edit
+
+
+def _crlf(out: Path) -> None:
+    path = out / "logs.jsonl"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+@pytest.mark.parametrize("untrust", [
+    _without_manifest,
+    _edit_manifest(tool_version="0.0.0"),
+    _edit_manifest(command="filter"),  # the wrong writer's manifest
+    lambda out: edit_one_byte(out / "logs.jsonl"),
+    _crlf,
+], ids=["no-manifest", "other-version", "wrong-writer", "one-byte-edit", "crlf-copy"])
+def test_an_input_its_manifest_does_not_vouch_for_is_checked(
+    tmp_path, run_dir, monkeypatch, untrust
+):
+    out = copy_of(run_dir, tmp_path)
+    untrust(out)
+    counts = counting_checks(monkeypatch)
+    assert cli.main(["filter", "--out", str(out), "--geo-offline"]) == 0
+    assert counts["SleepLog"] == non_blank_lines(run_dir / "logs.jsonl")
+    manifest = json.loads((out / "manifest_filter.json").read_text())
+    assert manifest["inputs"] == {"logs.jsonl": sha256_of(out / "logs.jsonl")}
+
+
+def _contradicting_flag(out: Path) -> tuple[int, str]:
+    """Flip the third line's `duration_inconsistent`; its number and the refusal's text."""
+    lines = (out / "logs.jsonl").read_text().splitlines(keepends=True)
+    doc = json.loads(lines[2])
+    flag = doc["duration_inconsistent"]
+    lines[2] = json.dumps({**doc, "duration_inconsistent": not flag}, sort_keys=True) + "\n"
+    (out / "logs.jsonl").write_text("".join(lines))
+    return 3, f"duration_inconsistent must be {json.dumps(flag)}: "
+
+
+def test_a_hand_edited_bad_line_is_one_located_error(tmp_path, run_dir, capsys):
+    out = copy_of(run_dir, tmp_path)
+    lineno, message = _contradicting_flag(out)
+    assert cli.main(["filter", "--out", str(out), "--geo-offline"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'logs.jsonl'}:{lineno}: {message}")
+    assert err.count("\n") == 1
+
+
+def test_a_hand_edited_line_under_a_redigested_manifest_is_taken_as_written(tmp_path, run_dir):
+    # The trust boundary: a manifest vouches for bytes, not for who wrote them.
+    out = copy_of(run_dir, tmp_path)
+    lineno, _ = _contradicting_flag(out)
+    redigest(out, "parse", "logs.jsonl")
+    assert cli.main(["filter", "--out", str(out), "--min-duration-minutes", "1",
+                     "--max-duration-minutes", "1439"]) == 0
+    edited = (out / "logs.jsonl").read_text().splitlines(keepends=True)[lineno - 1]
+    assert edited in (out / "filtered.jsonl").read_text()
+
+
+# --- temp files are named per process ----------------------------------------
+
+def test_a_stage_leaves_another_process_temp_files_alone(tmp_path, run_dir, corpus_dir):
+    out = copy_of(run_dir, tmp_path)
+    foreign = [out / "filter_rejects.csv.tmp", out / "analysis" / "robustness" / "users.csv.1.tmp"]
+    for path in foreign:
+        path.write_bytes(b"another process is writing this\n")
+    assert cli.main(["filter", "--out", str(out), "--geo-offline"]) == 0
+    manifest = json.loads((out / "manifest_filter.json").read_text())
+    assert manifest["outputs"] == {name: sha256_of(out / name) for name in manifest["outputs"]}
+    assert cli.main(["analyze", "--out", str(out), "--geo-offline",
+                     "--timelines", str(corpus_dir / "timelines.jsonl")]) == 0
+    for path in foreign:
+        assert path.read_bytes() == b"another process is writing this\n"
+    assert tree_hashes(out) == {
+        **tree_hashes(run_dir),
+        **{path.relative_to(out).as_posix(): sha256_of(path) for path in foreign},
+    }
+
+
+def test_two_analyze_processes_on_one_tree_each_write_whole_files(tmp_path, run_dir):
+    floors = ("5", "10")
+    alone = {}
+    for floor in floors:  # what each writes on its own
+        out = tmp_path / f"alone{floor}"
+        shutil.copytree(run_dir, out)
+        assert cli.main(["analyze", "--out", str(out), "--geo-offline",
+                         "--min-logs-per-user", floor]) == 0
+        alone[floor] = tree_hashes(out)
+        assert any(name.startswith("analysis/robustness/") for name in alone[floor])
+    assert alone["5"] != alone["10"]
+    out = copy_of(run_dir, tmp_path)
+    argvs = [[sys.executable, "-m", "sleeplog", "analyze", "--out", str(out),
+              "--geo-offline", "--min-logs-per-user", floor] for floor in floors]
+    children = [subprocess.Popen(argv, env=_child_env(), stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.PIPE) for argv in argvs]
+    errors = [child.communicate(timeout=120)[1] for child in children]
+    assert [child.returncode for child in children] == [0, 0], errors
+    assert errors == [b"", b""]
+    written = tree_hashes(out)
+    assert set(written) == set(alone["5"]) == set(alone["10"])
+    for name, digest in written.items():
+        assert digest in (alone["5"][name], alone["10"][name]), name
+
+
+# --- re-running a stage and everything after it ------------------------------
+
+_RERUN_STAGES = ("ingest", "parse", "filter", "geo", "analyze", "report", "funnel")
+
+
+@settings(deadline=None, max_examples=5)
+@given(
+    seed=st.integers(0, 2**16),
+    users=st.integers(2, 4),
+    first=st.sampled_from(_RERUN_STAGES),
+    flags=st.fixed_dictionaries({
+        "--min-duration-minutes": st.integers(30, 300),
+        "--max-duration-minutes": st.integers(600, 1000),
+        "--slack-minutes": st.integers(0, 30),
+        "--min-logs-per-user": st.integers(1, 20),
+        "--presleep-window-minutes": st.integers(30, 240),
+        "--presleep-denominator": st.sampled_from(["night", "day"]),
+        "--require-deep-sleep": st.sampled_from(["--require-deep-sleep", "--no-require-deep-sleep"]),
+        "--require-anchor": st.sampled_from(["--require-anchor", "--no-require-anchor"]),
+    }),
+)
+def test_rerunning_a_stage_and_every_later_one_writes_what_run_all_writes(
+    seed, users, first, flags
+):
+    settings_argv = []
+    for flag, value in flags.items():
+        settings_argv += [value] if isinstance(value, str) and value.startswith("--") else [
+            flag, str(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        assert cli.main(["synth", "--out", str(corpus), "--synth-users", str(users),
+                         "--seed", str(seed)]) == 0
+        fresh, rerun = Path(tmp) / "fresh", Path(tmp) / "rerun"
+        # Settings that leave no log to analyze stop run-all: nothing to compare.
+        assume(run_all_into(fresh, corpus, Path(tmp) / "gc.json", settings_argv) == 0)
+        assert run_all_into(rerun, corpus, Path(tmp) / "gc.json", settings_argv) == 0
+        common = ["--out", str(rerun), "--geo-offline", "--geo-cache", str(Path(tmp) / "gc.json")]
+        arguments = {"ingest": [str(corpus / "corpus.jsonl")],
+                     "analyze": ["--timelines", str(corpus / "timelines.jsonl")]}
+        for stage in _RERUN_STAGES[_RERUN_STAGES.index(first):]:
+            argv = [stage, *arguments.get(stage, []), *common, *settings_argv]
+            assert cli.main(argv) == 0, argv
+        assert tree_hashes(rerun) == tree_hashes(fresh)

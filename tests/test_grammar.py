@@ -26,6 +26,7 @@ from sleeplog.grammar import (
     parse_tweet,
     recomputed_duration,
     sleeplog_text,
+    written_log,
 )
 from sleeplog.records import RawTweet, RejectReason
 
@@ -646,6 +647,16 @@ class TestRecordCodec:
     def test_decoding_a_line_writes_it_back_byte_for_byte(self, log):
         line = log.to_json()
         assert SleepLog.from_record(json.loads(line)).to_json() == line
+
+    @settings(deadline=None)
+    @given(sleep_logs())
+    def test_a_written_line_builds_unchecked_the_log_from_record_builds(self, log):
+        line = log.to_json()
+        written, checked = written_log(json.loads(line)), SleepLog.from_record(json.loads(line))
+        assert type(written) is SleepLog and written == checked
+        assert [type(getattr(written, name)) for name in SleepLog.__slots__] == [
+            type(getattr(checked, name)) for name in SleepLog.__slots__]
+        assert written.to_json() == line
 
     @settings(deadline=None)
     @given(sleep_logs())

@@ -20,6 +20,7 @@ from sleeplog.records import (
     ingest_file,
     instant_text,
     parse_timestamp,
+    written_tweet,
 )
 
 
@@ -177,6 +178,20 @@ class TestRawTweetEncoder:
         }
         tweet = dataclasses.replace(tweet, **utc)
         assert RawTweet.from_record(json.loads(tweet.to_json())) == tweet
+
+    @settings(deadline=None)
+    @given(raw_tweets())
+    def test_a_written_line_builds_unchecked_the_tweet_from_record_builds(self, tweet):
+        try:  # the line ingest writes for this tweet: its instants in UTC
+            line = RawTweet.from_record(json.loads(tweet.to_json())).to_json()
+        except ValueError:  # an instant that leaves datetime's range once in UTC
+            return
+        written, checked = written_tweet(json.loads(line)), RawTweet.from_record(json.loads(line))
+        assert type(written) is RawTweet and written == checked
+        for name in ("created_at", "account_created_at"):
+            instants = getattr(written, name), getattr(checked, name)
+            assert instants[0] is None or instants[0].tzinfo is instants[1].tzinfo is timezone.utc
+        assert written.to_json() == line
 
 
 ZONES = [None, timezone.utc, timezone(timedelta(seconds=3601)), timezone(timedelta(hours=-5)),

@@ -519,6 +519,7 @@ def test_mann_whitney_ignores_the_order_of_each_sample(a, b):
 @settings(deadline=None)
 @given(with_a_permutation(st.tuples(SUMMED_VALUES, SUMMED_VALUES), 3, 12))
 @example(([(1e16, 0.0), (1.0, 1.0), (-1e16, 3.0)], [(-1e16, 3.0), (1.0, 1.0), (1e16, 0.0)]))
+@example(([(0.0, 0.0), (0.0, 0.0), (8e-87, 8e-87)], [(0.0, 0.0), (0.0, 0.0), (8e-87, 8e-87)]))
 def test_pearson_ignores_the_order_of_the_pairs(pairs):
     def result(pairs):
         try:
